@@ -3,14 +3,13 @@
 Pre-norm transformer blocks with a fused query_key_value projection, an
 attention output "dense", and a 4x MLP ("dense_h_to_4h" / "dense_4h_to_h"),
 so per-block linear names line up with the usual PEFT target-module lists.
-Positions are learned absolute embeddings; the output head is tied to the
-token embedding.
+Between the two projections the causal attention core runs as one fused
+autodiff kernel, ``tensor.attention``. Positions are learned absolute
+embeddings; the output head is tied to the token embedding.
 """
 
 from __future__ import annotations
 
-import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +169,6 @@ class CausalLM:
         for p in self.params.values():
             p.grad = None
 
-    def clone(self) -> "CausalLM":
-        return copy.deepcopy(self)
-
     def state_tensors(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in sorted(self.params.items())}
 
@@ -194,7 +190,7 @@ class CausalLM:
         ids = np.asarray(input_ids)
         if ids.ndim == 1:
             ids = ids[None, :]
-        B, S = ids.shape
+        _, S = ids.shape
         cfg = self.config
         if S > cfg.seq_len:
             raise DataError(f"sequence length {S} exceeds model seq_len {cfg.seq_len}")
@@ -206,20 +202,9 @@ class CausalLM:
         pos = self.params["pos_embeddings.weight"]
         x = T.add(T.embedding(tok, ids), T.embedding(pos, np.arange(S)))
 
-        H, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
-        scale = Tensor(np.float32(1.0 / math.sqrt(hd)))
         for b in self.blocks:
             h = b.ln1(x)
-            qkv = b.attn_qkv(h, training, rng)  # (B, S, 3d)
-            qkv = T.reshape(qkv, (B, S, 3, H, hd))
-            qkv = T.transpose(qkv, 1, 3)  # (B, H, 3, S, hd)
-            q = T.reshape(T.narrow(qkv, 2, 0, 1), (B, H, S, hd))
-            k = T.reshape(T.narrow(qkv, 2, 1, 1), (B, H, S, hd))
-            v = T.reshape(T.narrow(qkv, 2, 2, 1), (B, H, S, hd))
-            scores = T.mul(T.matmul(q, T.transpose(k)), scale)
-            attn = T.softmax(T.causal_mask(scores))
-            ctx = T.matmul(attn, v)  # (B, H, S, hd)
-            ctx = T.reshape(T.transpose(ctx, 1, 2), (B, S, cfg.d_model))
+            ctx = T.attention(b.attn_qkv(h, training, rng), cfg.n_heads)
             a_out = b.attn_dense(ctx, training, rng)
             if b.attn_adapter is not None:
                 a_out = b.attn_adapter(a_out)

@@ -7,12 +7,13 @@ run is bitwise reproducible, paged or not.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import OrderedDict
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import ConfigError, NumericError, StateError
 from .tensor import Parameter
 
 
@@ -20,7 +21,9 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
     Returns the factor applied. Norms already within f32 rounding of the
-    threshold are left untouched, which makes clipping idempotent.
+    threshold are left untouched, which makes clipping idempotent. A NaN or
+    inf gradient raises NumericError naming the first parameter holding one,
+    before any gradient is scaled.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be > 0, got {max_norm}")
@@ -29,6 +32,9 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
     for g in grads:
         total += float(np.square(g.astype(np.float64)).sum())
     norm = total**0.5
+    if not math.isfinite(norm):
+        bad = next(p for p in params if p.grad is not None and not np.isfinite(p.grad).all())
+        raise NumericError(f"non-finite gradient in parameter {bad.name!r}")
     if norm <= max_norm * (1.0 + 1e-6):
         return 1.0
     factor = np.float32(max_norm / norm)

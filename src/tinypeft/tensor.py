@@ -5,11 +5,19 @@ gradient the kernel records a node with a closure computing the local
 vector-Jacobian product; ``backward`` replays the graph in reverse
 topological order. Compute is f32 throughout with fixed reduction order, so
 identical inputs give bitwise identical outputs.
+
+``transpose`` and ``reshape`` return numpy views of their input (``reshape``
+copies only when numpy must); ``narrow`` and ``embedding`` copy. A view
+shares memory with its parent. That is safe because nothing writes node data
+in place between a forward and its backward: the optimizer updates
+parameters only after backward. ``attention`` fuses the causal multi-head
+attention core into a single node.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 from scipy.special import erf
@@ -51,15 +59,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def assert_finite(self, context: str = "tensor"):
-        if not np.all(np.isfinite(self.data)):
-            bad = int(np.argmax(~np.isfinite(self.data.ravel())))
-            raise NumericError(f"non-finite value in {context} at flat index {bad}")
-        return self
-
     def item(self) -> float:
         return float(self.data)
 
@@ -69,9 +68,12 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray):
+        # The first gradient is copied: a backward closure may hand the same
+        # buffer to several parents, and later ``+=`` must not alias them.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float32, order="C")
+        else:
+            self.grad += g
 
     # operators
 
@@ -161,7 +163,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
-    return g.astype(np.float32)
+    return g.astype(np.float32, copy=False)
 
 
 def _coerce(x) -> Tensor:
@@ -229,7 +231,7 @@ def transpose(a: Tensor, ax0: int = -2, ax1: int = -1) -> Tensor:
     def backward(g):
         a._accumulate(np.swapaxes(g, ax0, ax1))
 
-    return _node(data.copy(), (a,), backward)
+    return _node(data, (a,), backward)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -261,7 +263,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         a._accumulate(g.reshape(old))
 
-    return _node(data.copy(), (a,), backward)
+    return _node(data, (a,), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -336,21 +338,49 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _node(data.copy(), (table,), backward)
 
 
-def causal_mask(scores: Tensor) -> Tensor:
-    """Mask attention scores above the diagonal with a large negative value.
+@functools.lru_cache(maxsize=None)
+def _causal_keep(s: int) -> np.ndarray:
+    """Read-only (s, s) lower-triangular keep mask, built once per length."""
+    keep = np.tril(np.ones((s, s), dtype=bool))
+    keep.flags.writeable = False
+    return keep
 
-    Operates on the trailing (T, T) axes; masked positions pass no gradient.
+
+def attention(qkv: Tensor, n_heads: int) -> Tensor:
+    """Causal multi-head self-attention core: (B, S, 3d) -> (B, S, d).
+
+    ``qkv`` is the fused query/key/value projection, each part split into
+    ``n_heads`` heads of d / n_heads features. One node with a hand-written
+    VJP: scores are scaled by 1/sqrt(head dim), positions above the diagonal
+    are masked before the softmax and pass no gradient. Every product runs on
+    contiguous operands (numpy's strided matmul path rounds differently), so
+    the result is bitwise equal to the same math built from the single ops.
     """
-    t = scores.shape[-1]
-    if scores.shape[-2] != t:
-        raise ShapeError(f"causal_mask: trailing axes must be square, got {scores.shape}")
-    keep = np.tril(np.ones((t, t), dtype=bool))
-    data = np.where(keep, scores.data, _MASK_VALUE)
+    if qkv.data.ndim != 3 or n_heads < 1 or qkv.shape[-1] % (3 * n_heads):
+        raise ShapeError(f"attention: cannot split {qkv.shape} into q/k/v of {n_heads} heads")
+    B, S, d3 = qkv.shape
+    hd = d3 // (3 * n_heads)
+    q, k, v = np.ascontiguousarray(
+        qkv.data.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4))  # (B, H, S, hd)
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    scale = np.float32(1.0 / np.sqrt(hd))
+    keep = _causal_keep(S)
+    scores = np.where(keep, (q @ kt) * scale, _MASK_VALUE)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
+    data = (probs @ v).transpose(0, 2, 1, 3).reshape(B, S, d3 // 3)
 
     def backward(g):
-        scores._accumulate(np.where(keep, g, np.float32(0.0)))
+        g_ctx = np.ascontiguousarray(g.reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3))
+        dv = np.swapaxes(probs, -1, -2) @ g_ctx
+        dp = g_ctx @ np.swapaxes(v, -1, -2)
+        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+        ds = np.where(keep, ds, np.float32(0.0)) * scale
+        dq = ds @ np.swapaxes(kt, -1, -2)
+        dk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
+        qkv._accumulate(np.stack((dq, dk, dv)).transpose(1, 3, 0, 2, 4).reshape(B, S, d3))
 
-    return _node(data, (scores,), backward)
+    return _node(data, (qkv,), backward)
 
 
 def tsum(a: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TrainingExample
-from .errors import ConfigError, DataError, StateError
+from .errors import ConfigError, DataError, NumericError, StateError
 from .model import CausalLM
 from .optim import AdamW, clip_global_norm
 from .rng import RngState
@@ -196,7 +196,11 @@ class Trainer:
             scaled = loss * float(inv)
             backward(scaled)
             loss_total += scaled.item()
-        clip_global_norm(self.model.trainable_parameters(), cfg.max_grad_norm)
+        try:
+            clip_global_norm(self.model.trainable_parameters(), cfg.max_grad_norm)
+        except NumericError as e:
+            # raised before the optimizer update, so weights and checkpoints stay clean
+            raise NumericError(f"step {self.global_step + 1}: {e}") from e
         lr = lr_at_step(cfg, self.global_step, self.total_steps)
         self.optimizer.step(lr)
         self.optimizer.zero_grad()

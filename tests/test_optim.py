@@ -4,7 +4,7 @@ bitwise paging transparency."""
 import numpy as np
 import pytest
 
-from tinypeft.errors import ConfigError, StateError
+from tinypeft.errors import ConfigError, NumericError, StateError
 from tinypeft.optim import AdamW, PageTable, clip_global_norm
 from tinypeft.tensor import Parameter
 
@@ -103,6 +103,15 @@ def test_clip_global_across_params():
 def test_clip_rejects_bad_max_norm():
     with pytest.raises(ConfigError):
         clip_global_norm([], 0.0)
+
+
+def test_clip_rejects_nonfinite_gradient_unscaled():
+    a, b = Parameter(np.zeros(2, np.float32), "a"), Parameter(np.zeros(2, np.float32), "b")
+    a.grad = np.array([30.0, 40.0], dtype=np.float32)
+    b.grad = np.array([1.0, np.inf], dtype=np.float32)
+    with pytest.raises(NumericError, match="'b'"):
+        clip_global_norm([a, b], 1.0)
+    np.testing.assert_array_equal(a.grad, [30.0, 40.0])
 
 
 def test_clip_ignores_none_grads():

@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
+from tinypeft import trainer as trainer_mod
 from tinypeft.bpe import train_bpe
 from tinypeft.corpus import QAPair, build_examples
-from tinypeft.errors import ConfigError, DataError
+from tinypeft.errors import ConfigError, DataError, NumericError
 from tinypeft.model import init_model
 from tinypeft.peft import LoraConfig, attach_lora
 from tinypeft.rng import RngState
@@ -239,6 +240,30 @@ def test_paged_run_bitwise_equals_unpaged(tmp_path, tiny_data, tiny_tok):
     assert paged.optimizer.evictions > 0
     for n, p in plain.model.params.items():
         np.testing.assert_array_equal(p.data, paged.model.params[n].data)
+
+
+def test_nonfinite_gradient_stops_the_step(tmp_path, tiny_data, tiny_tok, monkeypatch):
+    tr = make_trainer(tmp_path, tiny_data, tiny_tok, max_steps=6, logging_steps=1,
+                      save_steps=2)
+    tr.train(stop_after=2)
+    run_dir = tmp_path / "run"
+    files = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    weights = {n: p.data.tobytes() for n, p in tr.model.params.items()}
+    moments = {n: a.tobytes() for n, a in tr.optimizer.state_tensors().items()}
+
+    real_backward = trainer_mod.backward
+
+    def poisoned(loss):
+        real_backward(loss)
+        tr.model.params["blocks.1.attn.dense.weight"].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(trainer_mod, "backward", poisoned)
+    with pytest.raises(NumericError, match=r"step 3: .*'blocks\.1\.attn\.dense\.weight'"):
+        tr.train()
+    assert tr.global_step == 2 and tr.optimizer.step_count == 2
+    assert {n: p.data.tobytes() for n, p in tr.model.params.items()} == weights
+    assert {n: a.tobytes() for n, a in tr.optimizer.state_tensors().items()} == moments
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
 
 
 def test_frozen_audit_passes_on_lora_run(tmp_path, tiny_data, tiny_tok):
