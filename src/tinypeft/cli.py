@@ -28,6 +28,7 @@ TRAIN_KEYS = [
     "max_grad_norm", "max_steps", "warmup_ratio", "lr_scheduler_type", "seed",
     "epochs", "weight_decay", "paging_budget",
 ]
+LORA_KEYS = ["lora_rank", "lora_alpha", "lora_dropout"]  # searchable by sweep
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -339,6 +340,9 @@ def cmd_sweep(eff: dict) -> int:
         space = json.load(f)
     if not isinstance(space, dict) or not space:
         raise ConfigError(f"{space_path}: search space must be a non-empty object")
+    unknown = sorted(set(space) - set(TRAIN_KEYS) - set(LORA_KEYS))
+    if unknown:
+        raise ConfigError(f"{space_path}: cannot search over {', '.join(unknown)}")
     _echo_config(eff)
     tok = bpe.TokenizerModel.load(tok_path)
     base_cfg = _train_config(eff)
@@ -347,15 +351,16 @@ def cmd_sweep(eff: dict) -> int:
     train_set, eval_set = examples[:-holdout], examples[-holdout:]
 
     def run_trial(overrides: dict) -> float:
-        tcfg = replace(base_cfg, **overrides)
+        opts = {**eff, **overrides}
+        tcfg = replace(base_cfg, **{k: v for k, v in overrides.items() if k in TRAIN_KEYS})
         tcfg = replace(tcfg, output_dir=os.path.join(
             base_cfg.output_dir, "trial-" + "-".join(f"{k}={v}" for k, v in sorted(overrides.items()))
         ))
         model = store.load_model(base_path)
         peft.attach_lora(model, peft.LoraConfig(
-            r=int(eff.get("lora_rank", 8)),
-            alpha=float(eff.get("lora_alpha", 16)),
-            dropout=float(eff.get("lora_dropout", 0.0)),
+            r=int(opts.get("lora_rank", 8)),
+            alpha=float(opts.get("lora_alpha", 16)),
+            dropout=float(opts.get("lora_dropout", 0.0)),
         ), RngState(tcfg.seed))
         tr = trainer_mod.Trainer(model, train_set, tcfg, tok.specials.pad)
         tr.train()

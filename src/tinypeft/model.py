@@ -6,6 +6,11 @@ so per-block linear names line up with the usual PEFT target-module lists.
 Between the two projections the causal attention core runs as one fused
 autodiff kernel, ``tensor.attention``. Positions are learned absolute
 embeddings; the output head is tied to the token embedding.
+
+The same forward serves training, eval and decoding. ``generate`` is
+KV-cached: it encodes the prompt once, then one position per new token. When
+the running sequence slides past the seq_len - 1 window, every absolute
+position shifts, so the cache is dropped and each step re-encodes the window.
 """
 
 from __future__ import annotations
@@ -185,26 +190,35 @@ class CausalLM:
     # -- forward -------------------------------------------------------------
 
     def forward_logits(self, input_ids: np.ndarray, training: bool = False,
-                       rng: RngState | None = None) -> Tensor:
-        """input_ids (B, T) -> logits (B, T, vocab); causal by construction."""
+                       rng: RngState | None = None, cache: list | None = None) -> Tensor:
+        """input_ids (B, T) -> logits (B, T, vocab); causal by construction.
+
+        ``cache`` (no_grad only) holds one key/value list per block, see
+        ``tensor.attention``; the ids then continue the cached positions.
+        """
         ids = np.asarray(input_ids)
         if ids.ndim == 1:
             ids = ids[None, :]
         _, S = ids.shape
         cfg = self.config
-        if S > cfg.seq_len:
-            raise DataError(f"sequence length {S} exceeds model seq_len {cfg.seq_len}")
+        if cache is not None and len(cache) != len(self.blocks):
+            raise ShapeError(f"cache has {len(cache)} entries for {len(self.blocks)} blocks")
+        past = cache[0][0].shape[2] if cache and cache[0] else 0
+        if past + S > cfg.seq_len:
+            raise DataError(f"sequence length {S} after {past} cached positions "
+                            f"exceeds model seq_len {cfg.seq_len}")
         if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
             bad = int(np.argmax((ids < 0) | (ids >= cfg.vocab_size)))
             raise DataError(f"token id out of range at flat position {bad}")
 
         tok = self.params["tok_embeddings.weight"]
         pos = self.params["pos_embeddings.weight"]
-        x = T.add(T.embedding(tok, ids), T.embedding(pos, np.arange(S)))
+        x = T.add(T.embedding(tok, ids), T.embedding(pos, np.arange(past, past + S)))
 
-        for b in self.blocks:
+        for i, b in enumerate(self.blocks):
             h = b.ln1(x)
-            ctx = T.attention(b.attn_qkv(h, training, rng), cfg.n_heads)
+            ctx = T.attention(b.attn_qkv(h, training, rng), cfg.n_heads,
+                              None if cache is None else cache[i])
             a_out = b.attn_dense(ctx, training, rng)
             if b.attn_adapter is not None:
                 a_out = b.attn_adapter(a_out)
@@ -247,8 +261,11 @@ class CausalLM:
     ) -> list[int]:
         """Autoregressive decoding; greedy ties resolve to the lowest id.
 
-        The context slides to the most recent seq_len - 1 tokens when the
-        running sequence outgrows the window.
+        The context is the most recent seq_len - 1 tokens. While the running
+        sequence fits that window, the prompt is encoded once into a per-block
+        key/value cache and each step encodes only the newest token. Positions
+        are absolute, so once the window slides every cached key is stale:
+        from then on each step re-encodes the whole window without a cache.
         """
         if not prompt_ids:
             raise DataError("empty prompt")
@@ -256,12 +273,23 @@ class CausalLM:
             raise ConfigError(f"unknown decode mode {mode!r}")
         if mode == "temperature" and temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {temperature}")
+        if mode == "temperature" and rng is None:
+            raise ConfigError("temperature decoding needs an rng")
+        if top_k < 0:
+            raise ConfigError(f"top_k must be >= 0, got {top_k}")
+        if max_new_tokens < 0:
+            raise ConfigError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
         out = list(prompt_ids)
         window = self.config.seq_len - 1
+        cache = [[] for _ in self.blocks]
+        cached = 0  # leading tokens of out held in the cache
         for _ in range(max_new_tokens):
-            ctx = out[-window:]
+            if len(out) <= window:
+                ctx, step_cache, cached = out[cached:], cache, len(out)
+            else:
+                ctx, step_cache = out[-window:], None
             with T.no_grad():
-                logits = self.forward_logits(np.asarray([ctx]))
+                logits = self.forward_logits(np.asarray([ctx]), cache=step_cache)
             row = logits.data[0, -1].astype(np.float64)
             if mode == "greedy":
                 nxt = int(row.argmax())

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import CausalLM, CausalLMConfig, init_model
 from .peft import (
     BottleneckAdapterConfig,
@@ -99,23 +100,55 @@ def load_archive(path: str) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(body[mstart : mstart + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: bad manifest: {e}")
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest is not an object")
+    entries, meta = manifest.get("tensors"), manifest.get("meta", {})
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: manifest field 'tensors' is missing or not a list")
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: manifest field 'meta' is not an object")
     pstart = mstart + mlen
     pend = len(body) - 8
     tensors: dict[str, np.ndarray] = {}
-    for ent in manifest["tensors"]:
-        for key in ("name", "shape", "dtype", "offset", "length"):
-            if key not in ent:
-                raise DataError(f"{path}: manifest entry missing field {key!r}")
-        off, ln = ent["offset"], ent["length"]
-        if off < 0 or pstart + off + ln > pend:
-            raise DataError(f"{path}: tensor {ent['name']!r} out of bounds")
-        if ent["dtype"] not in _DTYPES:
-            raise DataError(f"{path}: unknown dtype {ent['dtype']!r}")
-        arr = np.frombuffer(body, dtype=_DTYPES[ent["dtype"]],
-                            count=ln // np.dtype(_DTYPES[ent["dtype"]]).itemsize,
+    for i, ent in enumerate(entries):
+        name, shape, dtype, off, ln = _check_entry(path, i, ent)
+        if name in tensors:
+            raise DataError(f"{path}: tensor {name!r} listed twice")
+        if pstart + off + ln > pend:
+            raise DataError(f"{path}: tensor {name!r} out of bounds")
+        arr = np.frombuffer(body, dtype=dtype, count=ln // dtype.itemsize,
                             offset=pstart + off)
-        tensors[ent["name"]] = arr.reshape(ent["shape"]).copy()
-    return tensors, manifest.get("meta", {})
+        tensors[name] = arr.reshape(shape).copy()
+    return tensors, meta
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _check_entry(path: str, i: int, ent) -> tuple:
+    """Validate manifest entry i; returns (name, shape, dtype, offset, length)."""
+    if not isinstance(ent, dict):
+        raise DataError(f"{path}: manifest entry {i} is not an object")
+    for key in ("name", "shape", "dtype", "offset", "length"):
+        if key not in ent:
+            raise DataError(f"{path}: manifest entry {i} missing field {key!r}")
+    name, shape = ent["name"], ent["shape"]
+    if not isinstance(name, str):
+        raise DataError(f"{path}: manifest entry {i}: field 'name' is not a string")
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        raise DataError(f"{path}: tensor {name!r}: field 'shape' is not a list of sizes")
+    if not isinstance(ent["dtype"], str) or ent["dtype"] not in _DTYPES:
+        raise DataError(f"{path}: tensor {name!r}: unknown dtype {ent['dtype']!r}")
+    for key in ("offset", "length"):
+        if not _is_count(ent[key]):
+            raise DataError(f"{path}: tensor {name!r}: field {key!r} is not a count")
+    dtype = np.dtype(_DTYPES[ent["dtype"]])
+    if ent["length"] != math.prod(shape) * dtype.itemsize:
+        raise DataError(
+            f"{path}: tensor {name!r}: field 'length' {ent['length']} does not fit "
+            f"shape {shape} of {ent['dtype']}")
+    return name, shape, dtype, ent["offset"], ent["length"]
 
 
 # -- model / adapter archives ------------------------------------------------
@@ -142,13 +175,26 @@ def save_model(model: CausalLM, path: str, extra_meta: dict | None = None):
     save_archive(path, tensors, meta)
 
 
+def _config_field(path: str, meta: dict, key: str, cls):
+    """Build a config dataclass from meta[key], or raise DataError naming it."""
+    if not isinstance(meta.get(key), dict):
+        raise DataError(f"{path}: meta field {key!r} is missing or not an object")
+    try:
+        return cls.from_dict(meta[key])
+    except (TypeError, ValueError, ConfigError) as e:
+        raise DataError(f"{path}: meta field {key!r} is invalid: {e}")
+
+
 def load_model(path: str) -> CausalLM:
     tensors, meta = load_archive(path)
     if meta.get("kind") != "model":
         raise DataError(f"{path}: archive is not a model (kind={meta.get('kind')!r})")
-    config = CausalLMConfig.from_dict(meta["model_config"])
-    model = init_model(config, RngState(0))
-    model.load_state_tensors(tensors)
+    config = _config_field(path, meta, "model_config", CausalLMConfig)
+    try:
+        model = init_model(config, RngState(0))
+        model.load_state_tensors(tensors)
+    except (TypeError, ValueError, DataError) as e:
+        raise DataError(f"{path}: {e}")
     return model
 
 
@@ -182,22 +228,27 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
     tensors, meta = load_archive(path)
     if meta.get("kind") != "adapter":
         raise DataError(f"{path}: archive is not an adapter (kind={meta.get('kind')!r})")
+    stored = meta.get("base_fingerprint")
+    if not isinstance(stored, str):
+        raise DataError(f"{path}: meta field 'base_fingerprint' is missing or not a string")
     fp = base_fingerprint(base)
-    if meta["base_fingerprint"] != fp:
+    if stored != fp:
         raise DataError(
             f"{path}: adapter was trained on a different base "
-            f"(archive {meta['base_fingerprint'][:16]}..., model {fp[:16]}...)"
+            f"(archive {stored[:16]}..., model {fp[:16]}...)"
         )
     if meta.get("peft_method") == "lora":
-        cfg = LoraConfig.from_dict(meta["lora_config"])
-        attach_lora(base, cfg, RngState(0))
-        for name, arr in tensors.items():
-            base.params[name].data = arr.astype(np.float32).copy()
+        cfg = _config_field(path, meta, "lora_config", LoraConfig)
+        attach = attach_lora
     elif meta.get("peft_method") == "adapter":
-        cfg = BottleneckAdapterConfig.from_dict(meta["bottleneck_config"])
-        attach_bottleneck(base, cfg, RngState(0))
-        for name, arr in tensors.items():
-            base.params[name].data = arr.astype(np.float32).copy()
+        cfg = _config_field(path, meta, "bottleneck_config", BottleneckAdapterConfig)
+        attach = attach_bottleneck
     else:
         raise DataError(f"{path}: unknown peft_method {meta.get('peft_method')!r}")
+    attach(base, cfg, RngState(0))
+    for name, arr in tensors.items():
+        p = base.params.get(name)
+        if p is None or p.shape != arr.shape:
+            raise DataError(f"{path}: tensor {name!r} does not fit the attached adapters")
+        p.data = arr.astype(np.float32).copy()
     return base

@@ -11,7 +11,8 @@ copies only when numpy must); ``narrow`` and ``embedding`` copy. A view
 shares memory with its parent. That is safe because nothing writes node data
 in place between a forward and its backward: the optimizer updates
 parameters only after backward. ``attention`` fuses the causal multi-head
-attention core into a single node.
+attention core into a single node; under ``no_grad`` it can also extend a
+per-block key/value cache, so decoding encodes only the new positions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, StateError
 
 _SQRT_2 = np.float32(np.sqrt(2.0))
 _INV_SQRT_2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
@@ -346,7 +347,7 @@ def _causal_keep(s: int) -> np.ndarray:
     return keep
 
 
-def attention(qkv: Tensor, n_heads: int) -> Tensor:
+def attention(qkv: Tensor, n_heads: int, cache: list | None = None) -> Tensor:
     """Causal multi-head self-attention core: (B, S, 3d) -> (B, S, d).
 
     ``qkv`` is the fused query/key/value projection, each part split into
@@ -355,6 +356,12 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     are masked before the softmax and pass no gradient. Every product runs on
     contiguous operands (numpy's strided matmul path rounds differently), so
     the result is bitwise equal to the same math built from the single ops.
+
+    ``cache`` is one block's key/value cache for decoding: a list that is
+    empty at first and then holds ``[k, v]`` of every earlier position. This
+    call's keys and values are appended after the cached ones, its S queries
+    attend to all of them, and the longer ``[k, v]`` is stored back. A cached
+    call has no VJP, so it raises while the tape records.
     """
     if qkv.data.ndim != 3 or n_heads < 1 or qkv.shape[-1] % (3 * n_heads):
         raise ShapeError(f"attention: cannot split {qkv.shape} into q/k/v of {n_heads} heads")
@@ -362,9 +369,17 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     hd = d3 // (3 * n_heads)
     q, k, v = np.ascontiguousarray(
         qkv.data.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4))  # (B, H, S, hd)
+    keep = _causal_keep(S)
+    if cache is not None:
+        if _grad_enabled:
+            raise StateError("attention: a key/value cache needs no_grad(), it has no backward")
+        if cache:
+            k = np.concatenate((cache[0], k), axis=2)
+            v = np.concatenate((cache[1], v), axis=2)
+            keep = _causal_keep(k.shape[2])[-S:]
+        cache[:] = [k, v]
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     scale = np.float32(1.0 / np.sqrt(hd))
-    keep = _causal_keep(S)
     scores = np.where(keep, (q @ kt) * scale, _MASK_VALUE)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)

@@ -145,9 +145,13 @@ def test_training_bitwise_equals_reference(method, monkeypatch, tmp_path, tok, e
         tr.train()
         return tr.step_losses, {n: p.data.tobytes() for n, p in model.params.items()}
 
+    def uncached_reference(qkv, n_heads, cache=None):
+        assert cache is None  # training never passes a key/value cache
+        return reference_attention(qkv, n_heads)
+
     kernel = run("kernel")
     with monkeypatch.context() as m:
-        m.setattr(T, "attention", reference_attention)
+        m.setattr(T, "attention", uncached_reference)
         reference = run("reference")
     assert kernel[0] == reference[0]
     assert kernel[1] == reference[1]

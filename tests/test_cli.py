@@ -162,6 +162,22 @@ def test_corrupt_archive_is_data_error(workdir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:data:")
 
 
+@pytest.mark.parametrize("flags", [["--top_k", "-1"], ["--max_new_tokens", "-1"]])
+def test_bad_generate_options_are_config_errors(workdir, capsys, flags):
+    assert main(["generate", "--model", workdir["base"], "--tokenizer",
+                 workdir["tok"], "--prompt", "x", "--mode", "temperature", *flags]) == 1
+    assert capsys.readouterr().err.startswith("error:config:")
+
+
+def test_sweep_over_unknown_key_is_config_error(workdir, capsys):
+    space = workdir["dir"] / "bad_space.json"
+    space.write_text(json.dumps({"learning_rat": [1e-4]}))
+    assert main(["sweep", "--space", str(space), "--base", workdir["base"],
+                 "--tokenizer", workdir["tok"], "--csv", workdir["csv"],
+                 "--output_dir", str(workdir["dir"] / "bad_sweep")]) == 1
+    assert "learning_rat" in capsys.readouterr().err
+
+
 def test_unreadable_config_is_config_error(capsys, tmp_path):
     assert main(["pretrain", "--config", str(tmp_path / "missing.json")]) == 1
     assert capsys.readouterr().err.startswith("error:config:")

@@ -1,14 +1,23 @@
 """Archive format: canonical bytes, corruption detection, and model/adapter
 round trips with fingerprint checking."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tinypeft.cli import main
 from tinypeft.errors import DataError
 from tinypeft.model import init_model
 from tinypeft.peft import BottleneckAdapterConfig, LoraConfig, attach_bottleneck, attach_lora
 from tinypeft.rng import RngState
 from tinypeft.store import (
+    MAGIC,
+    VERSION,
+    _checksum,
     base_fingerprint,
     load_adapter,
     load_archive,
@@ -172,3 +181,107 @@ def test_save_adapter_without_adapters_raises(tmp_path):
     with pytest.raises(DataError, match="no adapters"):
         save_adapter(init_model(micro_config(), RngState(0)),
                      str(tmp_path / "x.pfwa"))
+
+
+# -- malformed archives with valid checksums ----------------------------------
+
+
+def write_raw(path, manifest, payload: bytes = b"") -> str:
+    """An archive with any JSON manifest, framed and checksummed like save_archive."""
+    text = json.dumps(manifest).encode("utf-8")
+    body = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(text)) + text + payload
+    path.write_bytes(body + _checksum(body))
+    return str(path)
+
+
+def entry(**fields):
+    ent = {"name": "w", "shape": [2], "dtype": "f32", "offset": 0, "length": 8}
+    ent.update(fields)
+    return ent
+
+
+@pytest.mark.parametrize("manifest, field", [
+    ({"meta": {}}, "tensors"),
+    ([], "manifest"),
+    ({"tensors": {}}, "tensors"),
+    ({"tensors": [["w"]]}, "entry 0"),
+    ({"tensors": [entry(length=12)]}, "length"),
+    ({"tensors": [entry(shape=[3])]}, "length"),
+    ({"tensors": [entry(shape=2)]}, "shape"),
+    ({"tensors": [entry(shape=[-1, -2])]}, "shape"),
+    ({"tensors": [entry(offset=True)]}, "offset"),
+    ({"tensors": [entry(length="8")]}, "length"),
+    ({"tensors": [entry(dtype=["f32"])]}, "dtype"),
+    ({"tensors": [entry(name=3)]}, "name"),
+    ({"tensors": [entry(), entry()]}, "twice"),
+    ({"tensors": [], "meta": [1]}, "meta"),
+])
+def test_malformed_manifest_is_data_error(tmp_path, manifest, field):
+    path = write_raw(tmp_path / "x.pfwa", manifest, bytes(8))
+    with pytest.raises(DataError, match=field) as err:
+        load_archive(path)
+    assert path in str(err.value)
+
+
+def test_model_archive_without_model_config_is_data_error(tmp_path):
+    path = write_raw(tmp_path / "m.pfwa", {"tensors": [], "meta": {"kind": "model"}})
+    with pytest.raises(DataError, match="model_config"):
+        load_model(path)
+    bad = {"kind": "model", "model_config": {"vocab_size": 32, "width": 8}}
+    path = write_raw(tmp_path / "m2.pfwa", {"tensors": [], "meta": bad})
+    with pytest.raises(DataError, match="model_config"):
+        load_model(path)
+
+
+def test_adapter_archive_without_fingerprint_is_data_error(tmp_path):
+    path = write_raw(tmp_path / "a.pfwa", {"tensors": [], "meta": {"kind": "adapter"}})
+    with pytest.raises(DataError, match="base_fingerprint"):
+        load_adapter(init_model(micro_config(), RngState(0)), path)
+
+
+def test_adapter_archive_with_foreign_tensor_is_data_error(tmp_path):
+    base = init_model(micro_config(), RngState(6))
+    meta = {"kind": "adapter", "base_fingerprint": base_fingerprint(base),
+            "peft_method": "lora", "lora_config": LoraConfig(r=2).to_dict()}
+    path = write_raw(tmp_path / "a.pfwa", {"tensors": [entry()], "meta": meta}, bytes(8))
+    with pytest.raises(DataError, match="'w'"):
+        load_adapter(base, path)
+
+
+def test_malformed_archive_exits_2_from_the_cli(tmp_path, capsys):
+    path = write_raw(tmp_path / "m.pfwa", [])
+    assert main(["merge", "--base", path, "--adapter", path,
+                 "--out", str(tmp_path / "o.pfwa")]) == 2
+    assert "error:data:" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+field_values = st.one_of(
+    json_values, st.sampled_from(["w", "v", "f32", "u8", "i64"]),
+    st.lists(st.integers(0, 4), max_size=3),
+)
+entries = st.dictionaries(
+    st.sampled_from(["name", "shape", "dtype", "offset", "length"]), field_values,
+).map(lambda d: {**entry(), **d})
+manifests = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"tensors": st.lists(entries | json_values, max_size=3)},
+                          optional={"meta": json_values}),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifest=manifests, payload=st.binary(max_size=48))
+def test_fuzzed_manifest_loads_or_is_data_error(tmp_path, manifest, payload):
+    path = write_raw(tmp_path / "f.pfwa", manifest, payload)
+    try:
+        tensors, meta = load_archive(path)
+    except DataError:
+        return
+    assert isinstance(meta, dict)
+    assert all(isinstance(a, np.ndarray) for a in tensors.values())
