@@ -313,9 +313,11 @@ def cmd_compare(eff: dict) -> int:
     tok = bpe.TokenizerModel.load(tok_path)
     base = store.load_model(base_path)
     adapted = store.load_adapter(store.load_model(base_path), adapter_path)
-    questions = [q for q in (eff.get("question") or [])]
+    questions = eff.get("question") or []
     if isinstance(questions, str):
         questions = [questions]
+    if not isinstance(questions, list) or not all(isinstance(q, str) for q in questions):
+        raise ConfigError("question must be a string or a list of strings")
     if not questions:
         raise ConfigError("need at least one --question")
     examples = None

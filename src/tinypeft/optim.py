@@ -2,18 +2,21 @@
 paged backing store for the moment buffers.
 
 Moments are f32 ("32-bit optimizer state"); the update order is fixed so a
-run is bitwise reproducible, paged or not.
+run is bitwise reproducible, paged or not. Paging keeps the least recently
+used pages in one preallocated memory-mapped slab per run, at a fixed offset
+per parameter: an eviction is a slice copy, not a file write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from collections import OrderedDict
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StateError
+from .errors import ConfigError, DataError, NumericError, StateError
 from .tensor import Parameter
 
 
@@ -44,24 +47,37 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
 
 
 class PageTable:
-    """LRU paging of per-parameter moment buffers to a scratch directory.
+    """LRU paging of per-parameter moment buffers into one preallocated slab.
 
     One page holds one parameter's (m, v) pair. At most ``budget`` pages stay
-    resident; the rest live on disk byte-exactly, so paging never changes
-    numerics.
+    resident; the rest live in a single f32 ``np.memmap`` file,
+    ``<scratch_dir>/moments.f32``, created fresh for this table. Every page
+    has a fixed slot in it, laid out from ``shapes`` (name -> shape), so an
+    eviction is a slice copy into the slab and a reload a copy out of it.
+    Both copies are byte-exact, so paging never changes numerics.
     """
 
-    def __init__(self, scratch_dir: str, budget: int):
+    def __init__(self, scratch_dir: str, budget: int, shapes: dict[str, tuple[int, ...]]):
         if budget < 1:
             raise ConfigError(f"paging budget must be >= 1 page, got {budget}")
-        self.scratch_dir = scratch_dir
         self.budget = budget
         self.resident: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self.evictions = 0
+        # name -> (start of m, start of v, end of v, shape); v follows m
+        self._slots: dict[str, tuple[int, int, int, tuple[int, ...]]] = {}
+        end = 0
+        for name, shape in shapes.items():
+            n = math.prod(shape)
+            self._slots[name] = (end, end + n, end + 2 * n, tuple(shape))
+            end += 2 * n
         os.makedirs(scratch_dir, exist_ok=True)
-
-    def _path(self, name: str) -> str:
-        return os.path.join(self.scratch_dir, name.replace("/", "_") + ".npz")
+        path = os.path.join(scratch_dir, "moments.f32")
+        # a new inode, so a table still mapping an earlier slab here keeps it
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        slab = np.memmap(path, dtype=np.float32, mode="w+", shape=(max(end, 1),))
+        # a plain view (it keeps the mapping alive): slices and copies are ndarrays
+        self._slab = slab.view(np.ndarray)
 
     def put(self, name: str, m: np.ndarray, v: np.ndarray):
         self.resident[name] = (m, v)
@@ -72,31 +88,28 @@ class PageTable:
         if name in self.resident:
             self.resident.move_to_end(name)
             return self.resident[name]
-        path = self._path(name)
-        with np.load(path) as z:
-            m, v = z["m"], z["v"]
+        m, v = self._read(name)
         self.resident[name] = (m, v)
-        self.resident.move_to_end(name)
         self._evict_over_budget()
         return m, v
+
+    def _read(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        a, b, c, shape = self._slots[name]
+        return self._slab[a:b].reshape(shape).copy(), self._slab[b:c].reshape(shape).copy()
 
     def _evict_over_budget(self):
         while len(self.resident) > self.budget:
             victim, (m, v) = self.resident.popitem(last=False)
-            np.savez(self._path(victim), m=m, v=v)
+            a, b, c, _ = self._slots[victim]
+            self._slab[a:b] = m.reshape(-1)
+            self._slab[b:c] = v.reshape(-1)
             self.evictions += 1
 
     def flush(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Materialize every page (used for checkpointing)."""
-        out = {}
-        for name in list(self.resident):
-            out[name] = self.resident[name]
-        for fn in os.listdir(self.scratch_dir):
-            name = fn[: -len(".npz")]
-            if name not in out:
-                with np.load(os.path.join(self.scratch_dir, fn)) as z:
-                    out[name] = (z["m"], z["v"])
-        return out
+        """Every page of this table: the resident ones plus copies of the
+        slab slots (used for checkpointing)."""
+        return {name: self.resident[name] if name in self.resident else self._read(name)
+                for name in self._slots}
 
 
 class AdamW:
@@ -126,7 +139,8 @@ class AdamW:
 
     def enable_paging(self, scratch_dir: str, budget: int):
         """Move moment storage behind an LRU page table."""
-        self._pages = PageTable(scratch_dir, budget)
+        self._pages = PageTable(scratch_dir, budget,
+                                {name: m.shape for name, (m, _) in self._moments.items()})
         for name, (m, v) in self._moments.items():
             self._pages.put(name, m, v)
         self._moments = {}
@@ -187,6 +201,13 @@ class AdamW:
     def load_state_tensors(self, tensors: dict[str, np.ndarray], step_count: int):
         self.step_count = int(step_count)
         for p in self.params:
-            m = tensors[f"optim.m.{p.name}"].astype(np.float32)
-            v = tensors[f"optim.v.{p.name}"].astype(np.float32)
-            self._put_moments(p.name, m, v)
+            pair = []
+            for key in (f"optim.m.{p.name}", f"optim.v.{p.name}"):
+                t = tensors.get(key)
+                if t is None:
+                    raise DataError(f"checkpoint missing tensor {key!r}")
+                if t.shape != p.shape:
+                    raise DataError(f"checkpoint tensor {key!r} has shape {t.shape}, "
+                                    f"parameter has {p.shape}")
+                pair.append(t.astype(np.float32))
+            self._put_moments(p.name, *pair)

@@ -102,12 +102,7 @@ def attach_lora(model: CausalLM, config: LoraConfig, rng: RngState) -> AdapterSe
     """
     if model.lora_set is not None:
         raise StateError("model already has LoRA adapters attached")
-    linears = model.linears()
-    for suffix in config.target_modules:
-        if not any(l.name.endswith(suffix) for l in linears):
-            raise ConfigError(f"target module suffix {suffix!r} matches nothing")
-    matched = [l for l in linears
-               if any(l.name.endswith(s) for s in config.target_modules)]
+    matched = _lora_targets(model, config)
 
     model.freeze_all()
     adapters: dict[str, LoraAdapter] = {}
@@ -122,6 +117,23 @@ def attach_lora(model: CausalLM, config: LoraConfig, rng: RngState) -> AdapterSe
         adapters[lin.name] = adapter
     model.lora_set = AdapterSet(config=config, adapters=adapters)
     return model.lora_set
+
+
+def _lora_targets(model: CausalLM, config: LoraConfig) -> list:
+    linears = model.linears()
+    for suffix in config.target_modules:
+        if not any(l.name.endswith(suffix) for l in linears):
+            raise ConfigError(f"target module suffix {suffix!r} matches nothing")
+    return [l for l in linears if any(l.name.endswith(s) for s in config.target_modules)]
+
+
+def lora_shapes(model: CausalLM, config: LoraConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter attach_lora would add, without adding it."""
+    out: dict[str, tuple[int, ...]] = {}
+    for lin in _lora_targets(model, config):
+        out[f"{lin.name}.lora_A"] = (config.r, lin.d_in)
+        out[f"{lin.name}.lora_B"] = (lin.d_out, config.r)
+    return out
 
 
 def merge_lora(model: CausalLM, drop_adapters: bool = True) -> CausalLM:
@@ -198,6 +210,19 @@ class BottleneckAdapter:
         z = T.add(T.matmul(h, self.down_w), self.down_b)
         z = T.add(T.matmul(T.gelu(z), self.up_w), self.up_b)
         return T.add(h, z)
+
+
+def bottleneck_shapes(model: CausalLM,
+                      config: BottleneckAdapterConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter attach_bottleneck would add."""
+    d, b = model.config.d_model, config.bottleneck_dim
+    out: dict[str, tuple[int, ...]] = {}
+    for i in range(len(model.blocks)):
+        for slot in ("attn_adapter", "mlp_adapter"):
+            pre = f"blocks.{i}.{slot}"
+            out.update({f"{pre}.down.weight": (d, b), f"{pre}.down.bias": (b,),
+                        f"{pre}.up.weight": (b, d), f"{pre}.up.bias": (d,)})
+    return out
 
 
 def attach_bottleneck(model: CausalLM, config: BottleneckAdapterConfig,

@@ -188,14 +188,11 @@ def dequantize_blockwise(q: QuantizedTensor) -> np.ndarray:
     idx = np.empty(expect_packed * 2, dtype=np.uint8)
     idx[0::2] = q.packed & 0x0F
     idx[1::2] = q.packed >> 4
-    levels = q.codebook().values[idx[:numel]]
-    out = np.empty(numel, dtype=np.float32)
-    bs = q.block_size
-    for b in range(n_scales):
-        lo = b * bs
-        hi = min(lo + bs, numel)
-        out[lo:hi] = levels[lo:hi] * scales[b]
-    return out.reshape(q.original_shape)
+    # pad the last block to full width so every block scales in one multiply
+    levels = np.zeros(n_scales * q.block_size, dtype=np.float32)
+    levels[:numel] = q.codebook().values[idx[:numel]]
+    out = levels.reshape(n_scales, q.block_size) * scales[:, None]
+    return out.reshape(-1)[:numel].astype(np.float32, copy=False).reshape(q.original_shape)
 
 
 def quantized_linear_forward(q: QuantizedTensor, x: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ from .peft import (
     LoraConfig,
     attach_bottleneck,
     attach_lora,
+    bottleneck_shapes,
+    lora_shapes,
 )
 from .rng import RngState
 
@@ -239,16 +241,24 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
         )
     if meta.get("peft_method") == "lora":
         cfg = _config_field(path, meta, "lora_config", LoraConfig)
-        attach = attach_lora
+        attach, layout = attach_lora, lora_shapes
     elif meta.get("peft_method") == "adapter":
         cfg = _config_field(path, meta, "bottleneck_config", BottleneckAdapterConfig)
-        attach = attach_bottleneck
+        attach, layout = attach_bottleneck, bottleneck_shapes
     else:
         raise DataError(f"{path}: unknown peft_method {meta.get('peft_method')!r}")
+    try:
+        shapes = layout(base, cfg)
+    except ConfigError as e:
+        raise DataError(f"{path}: adapter config does not fit the base: {e}")
+    # check every tensor before the base is touched
+    for name, arr in tensors.items():
+        if shapes.get(name) != arr.shape:
+            raise DataError(f"{path}: tensor {name!r} does not fit the attached adapters")
+    missing = sorted(set(shapes) - set(tensors))
+    if missing:
+        raise DataError(f"{path}: adapter tensor {missing[0]!r} is missing")
     attach(base, cfg, RngState(0))
     for name, arr in tensors.items():
-        p = base.params.get(name)
-        if p is None or p.shape != arr.shape:
-            raise DataError(f"{path}: tensor {name!r} does not fit the attached adapters")
-        p.data = arr.astype(np.float32).copy()
+        base.params[name].data = arr.astype(np.float32).copy()
     return base

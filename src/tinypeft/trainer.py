@@ -77,6 +77,7 @@ class MetricsRecord:
     training_loss: float
     learning_rate: float
     wall_ms: int
+    paging_evictions: int  # optimizer page evictions in this window
 
     def to_json(self) -> str:
         return json.dumps({
@@ -84,6 +85,7 @@ class MetricsRecord:
             "training_loss": self.training_loss,
             "learning_rate": self.learning_rate,
             "wall_ms": self.wall_ms,
+            "paging_evictions": self.paging_evictions,
         })
 
 
@@ -223,6 +225,7 @@ class Trainer:
             return self.summary()
         t0 = time.monotonic()
         window: list[float] = []
+        evictions = self.optimizer.evictions
         while self.global_step < limit:
             loss = self.train_step()
             window.append(loss)
@@ -234,8 +237,10 @@ class Trainer:
                     training_loss=float(np.mean(window)),
                     learning_rate=lr_at_step(cfg, s - 1, self.total_steps),
                     wall_ms=int((time.monotonic() - t0) * 1000),
+                    paging_evictions=self.optimizer.evictions - evictions,
                 )
                 window = []
+                evictions = self.optimizer.evictions
                 if not self.metrics or self.metrics[-1].step != s:
                     self.metrics.append(rec)
                     with open(os.path.join(cfg.output_dir, "metrics.jsonl"), "a") as f:

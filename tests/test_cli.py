@@ -108,6 +108,18 @@ def test_compare_report(workdir, capsys):
     assert "Finetuning PEFT Model Response:" in out
 
 
+def test_compare_config_with_a_string_question(workdir, capsys):
+    adapter = str(workdir["dir"] / "lora" / "adapter.pfwa")
+    cfg = str(workdir["dir"] / "cmp.json")
+    json.dump({"base": workdir["base"], "adapter": adapter, "tokenizer": workdir["tok"],
+               "question": "Why?", "max_new_tokens": 2}, open(cfg, "w"))
+    assert main(["compare", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.count("Pre-trained Original Model Response:") == 1
+    assert out.count("Finetuning PEFT Model Response:") == 1
+    assert "Why?" in out
+
+
 def test_config_file_merging_and_echo(workdir):
     d = workdir["dir"]
     cfg = str(d / "cfg.json")

@@ -1,10 +1,12 @@
 """AdamW against a hand-computed scalar oracle, clipping exactness, and
 bitwise paging transparency."""
 
+import os
+
 import numpy as np
 import pytest
 
-from tinypeft.errors import ConfigError, NumericError, StateError
+from tinypeft.errors import ConfigError, DataError, NumericError, StateError
 from tinypeft.optim import AdamW, PageTable, clip_global_norm
 from tinypeft.tensor import Parameter
 
@@ -123,7 +125,7 @@ def test_clip_ignores_none_grads():
 
 
 def test_page_table_roundtrip_and_evictions(tmp_path):
-    pt = PageTable(str(tmp_path), budget=2)
+    pt = PageTable(str(tmp_path), budget=2, shapes={f"p{i}": (4,) for i in range(5)})
     arrays = {f"p{i}": (np.full(4, i, np.float32), np.full(4, -i, np.float32))
               for i in range(5)}
     for name, (m, v) in arrays.items():
@@ -136,7 +138,7 @@ def test_page_table_roundtrip_and_evictions(tmp_path):
 
 
 def test_page_table_flush_sees_everything(tmp_path):
-    pt = PageTable(str(tmp_path), budget=1)
+    pt = PageTable(str(tmp_path), budget=1, shapes={f"p{i}": (2,) for i in range(4)})
     for i in range(4):
         pt.put(f"p{i}", np.full(2, i, np.float32), np.zeros(2, np.float32))
     flushed = pt.flush()
@@ -145,7 +147,64 @@ def test_page_table_flush_sees_everything(tmp_path):
 
 def test_page_table_budget_validation(tmp_path):
     with pytest.raises(ConfigError):
-        PageTable(str(tmp_path), budget=0)
+        PageTable(str(tmp_path), budget=0, shapes={})
+
+
+def test_page_table_keeps_every_page_in_one_slab(tmp_path):
+    shapes = {"a": (2, 3), "b": (5,), "c": ()}
+    pt = PageTable(str(tmp_path), budget=1, shapes=shapes)
+    for i, (name, shape) in enumerate(shapes.items()):
+        pt.put(name, np.full(shape, i, np.float32), np.full(shape, -i, np.float32))
+    assert os.listdir(tmp_path) == ["moments.f32"]
+    # 6 + 5 + 1 elements, an m and a v each
+    assert os.path.getsize(tmp_path / "moments.f32") == 2 * 12 * 4
+    for i, (name, shape) in enumerate(shapes.items()):
+        m, v = pt.get(name)
+        assert m.shape == shape and type(m) is np.ndarray
+        np.testing.assert_array_equal(m, np.full(shape, i, np.float32))
+        np.testing.assert_array_equal(v, np.full(shape, -i, np.float32))
+
+
+def test_page_table_ignores_an_earlier_tables_pages(tmp_path):
+    old = PageTable(str(tmp_path), budget=1, shapes={"old.a": (3,), "old.b": (3,)})
+    for name in ("old.a", "old.b"):
+        old.put(name, np.ones(3, np.float32), np.ones(3, np.float32))
+    np.savez(tmp_path / "older.c.npz", m=np.ones(1, np.float32), v=np.ones(1, np.float32))
+
+    new = PageTable(str(tmp_path), budget=1, shapes={"w": (2,), "u": (2,)})
+    new.put("w", np.full(2, 3.0, np.float32), np.zeros(2, np.float32))
+    new.put("u", np.full(2, 4.0, np.float32), np.zeros(2, np.float32))
+    flushed = new.flush()
+    assert set(flushed) == {"w", "u"}
+    np.testing.assert_array_equal(flushed["w"][0], [3.0, 3.0])
+    # the earlier table still reads its own slab, not the new one
+    np.testing.assert_array_equal(old.get("old.a")[0], np.ones(3, np.float32))
+
+
+@pytest.mark.parametrize("paged", [False, True])
+def test_load_state_tensors_rejects_missing_or_misshaped_moments(tmp_path, paged):
+    opt = AdamW([Parameter(np.ones(4, np.float32), "w")])
+    if paged:
+        opt.enable_paging(str(tmp_path), budget=1)
+    with pytest.raises(DataError, match="'optim.v.w'"):
+        opt.load_state_tensors({"optim.m.w": np.zeros(4, np.float32)}, 1)
+    with pytest.raises(DataError, match=r"'optim.m.w' has shape \(1,\)"):
+        opt.load_state_tensors({"optim.m.w": np.zeros(1, np.float32),
+                                "optim.v.w": np.zeros(4, np.float32)}, 1)
+
+
+def test_paged_eviction_count_follows_lru(tmp_path):
+    """16 pages over a budget of 8, touched in the same order every step:
+    the first 8 evictions happen at enable time, then every get misses."""
+    params = [Parameter(np.zeros(3, np.float32), f"p{i}") for i in range(16)]
+    opt = AdamW(params)
+    opt.enable_paging(str(tmp_path), budget=8)
+    assert opt.evictions == 8
+    for step in range(1, 4):
+        for p in params:
+            p.grad = np.ones(3, np.float32)
+        opt.step(1e-3)
+        assert opt.evictions == 8 + 16 * step
 
 
 def test_paged_adamw_bitwise_equals_unpaged(tmp_path):
@@ -161,13 +220,16 @@ def test_paged_adamw_bitwise_equals_unpaged(tmp_path):
             for p in params:
                 p.grad = grng.standard_normal(16).astype(np.float32)
             opt.step(1e-3)
-        return [p.data.copy() for p in params], opt.evictions
+        return [p.data.copy() for p in params], opt.evictions, opt.state_tensors()
 
-    plain, _ = run(False)
-    paged, evictions = run(True)
+    plain, _, plain_state = run(False)
+    paged, evictions, paged_state = run(True)
     assert evictions > 0
     for a, b in zip(plain, paged):
         np.testing.assert_array_equal(a, b)
+    assert set(plain_state) == set(paged_state)
+    for name, a in plain_state.items():
+        assert a.tobytes() == paged_state[name].tobytes()
 
 
 def test_state_tensors_roundtrip():

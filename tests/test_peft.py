@@ -12,6 +12,8 @@ from tinypeft.peft import (
     LoraConfig,
     attach_bottleneck,
     attach_lora,
+    bottleneck_shapes,
+    lora_shapes,
     merge_lora,
     quantize_base,
     trainable_summary,
@@ -255,3 +257,15 @@ def test_quantize_base_freezes_and_keeps_packed():
             assert p.grad is not None
         else:
             assert p.grad is None
+
+
+def test_shape_layouts_match_what_attach_adds():
+    cases = [(LoraConfig(r=3, target_modules=["dense"]), lora_shapes, attach_lora),
+             (BottleneckAdapterConfig(bottleneck_dim=2), bottleneck_shapes, attach_bottleneck)]
+    for config, layout, attach in cases:
+        model = init_model(micro_config(), RngState(0))
+        before = set(model.params)
+        want = layout(model, config)
+        assert set(model.params) == before  # the layout adds nothing
+        attach(model, config, RngState(1))
+        assert {n: p.shape for n, p in model.params.items() if n not in before} == want

@@ -115,6 +115,40 @@ def test_ragged_tail_block():
     assert np.all(np.abs(back - w) <= scales * half_gap + 1e-6)
 
 
+def reference_dequantize(q) -> np.ndarray:
+    """The original dequantizer: one Python-level multiply per block."""
+    numel = q.numel
+    idx = np.empty(len(q.packed) * 2, dtype=np.uint8)
+    idx[0::2] = q.packed & 0x0F
+    idx[1::2] = q.packed >> 4
+    levels = q.codebook().values[idx[:numel]]
+    scales = q.block_scales()
+    out = np.empty(numel, dtype=np.float32)
+    bs = q.block_size
+    for b in range(q.n_blocks):
+        lo = b * bs
+        hi = min(lo + bs, numel)
+        out[lo:hi] = levels[lo:hi] * scales[b]
+    return out.reshape(q.original_shape)
+
+
+@pytest.mark.parametrize("shape, block_size, double_quant, codebook", [
+    ((512, 512), 64, True, "nf4"),
+    ((3, 65), 64, False, "nf4"),      # ragged tail block of 3
+    ((7, 9), 16, True, "uniform4"),   # odd numel, ragged tail
+    ((9,), 3, False, "nf4"),          # odd block size, numel a multiple of it
+    ((5,), 8, True, "nf4"),           # a single partial block
+    ((1000,), 2, True, "nf4"),        # more scales than one dq group
+])
+def test_dequantize_bitwise_equals_blockwise_loop(shape, block_size, double_quant, codebook):
+    w = np.random.default_rng(7).normal(0.0, 0.05, size=shape).astype(np.float32)
+    q = quantize_blockwise(w, QuantConfig(block_size=block_size, codebook=codebook,
+                                          double_quant=double_quant, dq_group=4))
+    got, want = dequantize_blockwise(q), reference_dequantize(q)
+    assert got.dtype == np.float32 and got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_all_zero_block_gets_unit_scale():
     q = quantize_blockwise(np.zeros(8, np.float32),
                            QuantConfig(block_size=4, double_quant=False))

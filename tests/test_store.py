@@ -248,6 +248,37 @@ def test_adapter_archive_with_foreign_tensor_is_data_error(tmp_path):
         load_adapter(base, path)
 
 
+@pytest.mark.parametrize("method", ["lora", "adapter"])
+@pytest.mark.parametrize("defect", ["foreign", "misshaped", "missing"])
+def test_bad_adapter_archive_leaves_the_base_untouched(tmp_path, method, defect):
+    trained = init_model(micro_config(), RngState(6))
+    if method == "lora":
+        attach_lora(trained, LoraConfig(r=2), RngState(7))
+    else:
+        attach_bottleneck(trained, BottleneckAdapterConfig(bottleneck_dim=2), RngState(7))
+    good = str(tmp_path / "good.pfwa")
+    save_adapter(trained, good)
+    tensors, meta = load_archive(good)
+    victim = sorted(tensors)[0]
+    if defect == "foreign":
+        tensors["w"] = np.zeros(2, np.float32)
+    elif defect == "misshaped":
+        tensors[victim] = np.zeros(tensors[victim].shape + (1,), np.float32)
+    else:
+        del tensors[victim]
+    bad = str(tmp_path / "bad.pfwa")
+    save_archive(bad, tensors, meta)
+
+    base = init_model(micro_config(), RngState(6))
+    before = {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()}
+    with pytest.raises(DataError, match="'w'" if defect == "foreign" else repr(victim)):
+        load_adapter(base, bad)
+    assert base.lora_set is None and getattr(base, "bottleneck_config", None) is None
+    assert {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()} == before
+    # the intact archive still loads onto the same base afterwards
+    load_adapter(base, good)
+
+
 def test_malformed_archive_exits_2_from_the_cli(tmp_path, capsys):
     path = write_raw(tmp_path / "m.pfwa", [])
     assert main(["merge", "--base", path, "--adapter", path,

@@ -1,6 +1,7 @@
 """Scheduler closed forms, accumulation equivalence, deterministic resume,
 paging transparency, and search determinism."""
 
+import json
 import math
 import os
 
@@ -14,6 +15,7 @@ from tinypeft.errors import ConfigError, DataError, NumericError
 from tinypeft.model import init_model
 from tinypeft.peft import LoraConfig, attach_lora
 from tinypeft.rng import RngState
+from tinypeft.store import load_archive
 from tinypeft.trainer import (
     TrainConfig,
     Trainer,
@@ -240,6 +242,62 @@ def test_paged_run_bitwise_equals_unpaged(tmp_path, tiny_data, tiny_tok):
     assert paged.optimizer.evictions > 0
     for n, p in plain.model.params.items():
         np.testing.assert_array_equal(p.data, paged.model.params[n].data)
+
+
+def test_paged_split_resume_bitwise_equals_straight_paged(tmp_path, tiny_data, tiny_tok):
+    paged = dict(max_steps=8, save_steps=4, optim="paged_adamw_32bit", paging_budget=2)
+    straight = make_trainer(tmp_path, tiny_data, tiny_tok, run="straight", **paged)
+    straight.train()
+
+    first = make_trainer(tmp_path, tiny_data, tiny_tok, run="split", **paged)
+    first.train(stop_after=4)
+    # same output_dir: the second run makes its own slab while the first is alive
+    second = make_trainer(tmp_path, tiny_data, tiny_tok, run="split", **paged)
+    second.resume(str(tmp_path / "split" / "checkpoint-4" / "state.pfwa"))
+    second.train()
+
+    for n, p in straight.model.params.items():
+        np.testing.assert_array_equal(p.data, second.model.params[n].data)
+    a, b = straight.optimizer.state_tensors(), second.optimizer.state_tensors()
+    assert set(a) == set(b)
+    for n in a:
+        assert a[n].tobytes() == b[n].tobytes()
+
+
+def test_paged_run_ignores_an_earlier_runs_pages(tmp_path, tiny_data, tiny_tok):
+    """An earlier paged run in the same output_dir leaves its pages behind;
+    the next run's checkpoint must carry exactly its own moments."""
+    lora = init_model(train_model_config(tiny_tok.vocab_size), RngState(0))
+    attach_lora(lora, LoraConfig(r=2, dropout=0.0), RngState(1))
+    out = str(tmp_path / "run")
+    cfg = dict(output_dir=out, max_steps=2, save_steps=100,
+               optim="paged_adamw_32bit", paging_budget=1)
+    Trainer(lora, tiny_data, TrainConfig(**cfg), tiny_tok.specials.pad).train()
+
+    full = make_trainer(tmp_path, tiny_data, tiny_tok, max_steps=2, save_steps=2,
+                        optim="paged_adamw_32bit", paging_budget=1)
+    full.train()
+    tensors, _ = load_archive(str(tmp_path / "run" / "checkpoint-2" / "state.pfwa"))
+    own = {p.name for p in full.model.trainable_parameters()}
+    assert {k for k in tensors if k.startswith("optim.")} == (
+        {f"optim.m.{n}" for n in own} | {f"optim.v.{n}" for n in own})
+
+
+def test_metrics_record_paging_evictions(tmp_path, tiny_data, tiny_tok):
+    def records(run, **over):
+        tr = make_trainer(tmp_path, tiny_data, tiny_tok, run=run, max_steps=4,
+                          logging_steps=2, save_steps=100, **over)
+        tr.train()
+        with open(tmp_path / run / "metrics.jsonl") as f:
+            return tr, [json.loads(line) for line in f]
+
+    _, plain = records("plain")
+    assert [r["paging_evictions"] for r in plain] == [0, 0]
+    tr, paged = records("paged", optim="paged_adamw_32bit", paging_budget=1)
+    # budget 1: every parameter's get misses and evicts once per step
+    per_window = 2 * len(tr.optimizer.params)
+    assert [r["paging_evictions"] for r in paged] == [per_window, per_window]
+    assert [r.paging_evictions for r in tr.metrics] == [per_window, per_window]
 
 
 def test_nonfinite_gradient_stops_the_step(tmp_path, tiny_data, tiny_tok, monkeypatch):
