@@ -4,8 +4,10 @@ Pre-norm transformer blocks with a fused query_key_value projection, an
 attention output "dense", and a 4x MLP ("dense_h_to_4h" / "dense_4h_to_h"),
 so per-block linear names line up with the usual PEFT target-module lists.
 Between the two projections the causal attention core runs as one fused
-autodiff kernel, ``tensor.attention``. Positions are learned absolute
-embeddings; the output head is tied to the token embedding.
+autodiff kernel, ``tensor.attention``; every linear layer, LoRA pair
+included, is one ``tensor.linear`` node. Positions are learned absolute
+embeddings; the output head is tied to the token embedding, and ``lm_loss``
+hands its (B, S, V) logits straight to the next-token ``cross_entropy``.
 
 The same forward serves training, eval and decoding. ``generate`` is
 KV-cached: it encodes the prompt once, then one position per new token. When
@@ -69,7 +71,9 @@ class CausalLMConfig:
 
 
 class Linear:
-    """y = x @ W (+ b). Carries optional LoRA adapter and quantized storage."""
+    """y = x @ W (+ b) (+ LoRA delta). Carries optional LoRA adapter and
+    quantized storage; a call draws the adapter's dropout mask and runs the
+    fused ``tensor.linear`` kernel."""
 
     def __init__(self, name: str, weight: Parameter, bias: Parameter | None):
         self.name = name
@@ -87,12 +91,11 @@ class Linear:
         return self.weight.shape[1]
 
     def __call__(self, x: Tensor, training: bool = False, rng: RngState | None = None) -> Tensor:
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = T.add(y, self.bias)
-        if self.adapter is not None:
-            y = T.add(y, self.adapter.delta(x, training=training, rng=rng))
-        return y
+        a = self.adapter
+        if a is None or a.merged:
+            return T.linear(x, self.weight, self.bias)
+        mask = T.dropout_mask(x.shape, a.dropout, rng) if training else None
+        return T.linear(x, self.weight, self.bias, (a.A, a.B, a.scaling, mask))
 
 
 class LayerNorm:
@@ -242,10 +245,7 @@ class CausalLM:
         if ids.shape != lab.shape:
             raise ShapeError(f"lm_loss: ids {ids.shape} vs labels {lab.shape}")
         logits = self.forward_logits(ids, training=training, rng=rng)
-        B, S, V = logits.shape
-        pred = T.reshape(T.narrow(logits, 1, 0, S - 1), (B * (S - 1), V))
-        targets = lab[:, 1:].reshape(-1)
-        return T.cross_entropy(pred, targets, ignore_index=IGNORE_LABEL)
+        return T.cross_entropy(logits, lab[:, 1:], ignore_index=IGNORE_LABEL)
 
     # -- generation ----------------------------------------------------------
 

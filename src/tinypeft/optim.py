@@ -20,29 +20,43 @@ from .errors import ConfigError, DataError, NumericError, StateError
 from .tensor import Parameter
 
 
-def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
+def global_grad_norm(params: list[Parameter]) -> float:
+    """L2 norm over every parameter's gradient, summed in f64.
 
-    Returns the factor applied. Norms already within f32 rounding of the
-    threshold are left untouched, which makes clipping idempotent. A NaN or
-    inf gradient raises NumericError naming the first parameter holding one,
-    before any gradient is scaled.
+    A NaN or inf gradient raises NumericError naming the first parameter
+    holding one.
     """
-    if max_norm <= 0:
-        raise ConfigError(f"max_norm must be > 0, got {max_norm}")
     total = 0.0
-    grads = [p.grad for p in params if p.grad is not None]
-    for g in grads:
-        total += float(np.square(g.astype(np.float64)).sum())
+    for p in params:
+        if p.grad is not None:
+            total += float(np.square(p.grad.astype(np.float64)).sum())
     norm = total**0.5
     if not math.isfinite(norm):
         bad = next(p for p in params if p.grad is not None and not np.isfinite(p.grad).all())
         raise NumericError(f"non-finite gradient in parameter {bad.name!r}")
+    return norm
+
+
+def clip_global_norm(params: list[Parameter], max_norm: float,
+                     norm: float | None = None) -> float:
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    Returns the factor applied. ``norm`` is the ``global_grad_norm`` of
+    ``params`` when the caller has it already; it is computed otherwise, so a
+    non-finite gradient raises before any gradient is scaled. Norms already
+    within f32 rounding of the threshold are left untouched, which makes
+    clipping idempotent.
+    """
+    if max_norm <= 0:
+        raise ConfigError(f"max_norm must be > 0, got {max_norm}")
+    if norm is None:
+        norm = global_grad_norm(params)
     if norm <= max_norm * (1.0 + 1e-6):
         return 1.0
     factor = np.float32(max_norm / norm)
-    for g in grads:
-        g *= factor
+    for p in params:
+        if p.grad is not None:
+            p.grad *= factor
     return float(factor)
 
 

@@ -3,7 +3,10 @@ merge/unmerge, QLoRA base quantization, and trainable accounting.
 
 Both adapter families are exact identities at initialization (LoRA because
 B = 0, bottleneck because the up-projection starts at 0), so a freshly
-adapted model reproduces the base bitwise in eval mode.
+adapted model reproduces the base bitwise in eval mode. A LoRA pair holds
+only its weights: the adapted ``model.Linear`` computes the delta inside the
+fused ``tensor.linear`` kernel, and the bottleneck's projections use the same
+kernel.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class LoraConfig:
 
 
 class LoraAdapter:
-    """Low-rank pair for one target linear: delta(x) = s * B(A(drop(x)))."""
+    """Low-rank pair for one target linear: delta(x) = s * B(A(drop(x))),
+    computed by ``tensor.linear`` when the layer is called."""
 
     def __init__(self, target_name: str, A: Parameter, B: Parameter,
                  scaling: float, dropout: float):
@@ -68,17 +72,6 @@ class LoraAdapter:
         self.scaling = np.float32(scaling)
         self.dropout = dropout
         self.merged = False
-
-    def delta(self, x: Tensor, training: bool = False, rng: RngState | None = None) -> Tensor:
-        if self.merged:
-            return Tensor(np.zeros(x.shape[:-1] + (self.B.shape[0],), dtype=np.float32))
-        if training and self.dropout > 0.0:
-            if rng is None:
-                raise ConfigError("training-mode LoRA forward needs an rng for dropout")
-            x = T.dropout(x, self.dropout, rng)
-        h = T.matmul(x, T.transpose(self.A, 0, 1))
-        h = T.matmul(h, T.transpose(self.B, 0, 1))
-        return T.mul(h, Tensor(self.scaling))
 
     def delta_weight(self) -> np.ndarray:
         """Merged contribution in (d_in, d_out) layout: s * (B A)^T."""
@@ -207,8 +200,7 @@ class BottleneckAdapter:
         self.up_b = up_b
 
     def __call__(self, h: Tensor) -> Tensor:
-        z = T.add(T.matmul(h, self.down_w), self.down_b)
-        z = T.add(T.matmul(T.gelu(z), self.up_w), self.up_b)
+        z = T.linear(T.gelu(T.linear(h, self.down_w, self.down_b)), self.up_w, self.up_b)
         return T.add(h, z)
 
 

@@ -13,6 +13,9 @@ in place between a forward and its backward: the optimizer updates
 parameters only after backward. ``attention`` fuses the causal multi-head
 attention core into a single node; under ``no_grad`` it can also extend a
 per-block key/value cache, so decoding encodes only the new positions.
+``linear`` fuses an affine layer and its optional LoRA pair into one node,
+and ``cross_entropy`` scores next-token targets on the (B, S, V) logits
+through a view, without copying them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError, ShapeError, StateError
+from .errors import ConfigError, NumericError, ShapeError, StateError
 
 _SQRT_2 = np.float32(np.sqrt(2.0))
 _INV_SQRT_2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
@@ -417,44 +420,102 @@ def tmean(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def dropout(a: Tensor, p: float, rng) -> Tensor:
-    """Inverted dropout with a seeded mask; identity when p == 0."""
+def dropout_mask(shape, p: float, rng) -> np.ndarray | None:
+    """Inverted-dropout mask, 0 or 1/(1-p) per element; None (identity) when p == 0."""
     if p == 0.0:
-        return a
-    mask = (rng.uniform(a.shape) >= np.float32(p)).astype(np.float32) / np.float32(1.0 - p)
-    return mul(a, Tensor(mask))
+        return None
+    if rng is None:
+        raise ConfigError(f"dropout {p} needs an rng")
+    return (rng.uniform(shape) >= np.float32(p)).astype(np.float32) / np.float32(1.0 - p)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None, lora: tuple | None = None) -> Tensor:
+    """Affine map with an optional LoRA pair: (..., d_in) -> (..., d_out).
+
+    y = x @ W (+ b) (+ s * ((x * mask) @ A^T) @ B^T), where ``lora`` is
+    ``(A, B, s, mask)``: A is (r, d_in), B is (d_out, r), s the scaling and
+    mask a ``dropout_mask`` of x or None. One node with a hand-written VJP; it
+    runs the numpy calls of the matmul / add / mul / transpose graph in the
+    same order, so forward and gradients are bitwise equal to that graph. A
+    frozen weight gets no gradient.
+    """
+    if x.shape[-1] != W.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} vs weight {W.shape}")
+    data = x.data @ W.data
+    parents = [x, W]
+    if b is not None:
+        data += b.data
+        parents.append(b)
+    if lora is not None:
+        A, B, s, mask = lora
+        xd = x.data if mask is None else x.data * mask
+        At, Bt = np.swapaxes(A.data, 0, 1), np.swapaxes(B.data, 0, 1)
+        h = xd @ At
+        data += (h @ Bt) * s
+        parents += [A, B]
+
+    def backward(g):
+        if b is not None and b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+        if W.requires_grad:
+            W._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, W.shape))
+        gx = g @ np.swapaxes(W.data, -1, -2) if x.requires_grad else None
+        if lora is not None:
+            gd = g * s
+            if B.requires_grad:
+                gBt = _unbroadcast(np.swapaxes(h, -1, -2) @ gd, Bt.shape)
+                B._accumulate(np.swapaxes(gBt, 0, 1))
+            gh = gd @ np.swapaxes(Bt, -1, -2)
+            if A.requires_grad:
+                gAt = _unbroadcast(np.swapaxes(xd, -1, -2) @ gh, At.shape)
+                A._accumulate(np.swapaxes(gAt, 0, 1))
+            if gx is not None:
+                gxd = gh @ np.swapaxes(At, -1, -2)
+                gx += gxd if mask is None else gxd * mask
+        if gx is not None:
+            x._accumulate(gx)
+
+    return _node(data, parents, backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -> Tensor:
     """Mean negative log-likelihood over positions whose target != ignore_index.
 
-    logits: (N, V); targets: integer (N,).
+    logits: (..., S, V); targets: integer (..., n) with n <= S, where target t
+    scores logits[..., t, :]. Next-token loss passes (B, S, V) logits with the
+    shifted (B, S-1) targets: the first S-1 positions are read as a view, and
+    the last position gets a zero gradient.
     """
     targets = np.asarray(targets)
-    if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
+    if (logits.data.ndim < 2 or targets.shape[:-1] != logits.shape[:-2]
+            or targets.ndim < 1 or targets.shape[-1] > logits.shape[-2]):
         raise ShapeError(
             f"cross_entropy: logits {logits.shape} vs targets {targets.shape}"
         )
+    n = targets.shape[-1]
     keep = targets != ignore_index
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise ShapeError("cross_entropy: every position is masked")
-    m = logits.data.max(axis=-1, keepdims=True)
-    z = logits.data - m
+    x = logits.data[..., :n, :]
+    m = x.max(axis=-1, keepdims=True)
+    z = x - m
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True)).astype(np.float32)
     logp = z - lse
-    safe_t = np.where(keep, targets, 0)
-    picked = logp[np.arange(len(targets)), safe_t]
-    data = np.float32(-(picked * keep).sum() / n_keep)
+    safe_t = np.where(keep, targets, 0)[..., None]
+    picked = np.take_along_axis(logp, safe_t, axis=-1)
+    data = np.float32(-(picked.reshape(-1) * keep.reshape(-1)).sum() / n_keep)
     if not np.isfinite(data):
         raise NumericError("cross_entropy: non-finite loss")
 
     def backward(g):
-        p = np.exp(logp)
-        onehot = np.zeros_like(p)
-        onehot[np.arange(len(targets)), safe_t] = 1.0
-        gl = (p - onehot) * (keep[:, None] / np.float32(n_keep)) * np.float32(g)
-        logits._accumulate(gl.astype(np.float32))
+        gl = np.zeros_like(logits.data)
+        gp = gl[..., :n, :]
+        np.exp(logp, out=gp)
+        np.put_along_axis(gp, safe_t, np.take_along_axis(gp, safe_t, axis=-1) - 1.0, axis=-1)
+        gp *= keep[..., None] / np.float32(n_keep)
+        gp *= np.float32(g)
+        logits._accumulate(gl)
 
     return _node(data, (logits,), backward)
 

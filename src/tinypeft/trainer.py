@@ -16,14 +16,14 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .corpus import TrainingExample
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import CausalLM
-from .optim import AdamW, clip_global_norm
+from .optim import AdamW, clip_global_norm, global_grad_norm
 from .rng import RngState
 from .store import load_archive, save_archive
 from .tensor import backward
@@ -78,15 +78,11 @@ class MetricsRecord:
     learning_rate: float
     wall_ms: int
     paging_evictions: int  # optimizer page evictions in this window
+    grad_norm: float  # global gradient norm before clipping, at this step
+    clip_factor: float  # the factor clipping applied at this step (1.0: none)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "step": self.step,
-            "training_loss": self.training_loss,
-            "learning_rate": self.learning_rate,
-            "wall_ms": self.wall_ms,
-            "paging_evictions": self.paging_evictions,
-        })
+        return json.dumps(asdict(self))
 
 
 def lr_at_step(config: TrainConfig, s: int, total_steps: int | None = None) -> float:
@@ -151,6 +147,7 @@ class Trainer:
         self.offset = 0
         self.metrics: list[MetricsRecord] = []
         self.step_losses: list[float] = []
+        self.clip = (0.0, 1.0)  # (grad norm, clip factor) of the last step
         self.optimizer = AdamW(
             model.trainable_parameters(), weight_decay=config.weight_decay
         )
@@ -198,11 +195,13 @@ class Trainer:
             scaled = loss * float(inv)
             backward(scaled)
             loss_total += scaled.item()
+        params = self.model.trainable_parameters()
         try:
-            clip_global_norm(self.model.trainable_parameters(), cfg.max_grad_norm)
+            norm = global_grad_norm(params)
         except NumericError as e:
             # raised before the optimizer update, so weights and checkpoints stay clean
             raise NumericError(f"step {self.global_step + 1}: {e}") from e
+        self.clip = (norm, clip_global_norm(params, cfg.max_grad_norm, norm))
         lr = lr_at_step(cfg, self.global_step, self.total_steps)
         self.optimizer.step(lr)
         self.optimizer.zero_grad()
@@ -223,6 +222,9 @@ class Trainer:
             log.warning("already at step %d of %d, nothing to do",
                         self.global_step, limit)
             return self.summary()
+        metrics_path = os.path.join(cfg.output_dir, "metrics.jsonl")
+        if self.global_step == 0:
+            open(metrics_path, "w").close()  # a fresh run starts the log, a resumed one appends
         t0 = time.monotonic()
         window: list[float] = []
         evictions = self.optimizer.evictions
@@ -238,12 +240,14 @@ class Trainer:
                     learning_rate=lr_at_step(cfg, s - 1, self.total_steps),
                     wall_ms=int((time.monotonic() - t0) * 1000),
                     paging_evictions=self.optimizer.evictions - evictions,
+                    grad_norm=self.clip[0],
+                    clip_factor=self.clip[1],
                 )
                 window = []
                 evictions = self.optimizer.evictions
                 if not self.metrics or self.metrics[-1].step != s:
                     self.metrics.append(rec)
-                    with open(os.path.join(cfg.output_dir, "metrics.jsonl"), "a") as f:
+                    with open(metrics_path, "a") as f:
                         f.write(rec.to_json() + "\n")
             if cfg.save_strategy == "steps" and s % cfg.save_steps == 0:
                 self.save_checkpoint()
@@ -297,15 +301,20 @@ class Trainer:
                           "optimizer_step_count"):
             if field_name not in meta:
                 raise DataError(f"{path}: checkpoint missing field {field_name!r}")
+        # every model tensor is checked before any is assigned
         for name, p in self.model.params.items():
             key = f"model.{name}"
             if key not in tensors:
                 raise DataError(f"{path}: checkpoint missing tensor {key!r}")
-            p.data = tensors[key].astype(np.float32).copy()
+            if tensors[key].shape != p.data.shape:
+                raise DataError(f"{path}: checkpoint tensor {key!r} has shape "
+                                f"{tensors[key].shape}, the model's is {p.data.shape}")
         self.optimizer.load_state_tensors(
             {k: v for k, v in tensors.items() if k.startswith("optim.")},
             meta["optimizer_step_count"],
         )
+        for name, p in self.model.params.items():
+            p.data = tensors[f"model.{name}"].astype(np.float32).copy()
         self.rng.set_state(meta["rng_state"])
         self.global_step = int(meta["global_step"])
         self.epoch = int(meta["epoch"])

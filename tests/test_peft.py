@@ -73,7 +73,8 @@ def test_lora_forward_matches_matrix_oracle():
     a.B.data = np.random.default_rng(1).standard_normal(a.B.shape).astype(np.float32)
     x = np.random.default_rng(2).standard_normal((5, 8)).astype(np.float32)
     from tinypeft.tensor import Tensor
-    got = a.delta(Tensor(x)).data
+    lin.weight.data = np.zeros_like(lin.weight.data)  # base bias is 0: lin(x) is the delta
+    got = lin(Tensor(x)).data
     want = 2.0 * (x @ a.A.data.T @ a.B.data.T)  # scaling alpha/r = 2
     np.testing.assert_allclose(got, want, rtol=1e-5)
 
@@ -99,7 +100,8 @@ def test_scaling_linear_in_alpha():
         lin = model.module_by_name("blocks.0.attn.dense")
         lin.adapter.B.data = np.ones(lin.adapter.B.shape, np.float32)
         x = np.ones((2, 8), np.float32)
-        deltas.append(lin.adapter.delta(Tensor(x)).data)
+        lin.weight.data = np.zeros_like(lin.weight.data)  # base bias is 0: lin(x) is the delta
+        deltas.append(lin(Tensor(x)).data)
     np.testing.assert_allclose(deltas[1], 2.0 * deltas[0], rtol=1e-6)
 
 

@@ -15,7 +15,7 @@ from tinypeft.errors import ConfigError, DataError, NumericError
 from tinypeft.model import init_model
 from tinypeft.peft import LoraConfig, attach_lora
 from tinypeft.rng import RngState
-from tinypeft.store import load_archive
+from tinypeft.store import load_archive, save_archive
 from tinypeft.trainer import (
     TrainConfig,
     Trainer,
@@ -396,3 +396,86 @@ def test_search_runs_real_trials(tmp_path, tiny_data, tiny_tok):
 
     trials = hyperparameter_search({"learning_rate": [1e-4, 1e-3]}, run_trial, "grid")
     assert len(trials) == 2 and all(np.isfinite(t.objective) for t in trials)
+
+
+def test_resume_rejects_misshaped_model_tensor_untouched(tmp_path, tiny_data, tiny_tok):
+    tr = make_trainer(tmp_path, tiny_data, tiny_tok, run="src", max_steps=2, save_steps=2)
+    tr.train()
+    tensors, meta = load_archive(str(tmp_path / "src" / "checkpoint-2" / "state.pfwa"))
+    key = "model.blocks.0.attn.dense.weight"
+    tensors[key] = tensors[key][:, :1].copy()  # (8, 8) -> (8, 1)
+    bad = str(tmp_path / "bad.pfwa")
+    save_archive(bad, tensors, meta)
+    fresh = make_trainer(tmp_path, tiny_data, tiny_tok, run="dst", max_steps=4)
+    before = {n: p.data.tobytes() for n, p in fresh.model.params.items()}
+    with pytest.raises(DataError, match=r"bad\.pfwa.*'model\.blocks\.0\.attn\.dense\.weight'"):
+        fresh.resume(bad)
+    assert {n: p.data.tobytes() for n, p in fresh.model.params.items()} == before
+    assert fresh.global_step == 0
+
+
+METRIC_FIELDS = {"step": int, "training_loss": float, "learning_rate": float,
+                 "wall_ms": int, "paging_evictions": int, "grad_norm": float,
+                 "clip_factor": float}
+
+
+def read_metrics(run_dir):
+    with open(run_dir / "metrics.jsonl") as f:
+        return [json.loads(line) for line in f]
+
+
+def test_metrics_jsonl_schema_and_clip_fields(tmp_path, tiny_data, tiny_tok):
+    tr = make_trainer(tmp_path, tiny_data, tiny_tok, max_steps=6, logging_steps=1,
+                      save_steps=100, max_grad_norm=0.3)
+    tr.train()
+    rows = read_metrics(tmp_path / "run")
+    assert [r["step"] for r in rows] == [1, 2, 3, 4, 5, 6]
+    for r in rows:
+        assert set(r) == set(METRIC_FIELDS)
+        for name, kind in METRIC_FIELDS.items():
+            assert type(r[name]) is kind, name
+        norm, factor = r["grad_norm"], r["clip_factor"]
+        assert math.isfinite(norm) and norm > 0.0
+        if norm > 0.3 * (1.0 + 1e-6):
+            assert factor == float(np.float32(0.3 / norm))
+        else:
+            assert factor == 1.0
+    assert any(r["clip_factor"] < 1.0 for r in rows)
+    assert [(m.grad_norm, m.clip_factor) for m in tr.metrics] == [
+        (r["grad_norm"], r["clip_factor"]) for r in rows]
+
+
+def test_metrics_fields_leave_training_bitwise_unchanged(tmp_path, tiny_data, tiny_tok,
+                                                         monkeypatch):
+    """The norm the log reads is the one clipping used: the weights equal a
+    run that clips exactly as before the fields existed."""
+    logged = make_trainer(tmp_path, tiny_data, tiny_tok, run="logged", max_steps=5)
+    logged.train()
+
+    def clip_only(params, max_norm, norm=None):
+        return real_clip(params, max_norm)
+
+    real_clip = trainer_mod.clip_global_norm
+    monkeypatch.setattr(trainer_mod, "clip_global_norm", clip_only)
+    plain = make_trainer(tmp_path, tiny_data, tiny_tok, run="plain", max_steps=5)
+    plain.train()
+    for n, p in plain.model.params.items():
+        assert p.data.tobytes() == logged.model.params[n].data.tobytes()
+
+
+def test_metrics_jsonl_fresh_run_truncates_and_resume_appends(tmp_path, tiny_data, tiny_tok):
+    def without_wall(rows):
+        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+
+    opts = dict(max_steps=8, logging_steps=2, save_steps=4)
+    for _ in range(2):  # two fresh runs into one output_dir
+        make_trainer(tmp_path, tiny_data, tiny_tok, run="again", **opts).train()
+    straight = without_wall(read_metrics(tmp_path / "again"))
+    assert [r["step"] for r in straight] == [2, 4, 6, 8]
+
+    first = make_trainer(tmp_path, tiny_data, tiny_tok, run="split", **opts)
+    first.train(stop_after=4)
+    second = make_trainer(tmp_path, tiny_data, tiny_tok, run="split", **opts)
+    second.resume(str(tmp_path / "split" / "checkpoint-4" / "state.pfwa"))
+    second.train()
+    assert without_wall(read_metrics(tmp_path / "split")) == straight
