@@ -1,9 +1,14 @@
 """Command-line surface: the pretrain-from-scratch and fine-tune workflows
 plus the supporting data / tokenizer / eval / compare / sweep commands.
 
-Every command accepts --config <json> whose keys are the same names as the
-flags; an explicit flag always overrides its config-file counterpart. The
-effective configuration of any command with an --output_dir is echoed to
+A flag that sets a config-dataclass field (``TrainConfig``,
+``CausalLMConfig``, ``LoraConfig``, ...) takes its name, type and default
+from that field; only the LoRA flags are renamed (``lora_rank``,
+``lora_alpha``, ``lora_dropout``). Every command accepts --config <json>
+whose keys are its flag names. Config values must have their field's type,
+and an unknown key or a wrong type is a config error; an explicit flag
+always overrides its config-file counterpart. The effective configuration
+of any command with an --output_dir is echoed to
 <output_dir>/config.echo.json. Exit codes: 0 ok, 1 usage/config, 2
 data/format, 3 runtime.
 """
@@ -14,74 +19,98 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-
+import typing
 
 from . import bpe, corpus, evals, peft, quant, store, trainer as trainer_mod
 from .errors import ConfigError, DataError, TinyPeftError
 from .model import CausalLMConfig, init_model
 from .rng import RngState
+from .trainer import TrainConfig
 
-TRAIN_KEYS = [
-    "output_dir", "per_device_train_batch_size", "gradient_accumulation_steps",
-    "optim", "save_strategy", "save_steps", "logging_steps", "learning_rate",
-    "max_grad_norm", "max_steps", "warmup_ratio", "lr_scheduler_type", "seed",
-    "epochs", "weight_decay", "paging_budget",
-]
-LORA_KEYS = ["lora_rank", "lora_alpha", "lora_dropout"]  # searchable by sweep
-
-
-def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--output_dir")
-    p.add_argument("--per_device_train_batch_size", type=int)
-    p.add_argument("--gradient_accumulation_steps", type=int)
-    p.add_argument("--optim", choices=["adamw_32bit", "paged_adamw_32bit"])
-    p.add_argument("--save_strategy")
-    p.add_argument("--save_steps", type=int)
-    p.add_argument("--logging_steps", type=int)
-    p.add_argument("--learning_rate", type=float)
-    p.add_argument("--max_grad_norm", type=float)
-    p.add_argument("--max_steps", type=int)
-    p.add_argument("--warmup_ratio", type=float)
-    p.add_argument("--lr_scheduler_type", choices=["cosine", "constant"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--weight_decay", type=float)
-    p.add_argument("--paging_budget", type=int)
+# Fields without a flag: the tokenizer sets vocab_size, the CLI keeps the
+# others at their defaults.
+_NO_FLAG = {"vocab_size", "mlp_ratio", "layer_norm_eps", "positional", "stopword_list",
+            "bias_mode", "task_type", "activation"}
+_RENAMED = {"r": "lora_rank", "alpha": "lora_alpha", "dropout": "lora_dropout"}
+# flag -> (config class, field name, field type), for every flag that sets a field
+FIELDS = {_RENAMED.get(name, name): (cls, name, hint)
+          for cls in (CausalLMConfig, corpus.PreprocessConfig, TrainConfig,
+                      peft.LoraConfig, peft.BottleneckAdapterConfig, quant.QuantConfig)
+          for name, hint in typing.get_type_hints(cls).items() if name not in _NO_FLAG}
+_SEPARATORS = {"target_modules": ",", "redact_patterns": "|"}  # of list fields on the command line
 
 
-def _add_lora_flags(p: argparse.ArgumentParser):
-    p.add_argument("--lora_rank", type=int)
-    p.add_argument("--lora_alpha", type=float)
-    p.add_argument("--lora_dropout", type=float)
-    p.add_argument("--target_modules")
-    p.add_argument("--bottleneck_dim", type=int)
+def _flags(*classes) -> list[str]:
+    return [flag for flag, (cls, _, _) in FIELDS.items() if cls in classes]
 
 
-def _add_quant_flags(p: argparse.ArgumentParser):
-    p.add_argument("--block_size", type=int)
-    p.add_argument("--codebook", choices=["nf4", "uniform4"])
-    p.add_argument("--double_quant", type=lambda s: s.lower() in ("1", "true", "yes"))
-    p.add_argument("--dq_group", type=int)
+def _parse_bool(text: str) -> bool:
+    value = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}.get(text.lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return value
+
+
+def _add_fields(p: argparse.ArgumentParser, *flags: str):
+    """Declare field-backed flags. None has an argparse default, so an unset
+    flag leaves its field's default in force."""
+    for flag in flags:
+        hint = FIELDS[flag][2]
+        if hint is bool:
+            p.add_argument("--" + flag, type=_parse_bool, nargs="?", const=True)
+        elif hint == list[str]:
+            sep = _SEPARATORS[flag]
+            p.add_argument("--" + flag, type=lambda s, sep=sep: [t for t in s.split(sep) if t])
+        else:
+            p.add_argument("--" + flag, type=int if hint == int | None else hint)
+
+
+def _check(path: str, key: str, value):
+    """A config-file value of a field-backed key, checked against the field's
+    type (an int is taken for a float)."""
+    hint = FIELDS[key][2]
+    if hint is float and type(value) is int:
+        value = float(value)
+    if hint == list[str]:
+        ok = type(value) is list and all(type(t) is str for t in value)
+    else:
+        ok = type(value) in typing.get_args(hint) if hint == int | None else type(value) is hint
+    if not ok:
+        name = hint.__name__ if hint in (int, float, str, bool) else str(hint)
+        raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
+    return value
+
+
+def _read_json(path: str, error: type[TinyPeftError]):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        raise error(f"cannot read {path} as JSON: {e}")
 
 
 def _effective(args: argparse.Namespace) -> dict:
-    """Merge config file < explicit flags into one dict."""
+    """Merge config file < explicit flags into one dict of checked values."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("config", "command")}
     merged: dict = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            with open(cfg_path, encoding="utf-8") as f:
-                merged.update(json.load(f))
-        except OSError as e:
-            raise ConfigError(f"cannot read config {cfg_path}: {e}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {cfg_path} is not valid JSON: {e}")
-    for k, v in vars(args).items():
-        if k in ("config", "command") or v is None:
-            continue
-        merged[k] = v
+    if args.config:
+        doc = _read_json(args.config, ConfigError)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object")
+        for k, v in doc.items():
+            if k not in flags:
+                raise ConfigError(f"config {args.config}: unknown key {k!r}")
+            merged[k] = _check(args.config, k, v) if k in FIELDS else v
+    merged.update({k: v for k, v in flags.items() if v is not None})
     return merged
+
+
+def _config(cls, eff: dict, **given):
+    """Build cls from the options that set its fields; the others keep
+    their defaults."""
+    return cls(**{name: eff[flag] for flag, (c, name, _) in FIELDS.items()
+                  if c is cls and flag in eff}, **given)
 
 
 def _echo_config(eff: dict):
@@ -91,11 +120,6 @@ def _echo_config(eff: dict):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.echo.json"), "w", encoding="utf-8") as f:
         json.dump(eff, f, indent=2, sort_keys=True)
-
-
-def _train_config(eff: dict) -> trainer_mod.TrainConfig:
-    kwargs = {k: eff[k] for k in TRAIN_KEYS if k in eff}
-    return trainer_mod.TrainConfig(**kwargs)
 
 
 def _require(eff: dict, *keys: str) -> list:
@@ -120,10 +144,19 @@ def _load_corpus_texts(path: str) -> list[str]:
 def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, seq_len: int,
                    mask_prompt: bool = True) -> list[corpus.TrainingExample]:
     if eff.get("data"):
-        with open(eff["data"], encoding="utf-8") as f:
-            doc = json.load(f)
-        return [corpus.TrainingExample(e["input_ids"], e["labels"])
-                for e in doc["examples"]]
+        path = eff["data"]
+        doc = _read_json(path, DataError)
+        if not isinstance(doc, dict) or not isinstance(doc.get("examples"), list):
+            raise DataError(f"{path}: needs an 'examples' list")
+        examples = []
+        for i, e in enumerate(doc["examples"]):
+            e = e if isinstance(e, dict) else {}
+            ids, labels = e.get("input_ids"), e.get("labels")
+            if not (type(ids) is list and type(labels) is list and len(ids) == len(labels)
+                    and all(type(t) is int for t in ids + labels)):
+                raise DataError(f"{path}: example {i} needs equal-length input_ids and labels lists of ints")
+            examples.append(corpus.TrainingExample(ids, labels))
+        return examples
     (csv_path,) = _require(eff, "csv")
     pairs = [corpus.preprocess_pair(p, corpus.PreprocessConfig())
              for p in corpus.load_qa_csv(csv_path)]
@@ -150,17 +183,12 @@ def cmd_tokenizer_train(eff: dict) -> int:
 
 def cmd_prepare_data(eff: dict) -> int:
     csv_path, tok_path, out = _require(eff, "csv", "tokenizer", "out")
-    seq_len = int(eff.get("seq_len", 128))
     tok = bpe.TokenizerModel.load(tok_path)
-    pcfg = corpus.PreprocessConfig(
-        redact_patterns=[p for p in (eff.get("redact_patterns") or "").split("|") if p],
-        augment_shuffle=bool(eff.get("augment_shuffle")),
-        augment_p=float(eff.get("augment_p", 0.0)),
-        profile=eff.get("profile", "lm"),
-    )
+    seq_len = _config(CausalLMConfig, eff, vocab_size=tok.vocab_size).seq_len
+    pcfg = _config(corpus.PreprocessConfig, eff)
     pairs = [corpus.preprocess_pair(p, pcfg) for p in corpus.load_qa_csv(csv_path)]
     if pcfg.augment_shuffle and pcfg.augment_p > 0:
-        rng = RngState(int(eff.get("seed", 0)))
+        rng = RngState(eff.get("seed", 0))
         pairs = [corpus.QAPair(p.question, corpus.augment_shuffle(p.answer, rng, pcfg.augment_p))
                  for p in pairs]
     examples, n_trunc = corpus.build_examples(
@@ -179,22 +207,12 @@ def cmd_prepare_data(eff: dict) -> int:
     return 0
 
 
-def _model_config_from(eff: dict, vocab_size: int) -> CausalLMConfig:
-    return CausalLMConfig(
-        vocab_size=vocab_size,
-        d_model=int(eff.get("d_model", 64)),
-        n_heads=int(eff.get("n_heads", 4)),
-        n_layers=int(eff.get("n_layers", 2)),
-        seq_len=int(eff.get("seq_len", 128)),
-    )
-
-
 def cmd_pretrain(eff: dict) -> int:
     tok_path, _ = _require(eff, "tokenizer", "output_dir")
     tok = bpe.TokenizerModel.load(tok_path)
-    cfg = _train_config(eff)
+    cfg = _config(TrainConfig, eff)
     _echo_config(eff)
-    mcfg = _model_config_from(eff, tok.vocab_size)
+    mcfg = _config(CausalLMConfig, eff, vocab_size=tok.vocab_size)
     model = init_model(mcfg, RngState(cfg.seed))
     examples = _load_examples(eff, tok, mcfg.seq_len, mask_prompt=False)
     tr = trainer_mod.Trainer(model, examples, cfg, tok.specials.pad)
@@ -211,30 +229,17 @@ def cmd_finetune(eff: dict) -> int:
         raise ConfigError(f"unknown finetune method {method!r}")
     base_path, tok_path, _ = _require(eff, "base", "tokenizer", "output_dir")
     tok = bpe.TokenizerModel.load(tok_path)
-    cfg = _train_config(eff)
+    cfg = _config(TrainConfig, eff)
     _echo_config(eff)
     model = store.load_model(base_path)
     rng = RngState(cfg.seed)
 
     if method == "qlora":
-        qcfg = quant.QuantConfig(
-            block_size=int(eff.get("block_size", 64)),
-            codebook=eff.get("codebook", "nf4"),
-            double_quant=bool(eff.get("double_quant", True)),
-            dq_group=int(eff.get("dq_group", 256)),
-        )
-        peft.quantize_base(model, qcfg)
+        peft.quantize_base(model, _config(quant.QuantConfig, eff))
     if method in ("lora", "qlora"):
-        lcfg = peft.LoraConfig(
-            r=int(eff.get("lora_rank", 32)),
-            alpha=float(eff.get("lora_alpha", 32)),
-            dropout=float(eff.get("lora_dropout", 0.05)),
-            target_modules=(eff.get("target_modules") or ",".join(peft.FIG12_TARGET_MODULES)).split(","),
-        )
-        peft.attach_lora(model, lcfg, rng)
+        peft.attach_lora(model, _config(peft.LoraConfig, eff), rng)
     elif method == "adapter":
-        bcfg = peft.BottleneckAdapterConfig(bottleneck_dim=int(eff.get("bottleneck_dim", 8)))
-        peft.attach_bottleneck(model, bcfg, rng)
+        peft.attach_bottleneck(model, _config(peft.BottleneckAdapterConfig, eff), rng)
 
     examples = _load_examples(eff, tok, model.config.seq_len)
     tr = trainer_mod.Trainer(model, examples, cfg, tok.specials.pad)
@@ -338,32 +343,29 @@ def cmd_sweep(eff: dict) -> int:
     space_path, base_path, tok_path, _ = _require(
         eff, "space", "base", "tokenizer", "output_dir"
     )
-    with open(space_path, encoding="utf-8") as f:
-        space = json.load(f)
+    space = _read_json(space_path, ConfigError)
     if not isinstance(space, dict) or not space:
         raise ConfigError(f"{space_path}: search space must be a non-empty object")
-    unknown = sorted(set(space) - set(TRAIN_KEYS) - set(LORA_KEYS))
-    if unknown:
-        raise ConfigError(f"{space_path}: cannot search over {', '.join(unknown)}")
+    searchable = _flags(TrainConfig, peft.LoraConfig)
+    for key, values in space.items():
+        if key not in searchable:
+            raise ConfigError(f"{space_path}: cannot search over {key}")
+        if type(values) is not list:
+            raise ConfigError(f"{space_path}: {key} must map to a list of values")
+        space[key] = [_check(space_path, key, v) for v in values]
     _echo_config(eff)
     tok = bpe.TokenizerModel.load(tok_path)
-    base_cfg = _train_config(eff)
+    base_cfg = _config(TrainConfig, eff)
     examples = _load_examples(eff, tok, store.load_model(base_path).config.seq_len)
     holdout = max(1, len(examples) // 10)
     train_set, eval_set = examples[:-holdout], examples[-holdout:]
 
     def run_trial(overrides: dict) -> float:
-        opts = {**eff, **overrides}
-        tcfg = replace(base_cfg, **{k: v for k, v in overrides.items() if k in TRAIN_KEYS})
-        tcfg = replace(tcfg, output_dir=os.path.join(
-            base_cfg.output_dir, "trial-" + "-".join(f"{k}={v}" for k, v in sorted(overrides.items()))
-        ))
+        trial = "trial-" + "-".join(f"{k}={v}" for k, v in sorted(overrides.items()))
+        opts = {**eff, **overrides, "output_dir": os.path.join(base_cfg.output_dir, trial)}
+        tcfg = _config(TrainConfig, opts)
         model = store.load_model(base_path)
-        peft.attach_lora(model, peft.LoraConfig(
-            r=int(opts.get("lora_rank", 8)),
-            alpha=float(opts.get("lora_alpha", 16)),
-            dropout=float(opts.get("lora_dropout", 0.0)),
-        ), RngState(tcfg.seed))
+        peft.attach_lora(model, _config(peft.LoraConfig, opts), RngState(tcfg.seed))
         tr = trainer_mod.Trainer(model, train_set, tcfg, tok.specials.pad)
         tr.train()
         return evals.perplexity(model, eval_set, tok.specials.pad)
@@ -372,7 +374,7 @@ def cmd_sweep(eff: dict) -> int:
         space, run_trial,
         strategy=eff.get("strategy", "grid"),
         budget=int(eff["budget"]) if eff.get("budget") else None,
-        seed=int(eff.get("seed", 0)),
+        seed=base_cfg.seed,
     )
     rows = [{"rank": i + 1, "trial": t.index, "overrides": t.overrides,
              "objective": t.objective} for i, t in enumerate(trials)]
@@ -386,105 +388,62 @@ def cmd_sweep(eff: dict) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error (exit 1); argparse's own exit
+    code 2 is the data-error code here."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tinypeft",
-                                 description="desk-scale PEFT toolkit")
+    ap = _Parser(prog="tinypeft", description="desk-scale PEFT toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tokenizer-train", help="train a byte-level BPE tokenizer")
-    p.add_argument("--config")
-    p.add_argument("--corpus")
-    p.add_argument("--target_vocab", type=int)
-    p.add_argument("--domain_terms")
-    p.add_argument("--out")
+    def command(name: str, help: str, *text_flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in ("config", *text_flags):
+            p.add_argument("--" + flag)
+        return p
 
-    p = sub.add_parser("prepare-data", help="CSV -> tokenized instruction dataset")
-    p.add_argument("--config")
-    p.add_argument("--csv")
-    p.add_argument("--tokenizer")
-    p.add_argument("--out")
-    p.add_argument("--seq_len", type=int)
-    p.add_argument("--template")
-    p.add_argument("--profile", choices=["lm", "analysis"])
-    p.add_argument("--redact_patterns")
-    p.add_argument("--augment_shuffle", action="store_true", default=None)
-    p.add_argument("--augment_p", type=float)
+    p = command("tokenizer-train", "train a byte-level BPE tokenizer",
+                "corpus", "domain_terms", "out")
+    p.add_argument("--target_vocab", type=int)
+
+    p = command("prepare-data", "CSV -> tokenized instruction dataset",
+                "csv", "tokenizer", "out", "template")
     p.add_argument("--no_mask_prompt", action="store_true", default=None)
     p.add_argument("--seed", type=int)
+    _add_fields(p, "seq_len", *_flags(corpus.PreprocessConfig))
 
-    p = sub.add_parser("pretrain", help="train a base model from scratch")
-    p.add_argument("--config")
-    p.add_argument("--csv")
-    p.add_argument("--data")
-    p.add_argument("--tokenizer")
-    p.add_argument("--d_model", type=int)
-    p.add_argument("--n_heads", type=int)
-    p.add_argument("--n_layers", type=int)
-    p.add_argument("--seq_len", type=int)
-    _add_train_flags(p)
+    p = command("pretrain", "train a base model from scratch", "csv", "data", "tokenizer")
+    _add_fields(p, *_flags(CausalLMConfig, TrainConfig))
 
-    p = sub.add_parser("finetune", help="PEFT or full fine-tuning of a base model")
-    p.add_argument("--config")
-    p.add_argument("--method", choices=["full", "lora", "qlora", "adapter"])
-    p.add_argument("--base")
-    p.add_argument("--csv")
-    p.add_argument("--data")
-    p.add_argument("--tokenizer")
-    _add_train_flags(p)
-    _add_lora_flags(p)
-    _add_quant_flags(p)
+    p = command("finetune", "PEFT or full fine-tuning of a base model",
+                "method", "base", "csv", "data", "tokenizer")
+    _add_fields(p, *_flags(TrainConfig, peft.LoraConfig, peft.BottleneckAdapterConfig,
+                           quant.QuantConfig))
 
-    p = sub.add_parser("merge", help="fold an adapter into its base model")
-    p.add_argument("--config")
-    p.add_argument("--base")
-    p.add_argument("--adapter")
-    p.add_argument("--out")
+    command("merge", "fold an adapter into its base model", "base", "adapter", "out")
 
-    p = sub.add_parser("generate", help="complete a prompt or templated question")
-    p.add_argument("--config")
-    p.add_argument("--model")
-    p.add_argument("--adapter")
-    p.add_argument("--tokenizer")
-    p.add_argument("--prompt")
-    p.add_argument("--question")
-    p.add_argument("--max_new_tokens", type=int)
-    p.add_argument("--mode", choices=["greedy", "temperature"])
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--top_k", type=int)
-    p.add_argument("--seed", type=int)
+    p = command("generate", "complete a prompt or templated question",
+                "model", "adapter", "tokenizer", "prompt", "question", "mode")
+    for flag, typ in (("max_new_tokens", int), ("temperature", float), ("top_k", int),
+                      ("seed", int)):
+        p.add_argument("--" + flag, type=typ)
 
-    p = sub.add_parser("eval", help="quantitative evaluation report (JSON)")
-    p.add_argument("--config")
-    p.add_argument("--model")
-    p.add_argument("--adapter")
-    p.add_argument("--tokenizer")
-    p.add_argument("--csv")
-    p.add_argument("--data")
-    p.add_argument("--out")
+    command("eval", "quantitative evaluation report (JSON)",
+            "model", "adapter", "tokenizer", "csv", "data", "out")
 
-    p = sub.add_parser("compare", help="base vs adapted side-by-side report")
-    p.add_argument("--config")
-    p.add_argument("--base")
-    p.add_argument("--adapter")
-    p.add_argument("--tokenizer")
+    p = command("compare", "base vs adapted side-by-side report",
+                "base", "adapter", "tokenizer", "csv", "data", "out")
     p.add_argument("--question", action="append")
-    p.add_argument("--csv")
-    p.add_argument("--data")
     p.add_argument("--max_new_tokens", type=int)
-    p.add_argument("--out")
 
-    p = sub.add_parser("sweep", help="grid/random hyperparameter search")
-    p.add_argument("--config")
-    p.add_argument("--space")
-    p.add_argument("--base")
-    p.add_argument("--csv")
-    p.add_argument("--data")
-    p.add_argument("--tokenizer")
-    p.add_argument("--strategy", choices=["grid", "random"])
+    p = command("sweep", "grid/random hyperparameter search",
+                "space", "base", "csv", "data", "tokenizer", "strategy")
     p.add_argument("--budget", type=int)
-    _add_train_flags(p)
-    _add_lora_flags(p)
-
+    _add_fields(p, *_flags(TrainConfig, peft.LoraConfig))
     return ap
 
 
@@ -502,11 +461,9 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        eff = _effective(args)
-        return COMMANDS[args.command](eff)
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command](_effective(args))
     except ConfigError as e:
         print(f"error:config: {e}", file=sys.stderr)
         return 1

@@ -41,7 +41,6 @@ class QAPair:
 
 @dataclass
 class PreprocessConfig:
-    normalize: bool = True
     stopword_list: set[str] | None = None
     redact_patterns: list[str] = field(default_factory=list)
     augment_shuffle: bool = False
@@ -161,8 +160,7 @@ def preprocess_pair(pair: QAPair, cfg: PreprocessConfig) -> QAPair:
     def clean(t: str) -> str:
         if cfg.redact_patterns:
             t = redact(t, cfg.redact_patterns)
-        if cfg.normalize:
-            t = normalize_text(t, cfg.profile)
+        t = normalize_text(t, cfg.profile)
         if cfg.profile == "analysis" and cfg.stopword_list:
             t = remove_stopwords(t, cfg.stopword_list)
         return t

@@ -53,22 +53,6 @@ class CausalLMConfig:
         if self.positional != "learned_absolute":
             raise ConfigError(f"unsupported positional mode {self.positional!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "seq_len": self.seq_len,
-            "mlp_ratio": self.mlp_ratio,
-            "layer_norm_eps": self.layer_norm_eps,
-            "positional": self.positional,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CausalLMConfig":
-        return cls(**d)
-
 
 class Linear:
     """y = x @ W (+ b) (+ LoRA delta). Carries optional LoRA adapter and

@@ -48,17 +48,6 @@ class LoraConfig:
     def scaling(self) -> float:
         return self.alpha / self.r
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r, "alpha": self.alpha, "dropout": self.dropout,
-            "target_modules": list(self.target_modules),
-            "bias_mode": self.bias_mode, "task_type": self.task_type,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LoraConfig":
-        return cls(**d)
-
 
 class LoraAdapter:
     """Low-rank pair for one target linear: delta(x) = s * B(A(drop(x))),
@@ -172,7 +161,7 @@ def unmerge_lora(model: CausalLM) -> CausalLM:
 
 @dataclass
 class BottleneckAdapterConfig:
-    bottleneck_dim: int
+    bottleneck_dim: int = 8
     activation: str = "gelu"
 
     def __post_init__(self):
@@ -180,13 +169,6 @@ class BottleneckAdapterConfig:
             raise ConfigError(f"bottleneck_dim must be >= 1, got {self.bottleneck_dim}")
         if self.activation != "gelu":
             raise ConfigError(f"only gelu activation is supported, got {self.activation!r}")
-
-    def to_dict(self) -> dict:
-        return {"bottleneck_dim": self.bottleneck_dim, "activation": self.activation}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BottleneckAdapterConfig":
-        return cls(**d)
 
 
 class BottleneckAdapter:

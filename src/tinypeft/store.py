@@ -20,6 +20,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def _check_entry(path: str, i: int, ent) -> tuple:
 def base_fingerprint(model: CausalLM) -> str:
     """Hash of the base config plus all base weight bytes."""
     h = hashlib.sha256()
-    h.update(json.dumps(model.config.to_dict(), sort_keys=True).encode())
+    h.update(json.dumps(asdict(model.config), sort_keys=True).encode())
     for name in sorted(model.params):
         if ".lora_" in name or "_adapter." in name:
             continue
@@ -172,7 +173,7 @@ def save_model(model: CausalLM, path: str, extra_meta: dict | None = None):
     """Persist a plain model (base weights only; adapters are saved apart)."""
     tensors = {n: p.data for n, p in model.params.items()
                if ".lora_" not in n and "_adapter." not in n}
-    meta = {"kind": "model", "model_config": model.config.to_dict()}
+    meta = {"kind": "model", "model_config": asdict(model.config)}
     meta.update(extra_meta or {})
     save_archive(path, tensors, meta)
 
@@ -182,7 +183,7 @@ def _config_field(path: str, meta: dict, key: str, cls):
     if not isinstance(meta.get(key), dict):
         raise DataError(f"{path}: meta field {key!r} is missing or not an object")
     try:
-        return cls.from_dict(meta[key])
+        return cls(**meta[key])
     except (TypeError, ValueError, ConfigError) as e:
         raise DataError(f"{path}: meta field {key!r} is invalid: {e}")
 
@@ -206,13 +207,13 @@ def save_adapter(model: CausalLM, path: str):
     tensors: dict[str, np.ndarray] = {}
     if model.lora_set is not None:
         meta["peft_method"] = "lora"
-        meta["lora_config"] = model.lora_set.config.to_dict()
+        meta["lora_config"] = asdict(model.lora_set.config)
         for a in model.lora_set.adapters.values():
             tensors[a.A.name] = a.A.data
             tensors[a.B.name] = a.B.data
     elif getattr(model, "bottleneck_config", None) is not None:
         meta["peft_method"] = "adapter"
-        meta["bottleneck_config"] = model.bottleneck_config.to_dict()
+        meta["bottleneck_config"] = asdict(model.bottleneck_config)
         for n, p in model.params.items():
             if "_adapter." in n:
                 tensors[n] = p.data

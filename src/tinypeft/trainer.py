@@ -62,14 +62,6 @@ class TrainConfig:
         if self.save_strategy != "steps":
             raise ConfigError(f"only save_strategy='steps' is supported")
 
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 @dataclass
 class MetricsRecord:
@@ -284,7 +276,7 @@ class Trainer:
             "offset": self.offset,
             "optimizer_step_count": self.optimizer.step_count,
             "rng_state": self.rng.get_state(),
-            "train_config": self.config.to_dict(),
+            "train_config": asdict(self.config),
         }
         save_archive(path, tensors, meta)
 

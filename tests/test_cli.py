@@ -3,12 +3,17 @@ tokenize -> pretrain -> finetune -> merge -> generate chain on tiny settings."""
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from tinypeft import cli, peft
 from tinypeft.cli import main
-from tinypeft.store import load_model
+from tinypeft.model import CausalLMConfig
+from tinypeft.peft import BottleneckAdapterConfig, LoraConfig
+from tinypeft.quant import QuantConfig
+from tinypeft.store import load_archive, load_model
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +140,80 @@ def test_config_file_merging_and_echo(workdir):
     assert echo["max_steps"] == 2
 
 
+@pytest.mark.parametrize("command", ["prepare-data", "pretrain", "finetune", "sweep"])
+def test_omitted_field_flags_yield_field_defaults(command):
+    args = cli.build_parser().parse_args([command])
+    eff = cli._effective(args)
+    flags = [f for f in vars(args) if f in cli.FIELDS]
+    assert flags
+    for flag in flags:
+        cls, name, _ = cli.FIELDS[flag]
+        given = {"vocab_size": 300} if cls is CausalLMConfig else {}
+        assert getattr(cli._config(cls, eff, **given), name) == getattr(cls(**given), name)
+
+
+def test_flags_and_config_values_reach_the_configs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"double_quant": False, "lora_alpha": 16,
+                               "target_modules": ["dense"], "epochs": None}))
+    args = cli.build_parser().parse_args(
+        ["finetune", "--config", str(cfg), "--codebook", "uniform4", "--lora_dropout", "0"])
+    eff = cli._effective(args)
+    assert cli._config(QuantConfig, eff) == QuantConfig(codebook="uniform4", double_quant=False)
+    assert cli._config(LoraConfig, eff) == LoraConfig(alpha=16.0, dropout=0.0,
+                                                      target_modules=["dense"])
+    args = cli.build_parser().parse_args(
+        ["finetune", "--double_quant", "false", "--target_modules", "dense,query_key_value"])
+    eff = cli._effective(args)
+    assert cli._config(QuantConfig, eff).double_quant is False
+    assert cli._config(LoraConfig, eff).target_modules == ["dense", "query_key_value"]
+
+
+@pytest.mark.parametrize("method, key, cls", [
+    ("lora", "lora_config", LoraConfig),
+    ("adapter", "bottleneck_config", BottleneckAdapterConfig),
+])
+def test_finetune_without_method_flags_uses_dataclass_defaults(workdir, method, key, cls):
+    out_dir = str(workdir["dir"] / f"default_{method}")
+    assert main(["finetune", "--method", method, "--base", workdir["base"],
+                 "--tokenizer", workdir["tok"], "--csv", workdir["csv"],
+                 "--output_dir", out_dir, "--max_steps", "1", "--save_steps", "100",
+                 "--logging_steps", "100"]) == 0
+    _, meta = load_archive(os.path.join(out_dir, "adapter.pfwa"))
+    assert meta[key] == asdict(cls())
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], LoraConfig()),
+    (["--target_modules", "dense"], LoraConfig(target_modules=["dense"])),
+])
+def test_sweep_trial_lora_config_comes_from_lora_config(workdir, monkeypatch, flags, expected):
+    seen = []
+    attach = peft.attach_lora
+    monkeypatch.setattr(peft, "attach_lora", lambda m, c, r: seen.append(c) or attach(m, c, r))
+    space = workdir["dir"] / "lr_space.json"
+    space.write_text(json.dumps({"learning_rate": [1e-4]}))
+    assert main(["sweep", "--space", str(space), "--base", workdir["base"],
+                 "--tokenizer", workdir["tok"], "--csv", workdir["csv"],
+                 "--output_dir", str(workdir["dir"] / "default_sweep"), "--max_steps", "1",
+                 "--save_steps", "100", "--logging_steps", "100", *flags]) == 0
+    assert seen == [expected]
+
+
+def test_echoed_config_reproduces_the_archive(workdir):
+    first, second = str(workdir["dir"] / "echo_a"), str(workdir["dir"] / "echo_b")
+    assert main(["finetune", "--method", "qlora", "--base", workdir["base"],
+                 "--tokenizer", workdir["tok"], "--csv", workdir["csv"],
+                 "--output_dir", first, "--max_steps", "2", "--save_steps", "100",
+                 "--logging_steps", "100", "--lora_rank", "2", "--lora_alpha", "4",
+                 "--target_modules", "query_key_value,dense", "--block_size", "16",
+                 "--double_quant", "false"]) == 0
+    echo = os.path.join(first, "config.echo.json")
+    assert main(["finetune", "--config", echo, "--output_dir", second]) == 0
+    a = open(os.path.join(first, "adapter.pfwa"), "rb").read()
+    assert a == open(os.path.join(second, "adapter.pfwa"), "rb").read()
+
+
 def test_sweep_grid(workdir):
     d = workdir["dir"]
     space = str(d / "space.json")
@@ -188,6 +267,73 @@ def test_sweep_over_unknown_key_is_config_error(workdir, capsys):
                  "--tokenizer", workdir["tok"], "--csv", workdir["csv"],
                  "--output_dir", str(workdir["dir"] / "bad_sweep")]) == 1
     assert "learning_rat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"lora_rank": ["2"]}', "lora_rank"),
+    ('{"lora_rank": 2}', "lora_rank"),
+    ("not json", "bad_space.json"),
+])
+def test_malformed_sweep_space_is_config_error(workdir, capsys, text, named):
+    space = workdir["dir"] / "bad_space.json"
+    space.write_text(text)
+    assert main(["sweep", "--space", str(space), "--base", workdir["base"],
+                 "--tokenizer", workdir["tok"], "--csv", workdir["csv"],
+                 "--output_dir", str(workdir["dir"] / "bad_sweep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and str(space) in err and named in err
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "not json",
+    '{"examples": [{"input_ids": [1, 2], "labels": [1]}]}',
+    '{"examples": [{"input_ids": [1, 2]}]}',
+    '{"examples": [[1, 2]]}',
+])
+def test_malformed_data_file_is_data_error(workdir, tmp_path, capsys, text):
+    data = tmp_path / "data.json"
+    data.write_text(text)
+    assert main(["eval", "--model", workdir["base"], "--tokenizer", workdir["tok"],
+                 "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and str(data) in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["pretrain", "--max_steps", "x"], "--max_steps"),
+    (["tokenizer-train", "--bogus", "1"], "--bogus"),
+    (["finetune", "--double_quant", "flase"], "--double_quant"),
+    ([], "command"),
+])
+def test_usage_errors_are_config_errors(capsys, argv, named):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and named in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["finetune", "--help"])
+    assert e.value.code == 0
+    assert "--lora_rank" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    ("pretrain", {"max_steps": "2"}, "max_steps"),
+    ("pretrain", {"epochs": "x"}, "epochs"),
+    ("pretrain", ["max_steps", 2], None),
+    ("finetune", {"double_quant": "false"}, "double_quant"),
+    ("finetune", {"target_modules": "dense"}, "target_modules"),
+    ("pretrain", {"d_modle": 999}, "d_modle"),
+])
+def test_malformed_config_is_config_error(tmp_path, capsys, command, doc, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and str(cfg) in err
+    assert named is None or named in err
 
 
 def test_unreadable_config_is_config_error(capsys, tmp_path):

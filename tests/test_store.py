@@ -3,6 +3,7 @@ round trips with fingerprint checking."""
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_adapter_archive_without_fingerprint_is_data_error(tmp_path):
 def test_adapter_archive_with_foreign_tensor_is_data_error(tmp_path):
     base = init_model(micro_config(), RngState(6))
     meta = {"kind": "adapter", "base_fingerprint": base_fingerprint(base),
-            "peft_method": "lora", "lora_config": LoraConfig(r=2).to_dict()}
+            "peft_method": "lora", "lora_config": asdict(LoraConfig(r=2))}
     path = write_raw(tmp_path / "a.pfwa", {"tensors": [entry()], "meta": meta}, bytes(8))
     with pytest.raises(DataError, match="'w'"):
         load_adapter(base, path)
