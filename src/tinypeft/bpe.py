@@ -4,19 +4,40 @@ Ids 0..255 are the raw bytes, so every UTF-8 string round-trips exactly.
 Specials (BOS/EOS/PAD) and user-supplied domain terms sit above the byte
 range; merges fill the remaining vocabulary. Merge selection is
 deterministic: highest pair count, ties broken by the lexicographically
-smaller left token bytes, then right.
+smaller left token bytes, then right, then the pair that occurs first in
+the corpus.
+
+Training never rescans the corpus. The corpus is one flat id array in
+which a separator stands for each line break and each domain term, so no
+pair crosses a line or touches a term; ``next``/``prev`` links skip merged
+slots. Each adjacent pair keeps its count and a list of the positions where
+it was formed. A lazy heap keyed (-count, left bytes, right bytes) yields
+the best pair; an entry whose count has since changed is re-queued. A merge
+visits only its own positions, in ascending order, checking each one as it
+goes, which reproduces a left-to-right, non-overlapping pass (``aaaa`` gives
+two merges, ``aaa`` one), and adjusts the counts of the neighbouring pairs.
+
+Encoding keeps a heap of (rank, position) over a linked list of the
+segment's ids and merges the lowest rank first, leftmost first among equal
+ranks. That is the result of applying each merge to the whole segment in
+rank order, because a merge's new id only appears in later merges; ``load``
+checks that order.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from collections import Counter
+import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 TOKENIZER_VERSION = 1
 N_BYTES = 256
+_SEP = -1  # a line break or a domain term in the training array; no pair touches it
 
 
 @dataclass
@@ -47,6 +68,9 @@ class TokenizerModel:
             for tid, bs in self.vocab.items():
                 if bs == t.encode("utf-8") and tid >= N_BYTES:
                     self._term_ids[t] = tid
+        # leftmost match, and at one position the longest term
+        terms = sorted(self._term_ids, key=len, reverse=True)
+        self._term_re = re.compile("|".join(map(re.escape, terms))) if terms else None
 
     @property
     def vocab_size(self) -> int:
@@ -55,43 +79,43 @@ class TokenizerModel:
     # -- encoding ------------------------------------------------------------
 
     def _bpe_segment(self, ids: list[int]) -> list[int]:
-        while len(ids) >= 2:
-            best_rank, best_pair = None, None
-            for i in range(len(ids) - 1):
-                r = self._ranks.get((ids[i], ids[i + 1]))
-                if r is not None and (best_rank is None or r < best_rank):
-                    best_rank, best_pair = r, (ids[i], ids[i + 1])
-            if best_pair is None:
-                break
-            new_id = self._merge_new[best_pair]
-            out, i = [], 0
-            while i < len(ids):
-                if i < len(ids) - 1 and (ids[i], ids[i + 1]) == best_pair:
-                    out.append(new_id)
-                    i += 2
-                else:
-                    out.append(ids[i])
-                    i += 1
-            ids = out
-        return ids
+        n = len(ids)
+        if n < 2:
+            return ids
+        ranks, merge_new = self._ranks, self._merge_new
+        ids = ids + [_SEP]  # sentinel right of the last id; merged slots become _SEP too
+        nxt = list(range(1, n + 2))
+        prv = list(range(-1, n))
+        heap = [(r, i) for i in range(n - 1) if (r := ranks.get((ids[i], ids[i + 1]))) is not None]
+        heapq.heapify(heap)
+        while heap:
+            rank, i = heapq.heappop(heap)
+            j = nxt[i]
+            pair = (ids[i], ids[j])
+            if ranks.get(pair) != rank:
+                continue  # slot i was merged away, or its pair changed
+            new = ids[i] = merge_new[pair]
+            ids[j] = _SEP
+            k = nxt[i] = nxt[j]
+            prv[k] = i
+            h = prv[i]
+            if h >= 0 and (r := ranks.get((ids[h], new))) is not None:
+                heapq.heappush(heap, (r, h))
+            if (r := ranks.get((new, ids[k]))) is not None:
+                heapq.heappush(heap, (r, i))
+        return [t for t in ids if t != _SEP]
 
     def _split_terms(self, text: str) -> list[tuple[bool, str]]:
         """Cut text into (is_term, piece) runs, leftmost-longest term match."""
-        if not self._term_ids:
+        if self._term_re is None:
             return [(False, text)] if text else []
-        terms = sorted(self._term_ids, key=len, reverse=True)
         pieces: list[tuple[bool, str]] = []
-        i, start = 0, 0
-        while i < len(text):
-            hit = next((t for t in terms if text.startswith(t, i)), None)
-            if hit is not None:
-                if start < i:
-                    pieces.append((False, text[start:i]))
-                pieces.append((True, hit))
-                i += len(hit)
-                start = i
-            else:
-                i += 1
+        start = 0
+        for m in self._term_re.finditer(text):
+            if start < m.start():
+                pieces.append((False, text[start:m.start()]))
+            pieces.append((True, m.group()))
+            start = m.end()
         if start < len(text):
             pieces.append((False, text[start:]))
         return pieces
@@ -126,16 +150,65 @@ class TokenizerModel:
         return json.dumps(doc, ensure_ascii=False, indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "TokenizerModel":
-        doc = json.loads(text)
+    def from_json(cls, text: str, source: str = "tokenizer") -> "TokenizerModel":
+        """Parse and check a tokenizer document; source names it in errors.
+
+        Besides the field types, every merge must join two ids defined
+        before it (a byte, a domain term or an earlier merge) into a new id
+        whose bytes are theirs concatenated, which is what the rank-heap
+        encoder relies on.
+        """
+        try:
+            doc = json.loads(text)
+        except ValueError as e:
+            raise DataError(f"{source}: not a JSON document: {e}")
+        if not isinstance(doc, dict):
+            raise DataError(f"{source}: a tokenizer must be a JSON object")
         if doc.get("version") != TOKENIZER_VERSION:
-            raise ConfigError(f"unsupported tokenizer version {doc.get('version')!r}")
-        sp = doc["specials"]
+            raise ConfigError(f"{source}: unsupported tokenizer version {doc.get('version')!r}")
+
+        def bad(what: str) -> DataError:
+            return DataError(f"{source}: {what}")
+
+        sp = doc.get("specials")
+        if not (isinstance(sp, dict) and all(type(sp.get(k)) is int for k in ("bos", "eos", "pad"))):
+            raise bad("specials must be an object of int bos, eos and pad")
+        raw = doc.get("vocab")
+        if not isinstance(raw, dict):
+            raise bad("vocab must be an object of id -> hex bytes")
+        vocab: dict[int, bytes] = {}
+        for key, hex_bytes in raw.items():
+            try:
+                if not (key.isascii() and key.isdigit()):
+                    raise ValueError
+                vocab[int(key)] = bytes.fromhex(hex_bytes)
+            except (TypeError, ValueError):
+                raise bad(f"vocab[{key!r}] must be hex bytes under an integer id, got {hex_bytes!r}")
+        if any(vocab.get(i) != bytes([i]) for i in range(N_BYTES)):
+            raise bad("vocab must map the ids 0-255 to their own bytes")
+        merges = doc.get("merges")
+        if not isinstance(merges, list):
+            raise bad("merges must be a list")
+        for i, m in enumerate(merges):
+            if not (type(m) is list and len(m) == 3 and all(type(t) is int for t in m)):
+                raise bad(f"merges[{i}] must be 3 ints [left, right, new], got {m!r}")
+        defined = set(vocab) - {n for _, _, n in merges}
+        for i, (l, r, n) in enumerate(merges):
+            if l not in defined or r not in defined:
+                raise bad(f"merges[{i}] uses an id that no earlier entry defines: {[l, r, n]}")
+            if n in defined or n not in vocab:
+                raise bad(f"merges[{i}] must make a new vocab id, got {n}")
+            if vocab[n] != vocab[l] + vocab[r]:
+                raise bad(f"merges[{i}]: vocab[{n}] is not vocab[{l}] + vocab[{r}]")
+            defined.add(n)
+        terms = doc.get("domain_terms")
+        if not (isinstance(terms, list) and all(type(t) is str and t for t in terms)):
+            raise bad("domain_terms must be a list of non-empty strings")
         return cls(
             specials=Specials(bos=sp["bos"], eos=sp["eos"], pad=sp["pad"]),
-            vocab={int(i): bytes.fromhex(h) for i, h in doc["vocab"].items()},
-            merges=[tuple(m) for m in doc["merges"]],
-            domain_terms=doc["domain_terms"],
+            vocab=vocab,
+            merges=[tuple(m) for m in merges],
+            domain_terms=terms,
         )
 
     def save(self, path: str):
@@ -144,8 +217,13 @@ class TokenizerModel:
 
     @classmethod
     def load(cls, path: str) -> "TokenizerModel":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
+        with open(path, "rb") as f:
+            raw = f.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: invalid UTF-8 at byte offset {e.start}")
+        return cls.from_json(text, path)
 
 
 def train_bpe(
@@ -160,6 +238,8 @@ def train_bpe(
     stops early if no adjacent pair repeats.
     """
     domain_terms = list(domain_terms or [])
+    if "" in domain_terms:
+        raise ConfigError("domain terms must be non-empty")
     specials = Specials()
     floor = N_BYTES + 3 + len(domain_terms)
     if target_vocab < floor:
@@ -175,51 +255,96 @@ def train_bpe(
         next_id += 1
     tok.__post_init__()  # pick up the term ids
 
-    # working sequences with terms already atomized
-    seqs: list[list[int]] = []
+    # the corpus as one array: a separator before, between and after lines,
+    # and in place of each domain term
+    seq = [_SEP]
     for line in corpus:
-        ids: list[int] = []
         for is_term, piece in tok._split_terms(line):
             if is_term:
-                ids.append(tok._term_ids[piece])
+                seq.append(_SEP)
             else:
-                ids.extend(piece.encode("utf-8"))
-        if ids:
-            seqs.append(ids)
+                seq.extend(piece.encode("utf-8"))
+        seq.append(_SEP)
+    # int arrays, not lists: a list holds one int object per slot
+    nxt = array("i", range(1, len(seq) + 1))
+    prv = array("i", range(-1, len(seq) - 1))
+    # pair -> positions of its left id; entries go stale and are checked on use
+    where: defaultdict[tuple[int, int], array] = defaultdict(lambda: array("i"))
+    for i in range(len(seq) - 1):
+        if seq[i] != _SEP and seq[i + 1] != _SEP:
+            where[(seq[i], seq[i + 1])].append(i)
+    count = {pair: len(ps) for pair, ps in where.items()}
+    vocab = tok.vocab
+    heap = [(-c, vocab[a], vocab[b], a, b) for (a, b), c in count.items()]
+    heapq.heapify(heap)
 
-    term_ids = set(tok._term_ids.values())
+    def lose(pair: tuple[int, int]):
+        """One occurrence of pair is gone; a pair with none left is dropped."""
+        if count[pair] > 1:
+            count[pair] -= 1
+        else:
+            del count[pair]
+            where.pop(pair, None)  # the pair being merged was popped already
+
+    def first_at(pair: tuple[int, int]) -> int:
+        a, b = pair
+        return min(p for p in where[pair] if seq[p] == a and seq[nxt[p]] == b)
+
+    def pop_best() -> tuple[int, int] | None:
+        """The pair with the smallest (-count, left bytes, right bytes); equal
+        keys (distinct ids with equal bytes) go to the earliest occurrence."""
+        found: list[tuple] = []
+        while heap and (not found or heap[0][:3] == found[0][:3]):
+            entry = heapq.heappop(heap)
+            pair = entry[3:]
+            c = count.get(pair, 0)
+            if c == -entry[0]:
+                if all(e[3:] != pair for e in found):
+                    found.append(entry)
+            elif 0 < c < -entry[0]:
+                heapq.heappush(heap, (-c, *entry[1:]))
+        if not found:
+            return None
+        best = found[0] if len(found) == 1 else min(found, key=lambda e: first_at(e[3:]))
+        for entry in found:
+            if entry is not best:
+                heapq.heappush(heap, entry)
+        return best[3:] if -best[0] >= 2 else None
+
     while next_id < target_vocab:
-        counts: Counter[tuple[int, int]] = Counter()
-        for seq in seqs:
-            for a, b in zip(seq, seq[1:]):
-                if a in term_ids or b in term_ids:
-                    continue  # terms stay atomic
-                counts[(a, b)] += 1
-        if not counts:
+        pair = pop_best()
+        if pair is None:
             break
-        best = min(
-            counts.items(),
-            key=lambda kv: (-kv[1], tok.vocab[kv[0][0]], tok.vocab[kv[0][1]]),
-        )
-        if best[1] < 2:
-            break
-        pair = best[0]
-        tok.vocab[next_id] = tok.vocab[pair[0]] + tok.vocab[pair[1]]
-        tok.merges.append((pair[0], pair[1], next_id))
-        seqs = [_apply_merge(seq, pair, next_id) for seq in seqs]
+        a, b = pair
+        new = next_id
+        vocab[new] = vocab[a] + vocab[b]
+        tok.merges.append((a, b, new))
+        formed: set[tuple[int, int]] = set()
+        # ascending already: every occurrence of a pair forms in the initial
+        # scan or, left to right, in the pass that makes its newer id
+        for p in where.pop(pair):
+            q = nxt[p]
+            if seq[p] != a or seq[q] != b:
+                continue  # merged away, or its neighbour changed
+            left, right = seq[prv[p]], seq[nxt[q]]
+            if left != _SEP:
+                lose((left, a))
+                count[(left, new)] = count.get((left, new), 0) + 1
+                where[(left, new)].append(prv[p])
+                formed.add((left, new))
+            if right != _SEP:
+                lose((b, right))
+                count[(new, right)] = count.get((new, right), 0) + 1
+                where[(new, right)].append(p)
+                formed.add((new, right))
+            seq[p], seq[q] = new, _SEP
+            nxt[p] = nxt[q]
+            prv[nxt[q]] = p
+        del count[pair]
+        for l, r in formed:
+            if (l, r) in count:
+                heapq.heappush(heap, (-count[(l, r)], vocab[l], vocab[r], l, r))
         next_id += 1
 
     tok.__post_init__()
     return tok
-
-
-def _apply_merge(seq: list[int], pair: tuple[int, int], new_id: int) -> list[int]:
-    out, i = [], 0
-    while i < len(seq):
-        if i < len(seq) - 1 and (seq[i], seq[i + 1]) == pair:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out

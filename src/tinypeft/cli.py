@@ -5,10 +5,11 @@ A flag that sets a config-dataclass field (``TrainConfig``,
 ``CausalLMConfig``, ``LoraConfig``, ...) takes its name, type and default
 from that field; only the LoRA flags are renamed (``lora_rank``,
 ``lora_alpha``, ``lora_dropout``). Every command accepts --config <json>
-whose keys are its flag names. Config values must have their field's type,
-and an unknown key or a wrong type is a config error; an explicit flag
-always overrides its config-file counterpart. The effective configuration
-of any command with an --output_dir is echoed to
+whose keys are its flag names. A config value must have its field's or
+option's type (bool for a switch, a list of strings for a repeatable
+option), and an unknown key or a wrong type is a config error; an
+explicit flag always overrides its config-file counterpart. The effective
+configuration of any command with an --output_dir is echoed to
 <output_dir>/config.echo.json. Exit codes: 0 ok, 1 usage/config, 2
 data/format, 3 runtime.
 """
@@ -66,10 +67,18 @@ def _add_fields(p: argparse.ArgumentParser, *flags: str):
             p.add_argument("--" + flag, type=int if hint == int | None else hint)
 
 
-def _check(path: str, key: str, value):
-    """A config-file value of a field-backed key, checked against the field's
-    type (an int is taken for a float)."""
-    hint = FIELDS[key][2]
+def _hint(action: argparse.Action):
+    """The type a config value of an option that sets no field must have."""
+    if action.nargs == 0:
+        return bool  # store_true
+    if isinstance(action, argparse._AppendAction):
+        return list[str]
+    return action.type or str
+
+
+def _check(path: str, key: str, value, hint):
+    """A config-file value checked against its option's type (an int is
+    taken for a float)."""
     if hint is float and type(value) is int:
         value = float(value)
     if hint == list[str]:
@@ -98,10 +107,18 @@ def _effective(args: argparse.Namespace) -> dict:
         doc = _read_json(args.config, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"config {args.config} must be a JSON object")
+        # the command's options give the types of the keys that set no field
+        actions = {a.dest: a for a in build_parser().commands[args.command]._actions}
         for k, v in doc.items():
             if k not in flags:
                 raise ConfigError(f"config {args.config}: unknown key {k!r}")
-            merged[k] = _check(args.config, k, v) if k in FIELDS else v
+            if k in FIELDS:
+                hint = FIELDS[k][2]
+            else:
+                hint = _hint(actions[k])
+                if hint == list[str] and type(v) is str:
+                    v = [v]  # one value of a repeatable option
+            merged[k] = _check(args.config, k, v, hint)
     merged.update({k: v for k, v in flags.items() if v is not None})
     return merged
 
@@ -174,7 +191,7 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, seq_len: int,
 def cmd_tokenizer_train(eff: dict) -> int:
     corpus_path, target_vocab, out = _require(eff, "corpus", "target_vocab", "out")
     terms = [t for t in (eff.get("domain_terms") or "").split(",") if t]
-    tok = bpe.train_bpe(_load_corpus_texts(corpus_path), int(target_vocab), terms)
+    tok = bpe.train_bpe(_load_corpus_texts(corpus_path), target_vocab, terms)
     tok.save(out)
     print(f"tokenizer: vocab_size={tok.vocab_size} merges={len(tok.merges)} "
           f"domain_terms={len(terms)} -> {out}")
@@ -288,11 +305,11 @@ def cmd_generate(eff: dict) -> int:
     ids = [tok.specials.bos] + tok.tokenize(prompt)
     out_ids = model.generate(
         ids,
-        max_new_tokens=int(eff.get("max_new_tokens", 48)),
+        max_new_tokens=eff.get("max_new_tokens", 48),
         mode=eff.get("mode", "greedy"),
-        temperature=float(eff.get("temperature", 1.0)),
-        top_k=int(eff.get("top_k", 0)),
-        rng=RngState(int(eff.get("seed", 0))),
+        temperature=eff.get("temperature", 1.0),
+        top_k=eff.get("top_k", 0),
+        rng=RngState(eff.get("seed", 0)),
         eos_id=tok.specials.eos,
     )
     print(prompt + tok.detokenize(out_ids[len(ids):]))
@@ -319,10 +336,6 @@ def cmd_compare(eff: dict) -> int:
     base = store.load_model(base_path)
     adapted = store.load_adapter(store.load_model(base_path), adapter_path)
     questions = eff.get("question") or []
-    if isinstance(questions, str):
-        questions = [questions]
-    if not isinstance(questions, list) or not all(isinstance(q, str) for q in questions):
-        raise ConfigError("question must be a string or a list of strings")
     if not questions:
         raise ConfigError("need at least one --question")
     examples = None
@@ -330,7 +343,7 @@ def cmd_compare(eff: dict) -> int:
         examples = _load_examples(eff, tok, base.config.seq_len)
     report = evals.compare_base_vs_adapted(
         base, adapted, tok, questions, eval_examples=examples,
-        max_new_tokens=int(eff.get("max_new_tokens", 48)),
+        max_new_tokens=eff.get("max_new_tokens", 48),
     )
     if eff.get("out"):
         with open(eff["out"], "w", encoding="utf-8") as f:
@@ -352,7 +365,7 @@ def cmd_sweep(eff: dict) -> int:
             raise ConfigError(f"{space_path}: cannot search over {key}")
         if type(values) is not list:
             raise ConfigError(f"{space_path}: {key} must map to a list of values")
-        space[key] = [_check(space_path, key, v) for v in values]
+        space[key] = [_check(space_path, key, v, FIELDS[key][2]) for v in values]
     _echo_config(eff)
     tok = bpe.TokenizerModel.load(tok_path)
     base_cfg = _config(TrainConfig, eff)
@@ -373,7 +386,7 @@ def cmd_sweep(eff: dict) -> int:
     trials = trainer_mod.hyperparameter_search(
         space, run_trial,
         strategy=eff.get("strategy", "grid"),
-        budget=int(eff["budget"]) if eff.get("budget") else None,
+        budget=eff.get("budget") or None,
         seed=base_cfg.seed,
     )
     rows = [{"rank": i + 1, "trial": t.index, "overrides": t.overrides,
@@ -399,6 +412,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="tinypeft", description="desk-scale PEFT toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices  # command name -> its parser
 
     def command(name: str, help: str, *text_flags: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)

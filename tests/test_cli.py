@@ -336,6 +336,38 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, doc, named)
     assert named is None or named in err
 
 
+@pytest.mark.parametrize("command, doc, named", [
+    ("tokenizer-train", {"target_vocab": "x"}, "target_vocab"),
+    ("tokenizer-train", {"domain_terms": ["KOSPI"]}, "domain_terms"),
+    ("generate", {"max_new_tokens": "x"}, "max_new_tokens"),
+    ("prepare-data", {"no_mask_prompt": "false"}, "no_mask_prompt"),
+    ("compare", {"question": ["Why?", 3]}, "question"),
+    ("sweep", {"budget": 2.0}, "budget"),
+])
+def test_config_values_of_plain_options_are_checked(tmp_path, capsys, command, doc, named):
+    # options that set no dataclass field: the value must have the option's
+    # type, bool for a switch and a list of strings for a repeatable option
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and str(cfg) in err and named in err
+
+
+def test_config_values_of_plain_options_reach_the_command(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no_mask_prompt": False, "seed": 3, "template": "t"}))
+    eff = cli._effective(cli.build_parser().parse_args(["prepare-data", "--config", str(cfg)]))
+    assert eff == {"no_mask_prompt": False, "seed": 3, "template": "t"}
+    cfg.write_text(json.dumps({"temperature": 1, "top_k": 3, "prompt": "x"}))
+    eff = cli._effective(cli.build_parser().parse_args(["generate", "--config", str(cfg)]))
+    assert eff == {"temperature": 1.0, "top_k": 3, "prompt": "x"}
+    assert type(eff["temperature"]) is float
+    cfg.write_text(json.dumps({"question": "Why?"}))
+    eff = cli._effective(cli.build_parser().parse_args(["compare", "--config", str(cfg)]))
+    assert eff == {"question": ["Why?"]}
+
+
 def test_unreadable_config_is_config_error(capsys, tmp_path):
     assert main(["pretrain", "--config", str(tmp_path / "missing.json")]) == 1
     assert capsys.readouterr().err.startswith("error:config:")
