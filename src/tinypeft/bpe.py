@@ -74,7 +74,8 @@ class TokenizerModel:
 
     @property
     def vocab_size(self) -> int:
-        return max(max(self.vocab), self.specials.pad) + 1
+        sp = self.specials
+        return max(max(self.vocab), sp.bos, sp.eos, sp.pad) + 1
 
     # -- encoding ------------------------------------------------------------
 
@@ -186,6 +187,17 @@ class TokenizerModel:
                 raise bad(f"vocab[{key!r}] must be hex bytes under an integer id, got {hex_bytes!r}")
         if any(vocab.get(i) != bytes([i]) for i in range(N_BYTES)):
             raise bad("vocab must map the ids 0-255 to their own bytes")
+        # detokenize drops every special id, so a special must name no token
+        seen: dict[int, str] = {}
+        for name in ("bos", "eos", "pad"):
+            sid = sp[name]
+            if sid < 0:
+                raise bad(f"specials.{name} must be >= 0, got {sid}")
+            if sid in vocab:
+                raise bad(f"specials.{name} = {sid} is already a vocab id")
+            if sid in seen:
+                raise bad(f"specials.{name} = {sid} is also specials.{seen[sid]}")
+            seen[sid] = name
         merges = doc.get("merges")
         if not isinstance(merges, list):
             raise bad("merges must be a list")

@@ -107,32 +107,49 @@ def classification_metrics(gold: list[str], pred: list[str],
     return {"per_label": per_label, "macro": macro}
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z.astype(np.float64)
+    m = z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z - m).sum(axis=-1, keepdims=True)) - m
+
+
 def classify_by_likelihood(model: CausalLM, tokenizer: TokenizerModel,
                            prompt: str, label_set: list[str]) -> str:
     """Pick the label whose tokens are the most likely continuation.
 
     Score is the mean per-token log-likelihood; ties go to the
-    lexicographically smaller label.
+    lexicographically smaller label. ``BOS + prompt`` is encoded once into
+    a key/value cache, whose last row scores every label's first token;
+    each label's remaining tokens run from a copy of that cache.
     """
     if not label_set:
         raise ConfigError("label_set must be non-empty")
-    prompt_ids = tokenizer.tokenize(prompt)
-    best_label, best_score = None, None
+    head = [tokenizer.specials.bos] + tokenizer.tokenize(prompt)
+    labels = []
     for label in sorted(label_set):
         lab_ids = tokenizer.tokenize(label)
         if not lab_ids:
             raise ConfigError(f"label {label!r} tokenizes to nothing")
-        seq = [tokenizer.specials.bos] + prompt_ids + lab_ids
-        if len(seq) > model.config.seq_len:
-            raise DataError(f"prompt + label exceeds context ({len(seq)} tokens)")
-        with T.no_grad():
-            logits = model.forward_logits(np.asarray([seq]))
-        z = logits.data[0].astype(np.float64)
-        logp = z - np.log(np.exp(z - z.max(axis=-1, keepdims=True)).sum(axis=-1, keepdims=True)) - z.max(axis=-1, keepdims=True)
-        start = 1 + len(prompt_ids)
-        score = float(np.mean([logp[t - 1, seq[t]] for t in range(start, len(seq))]))
-        if best_score is None or score > best_score:
-            best_label, best_score = label, score
+        if len(head) + len(lab_ids) > model.config.seq_len:
+            raise DataError(f"prompt + label exceeds context ({len(head) + len(lab_ids)} tokens)")
+        labels.append((label, lab_ids))
+    best_label, best_score = None, None
+    with T.no_grad():
+        cache = [[] for _ in model.blocks]
+        first = _log_softmax(model.forward_logits(np.asarray([head]), cache=cache,
+                                                  last_only=True).data[0, -1])
+        for label, lab_ids in labels:
+            logps = [first[lab_ids[0]]]
+            if len(lab_ids) > 1:
+                # attention rebinds a cache's entries rather than writing
+                # into them, so a shallow copy leaves the prompt's cache intact
+                z = model.forward_logits(np.asarray([lab_ids[:-1]]),
+                                         cache=[list(c) for c in cache]).data[0]
+                logp = _log_softmax(z)
+                logps += [logp[t, lab_ids[t + 1]] for t in range(len(lab_ids) - 1)]
+            score = float(np.mean(logps))
+            if best_score is None or score > best_score:
+                best_label, best_score = label, score
     return best_label
 
 

@@ -13,6 +13,10 @@ The same forward serves training, eval and decoding. ``generate`` is
 KV-cached: it encodes the prompt once, then one position per new token. When
 the running sequence slides past the seq_len - 1 window, every absolute
 position shifts, so the cache is dropped and each step re-encodes the window.
+Decoding reads only the last position, so it asks the forward for that row
+alone (``last_only``): every block still encodes all positions' keys and
+values, but the last block's attention output, MLP and residuals, ``ln_f``
+and the tied head run on one row.
 """
 
 from __future__ import annotations
@@ -177,11 +181,17 @@ class CausalLM:
     # -- forward -------------------------------------------------------------
 
     def forward_logits(self, input_ids: np.ndarray, training: bool = False,
-                       rng: RngState | None = None, cache: list | None = None) -> Tensor:
+                       rng: RngState | None = None, cache: list | None = None,
+                       last_only: bool = False) -> Tensor:
         """input_ids (B, T) -> logits (B, T, vocab); causal by construction.
 
         ``cache`` (no_grad only) holds one key/value list per block, see
         ``tensor.attention``; the ids then continue the cached positions.
+        ``last_only`` (no_grad only) returns the last position's logits,
+        (B, 1, vocab): every block still encodes and caches the keys and
+        values of all T positions, but the last block runs its attention
+        output, adapters, MLP and residuals, and then ``ln_f`` and the head,
+        on that one row.
         """
         ids = np.asarray(input_ids)
         if ids.ndim == 1:
@@ -203,9 +213,12 @@ class CausalLM:
         x = T.add(T.embedding(tok, ids), T.embedding(pos, np.arange(past, past + S)))
 
         for i, b in enumerate(self.blocks):
+            last = last_only and i == len(self.blocks) - 1
             h = b.ln1(x)
             ctx = T.attention(b.attn_qkv(h, training, rng), cfg.n_heads,
-                              None if cache is None else cache[i])
+                              None if cache is None else cache[i], last_only=last)
+            if last:
+                x = T.narrow(x, 1, S - 1, 1)
             a_out = b.attn_dense(ctx, training, rng)
             if b.attn_adapter is not None:
                 a_out = b.attn_adapter(a_out)
@@ -250,6 +263,9 @@ class CausalLM:
         key/value cache and each step encodes only the newest token. Positions
         are absolute, so once the window slides every cached key is stale:
         from then on each step re-encodes the whole window without a cache.
+        Only the last position's logits are read, so every forward here is
+        ``last_only``: the final block's tail, ``ln_f`` and the head run on
+        one row.
         """
         if not prompt_ids:
             raise DataError("empty prompt")
@@ -273,7 +289,8 @@ class CausalLM:
             else:
                 ctx, step_cache = out[-window:], None
             with T.no_grad():
-                logits = self.forward_logits(np.asarray([ctx]), cache=step_cache)
+                logits = self.forward_logits(np.asarray([ctx]), cache=step_cache,
+                                             last_only=True)
             row = logits.data[0, -1].astype(np.float64)
             if mode == "greedy":
                 nxt = int(row.argmax())

@@ -12,7 +12,8 @@ shares memory with its parent. That is safe because nothing writes node data
 in place between a forward and its backward: the optimizer updates
 parameters only after backward. ``attention`` fuses the causal multi-head
 attention core into a single node; under ``no_grad`` it can also extend a
-per-block key/value cache, so decoding encodes only the new positions.
+per-block key/value cache, so decoding encodes only the new positions, and
+score only the last query (``last_only``), the one row decoding reads.
 ``linear`` fuses an affine layer and its optional LoRA pair into one node,
 and ``cross_entropy`` scores next-token targets on the (B, S, V) logits
 through a view, without copying them.
@@ -350,7 +351,8 @@ def _causal_keep(s: int) -> np.ndarray:
     return keep
 
 
-def attention(qkv: Tensor, n_heads: int, cache: list | None = None) -> Tensor:
+def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
+              last_only: bool = False) -> Tensor:
     """Causal multi-head self-attention core: (B, S, 3d) -> (B, S, d).
 
     ``qkv`` is the fused query/key/value projection, each part split into
@@ -363,8 +365,12 @@ def attention(qkv: Tensor, n_heads: int, cache: list | None = None) -> Tensor:
     ``cache`` is one block's key/value cache for decoding: a list that is
     empty at first and then holds ``[k, v]`` of every earlier position. This
     call's keys and values are appended after the cached ones, its S queries
-    attend to all of them, and the longer ``[k, v]`` is stored back. A cached
-    call has no VJP, so it raises while the tape records.
+    attend to all of them, and the longer ``[k, v]`` is stored back.
+
+    ``last_only`` scores only the last query, which attends to every key:
+    the result is (B, 1, d). Keys and values of all S positions are still
+    computed and cached. A cached or ``last_only`` call has no VJP, so it
+    raises while the tape records.
     """
     if qkv.data.ndim != 3 or n_heads < 1 or qkv.shape[-1] % (3 * n_heads):
         raise ShapeError(f"attention: cannot split {qkv.shape} into q/k/v of {n_heads} heads")
@@ -373,14 +379,17 @@ def attention(qkv: Tensor, n_heads: int, cache: list | None = None) -> Tensor:
     q, k, v = np.ascontiguousarray(
         qkv.data.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4))  # (B, H, S, hd)
     keep = _causal_keep(S)
+    if (cache is not None or last_only) and _grad_enabled:
+        raise StateError("attention: a key/value cache or last_only needs no_grad(), "
+                         "it has no backward")
     if cache is not None:
-        if _grad_enabled:
-            raise StateError("attention: a key/value cache needs no_grad(), it has no backward")
         if cache:
             k = np.concatenate((cache[0], k), axis=2)
             v = np.concatenate((cache[1], v), axis=2)
             keep = _causal_keep(k.shape[2])[-S:]
         cache[:] = [k, v]
+    if last_only:
+        q, keep, S = np.ascontiguousarray(q[:, :, -1:]), keep[-1:], 1
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     scale = np.float32(1.0 / np.sqrt(hd))
     scores = np.where(keep, (q @ kt) * scale, _MASK_VALUE)

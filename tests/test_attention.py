@@ -145,8 +145,9 @@ def test_training_bitwise_equals_reference(method, monkeypatch, tmp_path, tok, e
         tr.train()
         return tr.step_losses, {n: p.data.tobytes() for n, p in model.params.items()}
 
-    def uncached_reference(qkv, n_heads, cache=None):
-        assert cache is None  # training never passes a key/value cache
+    def uncached_reference(qkv, n_heads, cache=None, last_only=False):
+        # training never passes a key/value cache or asks for the last row only
+        assert cache is None and not last_only
         return reference_attention(qkv, n_heads)
 
     kernel = run("kernel")

@@ -347,10 +347,14 @@ def _repeat_merge(doc):  # the same merge again makes an id already made
     (_drop("domain_terms"), "domain_terms"),
     (_set(["domain_terms"], "KOSPI"), "domain_terms"),
     (_set(["domain_terms"], [""]), "domain_terms"),
+    (_set(["specials", "bos"], 97), "specials.bos"),
+    (_set(["specials", "eos"], 261), "specials.eos"),
+    (_set(["specials", "pad"], 257), "specials.pad"),
+    (_set(["specials", "eos"], -1), "specials.eos"),
 ], ids=["no-specials", "str-bos", "no-vocab", "vocab-list", "bad-hex", "int-hex",
         "str-id", "byte-remapped", "no-merges", "merge-of-2", "str-in-merge", "wrong-bytes",
         "later-id", "repeated-merge", "special-in-merge", "no-terms", "terms-str",
-        "empty-term"])
+        "empty-term", "bos-is-a-byte", "eos-is-a-merge", "pad-is-eos", "negative-eos"])
 def test_malformed_tokenizer_is_data_error(tmp_path, edit, field):
     doc = _doc()
     edit(doc)
@@ -359,6 +363,14 @@ def test_malformed_tokenizer_is_data_error(tmp_path, edit, field):
     with pytest.raises(DataError) as e:
         TokenizerModel.load(str(path))
     assert str(path) in str(e.value) and field in str(e.value)
+
+
+def test_vocab_size_covers_every_special():
+    doc = _doc()
+    doc["specials"]["bos"] = 5000
+    tok = TokenizerModel.from_json(json.dumps(doc))
+    assert tok.vocab_size == 5001
+    assert tok.detokenize(tok.tokenize("a cab")) == "a cab"
 
 
 @pytest.mark.parametrize("raw", [b"not json", b"[1, 2]", b'{"version": 1, "vocab": "\xff', b"\xff\xfe{}"],

@@ -2,9 +2,9 @@
 
 ``reference_generate`` is the decoding loop from before the cache: one full
 ``forward_logits`` over the last seq_len - 1 tokens per new token. Cached
-logits differ from it in the last bits (1-row products and shorter
-reductions round differently), so the oracle is identical tokens, plus a
-relative logit tolerance.
+and ``last_only`` logits differ from it in the last bits (1-row products
+and shorter reductions round differently), so the oracle is identical
+tokens, plus a relative logit tolerance.
 """
 
 import numpy as np
@@ -140,6 +140,67 @@ def test_cached_logits_close_to_full_forward():
     assert cached.shape == full.shape
     assert np.abs(cached - full).max() <= 1e-4 * np.abs(full).max()
     assert cache[0][0].shape[2] == SEQ_LEN
+
+
+def _last_only(model, seq, regime):
+    """The last row of seq's logits with last_only, and the cache it leaves
+    next to the cache a full-row forward leaves (None without a cache)."""
+    ids = np.asarray([seq])
+    if regime == "window":
+        return model.forward_logits(ids, last_only=True).data[0, -1], None, None
+    caches = [[[] for _ in model.blocks] for _ in range(2)]
+    if regime == "continued":  # the cache already holds the first 9 positions
+        for c in caches:
+            model.forward_logits(ids[:, :9], cache=c)
+        ids = ids[:, 9:]
+    model.forward_logits(ids, cache=caches[0])
+    out = model.forward_logits(ids, cache=caches[1], last_only=True)
+    assert out.shape == (1, 1, VOCAB)
+    return out.data[0, -1], caches[0], caches[1]
+
+
+@pytest.mark.parametrize("kind", ["base", "lora", "merged", "adapter", "qlora"])
+@pytest.mark.parametrize("regime", ["prefill", "continued", "window"])
+def test_last_only_is_the_full_forwards_last_row(kind, regime):
+    model = build(kind)
+    seq = prompt(WINDOW, seed=4)
+    with T.no_grad():
+        full = model.forward_logits(np.asarray([seq])).data[0]
+        row, full_cache, last_cache = _last_only(model, seq, regime)
+    assert np.abs(row - full[-1]).max() <= 1e-4 * np.abs(full).max()
+    if full_cache is not None:  # every position's keys and values, bitwise
+        assert last_cache[0][0].shape[2] == WINDOW
+        for a, b in zip(full_cache, last_cache):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_last_only_raises_while_tape_records():
+    qkv = Tensor(np.zeros((1, 2, 12), dtype=np.float32), requires_grad=True)
+    with pytest.raises(StateError):
+        T.attention(qkv, 2, last_only=True)
+    with pytest.raises(StateError):
+        build("lora").forward_logits(np.asarray([prompt(5)]), last_only=True)
+    with T.no_grad():
+        assert T.attention(qkv, 2, last_only=True).shape == (1, 1, 4)
+
+
+@pytest.mark.parametrize("kind, per_block", [("base", 1), ("adapter", 3)])
+def test_only_the_last_block_runs_on_one_row(kind, per_block, monkeypatch):
+    """gelu runs in each MLP and each bottleneck adapter: the first block
+    sees every position, the last block only the last one."""
+    model = build(kind)
+    rows = []
+    gelu = T.gelu
+
+    def recording(a):
+        rows.append(a.shape[1])
+        return gelu(a)
+
+    monkeypatch.setattr(T, "gelu", recording)
+    with T.no_grad():
+        model.forward_logits(np.asarray([prompt(10)]), last_only=True)
+    model.generate(prompt(10), 1)  # one step: the prefill
+    assert rows == ([10] * per_block + [1] * per_block) * 2
 
 
 def test_prompt_is_encoded_once(monkeypatch):

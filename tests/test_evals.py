@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from tinypeft.bpe import train_bpe
 from tinypeft.corpus import QAPair, TrainingExample, build_examples
-from tinypeft.errors import ConfigError, ShapeError
+from tinypeft import tensor as T
+from tinypeft.errors import ConfigError, DataError, ShapeError
 from tinypeft.evals import (
     EvalReport,
     bleu,
@@ -20,7 +21,7 @@ from tinypeft.evals import (
     perplexity,
     rouge_l,
 )
-from tinypeft.model import init_model
+from tinypeft.model import CausalLMConfig, init_model
 from tinypeft.rng import RngState
 
 from conftest import micro_config
@@ -168,6 +169,24 @@ def test_perplexity_empty_raises():
 # -- likelihood classification ------------------------------------------------
 
 
+def reference_classify(model, tok, prompt, label_set):
+    """One full forward of BOS + prompt + label per label, the scoring the
+    prompt cache replaced; the same mean log-likelihood and tie rule."""
+    prompt_ids = tok.tokenize(prompt)
+    best_label, best_score = None, None
+    for label in sorted(label_set):
+        seq = [tok.specials.bos] + prompt_ids + tok.tokenize(label)
+        with T.no_grad():
+            z = model.forward_logits(np.asarray([seq])).data[0].astype(np.float64)
+        m = z.max(-1, keepdims=True)
+        logp = z - np.log(np.exp(z - m).sum(-1, keepdims=True)) - m
+        start = 1 + len(prompt_ids)
+        score = float(np.mean([logp[t - 1, seq[t]] for t in range(start, len(seq))]))
+        if best_score is None or score > best_score:
+            best_label, best_score = label, score
+    return best_label
+
+
 def test_classify_by_likelihood_picks_forced_label():
     tok = train_bpe(["up down sideways market"], 280)
     cfg = micro_config(vocab_size=tok.vocab_size)
@@ -175,18 +194,88 @@ def test_classify_by_likelihood_picks_forced_label():
     model = init_model(cfg, RngState(2))
     pred = classify_by_likelihood(model, tok, "market went ", ["up", "down"])
     assert pred in ("up", "down")
-    # oracle: score both labels by hand and compare
-    import tinypeft.tensor as T
-    scores = {}
-    for lab in ("up", "down"):
-        seq = [tok.specials.bos] + tok.tokenize("market went ") + tok.tokenize(lab)
-        with T.no_grad():
-            z = model.forward_logits(np.asarray([seq])).data[0].astype(np.float64)
-        logp = z - np.log(np.exp(z - z.max(-1, keepdims=True)).sum(-1, keepdims=True)) \
-            - z.max(-1, keepdims=True)
-        start = 1 + len(tok.tokenize("market went "))
-        scores[lab] = np.mean([logp[t - 1, seq[t]] for t in range(start, len(seq))])
-    assert pred == max(sorted(scores), key=lambda k: scores[k])
+    assert pred == reference_classify(model, tok, "market went ", ["up", "down"])
+
+
+CLS_SEQ_LEN = 24
+
+
+@pytest.fixture(scope="module")
+def cls_tok():
+    return train_bpe(["up upside uptick down downturn flat market rally "
+                      "the market went up then down"], 300)
+
+
+def sharp_classifier(tok, seed):
+    """Weight matrices scaled x8, so label scores are far apart and a pick
+    is not decided by rounding."""
+    cfg = CausalLMConfig(vocab_size=tok.vocab_size, d_model=16, n_heads=2,
+                         n_layers=2, seq_len=CLS_SEQ_LEN)
+    model = init_model(cfg, RngState(seed))
+    for p in model.params.values():
+        if p.data.ndim == 2:
+            p.data = p.data * np.float32(8.0)
+    return model
+
+
+LABEL_SETS = {
+    "single-token": ["a", "b", "x", "up"],
+    "shared-prefix": ["up", "upside", "uptick", "down", "downturn"],
+    "mixed": ["flat", "up", "rally", "b"],
+}
+
+
+@pytest.mark.parametrize("labels", list(LABEL_SETS), ids=list(LABEL_SETS))
+def test_prompt_cache_picks_like_a_forward_per_label(cls_tok, labels):
+    label_set = LABEL_SETS[labels]
+    picks = []
+    for seed in range(8):
+        model = sharp_classifier(cls_tok, seed)
+        for prompt in ("market went ", "the market went up then ", "x"):
+            want = reference_classify(model, cls_tok, prompt, label_set)
+            assert classify_by_likelihood(model, cls_tok, prompt, label_set) == want
+            picks.append(want)
+    assert len(set(picks)) > 1  # the models disagree, so the picks test something
+
+
+def test_label_set_at_the_context_edge(cls_tok):
+    label_set = ["downturn", "up", "upside"]
+    longest = max(len(cls_tok.tokenize(lab)) for lab in label_set)
+    prompt = "market went "
+    while 1 + len(cls_tok.tokenize(prompt)) + longest < CLS_SEQ_LEN:
+        prompt += "x"  # one byte token each: "x" takes part in no merge
+    assert 1 + len(cls_tok.tokenize(prompt)) + longest == CLS_SEQ_LEN
+    for seed in range(4):
+        model = sharp_classifier(cls_tok, seed)
+        assert classify_by_likelihood(model, cls_tok, prompt, label_set) \
+            == reference_classify(model, cls_tok, prompt, label_set)
+    with pytest.raises(DataError):
+        classify_by_likelihood(model, cls_tok, prompt + " ", label_set)
+
+
+def test_prompt_is_encoded_once_per_classification(cls_tok, monkeypatch):
+    model = sharp_classifier(cls_tok, 0)
+    positions = []
+    forward = model.forward_logits
+
+    def counting(ids, *args, **kwargs):
+        positions.append(np.asarray(ids).size)
+        return forward(ids, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward_logits", counting)
+    prompt = "market went "
+    classify_by_likelihood(model, cls_tok, prompt, ["upside", "up", "down"])
+    # the prompt once, then each label but its last token; "up" is one token
+    head = 1 + len(cls_tok.tokenize(prompt))
+    assert positions == [head, len(cls_tok.tokenize("down")) - 1,
+                         len(cls_tok.tokenize("upside")) - 1]
+
+
+def test_classify_ties_go_to_the_smaller_label(cls_tok):
+    model = sharp_classifier(cls_tok, 0)
+    for p in model.params.values():
+        p.data = np.zeros_like(p.data)  # uniform logits: every label scores the same
+    assert classify_by_likelihood(model, cls_tok, "market went ", ["up", "down", "b"]) == "b"
 
 
 def test_classify_empty_labels_raises():
