@@ -6,16 +6,18 @@ The nf4 codebook is built from evenly spaced standard-normal quantiles:
 from [0.5, 1-delta] (zero plus 7 positive), normalized so the endpoints
 are exactly +/-1 and level 8 is exactly 0. delta trims the tails so the
 inverse CDF stays finite; it equals half a quantile bin on each side
-((1/32 + 1/30)/2). The uniform4 codebook is 16 evenly spaced levels in
-[-1, 1] for comparison.
+((1/32 + 1/30)/2). The quantiles come from the standard library's
+``statistics.NormalDist().inv_cdf`` in f64; normalized and rounded to f32,
+the 16 levels are bitwise equal to ones built on scipy's ``ndtri``. The
+uniform4 codebook is 16 evenly spaced levels in [-1, 1] for comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 
@@ -52,9 +54,10 @@ def build_nf4_codebook() -> Codebook:
     """16 normal-quantile levels in [-1, 1] with an exact zero at index 8."""
     p_neg = np.linspace(_TAIL_DELTA, 0.5, 9)[:-1]
     p_pos = np.linspace(0.5, 1.0 - _TAIL_DELTA, 8)
-    raw = ndtri(np.concatenate([p_neg, p_pos]))
+    inv_cdf = NormalDist().inv_cdf
+    raw = np.array([inv_cdf(p) for p in np.concatenate([p_neg, p_pos]).tolist()])
     vals = (raw / np.abs(raw).max()).astype(np.float32)
-    # ndtri(0.5) is 0 and the tails are symmetric; pin against f64 rounding
+    # inv_cdf(0.5) is 0 and the tails are symmetric; pin against f64 rounding
     vals[8] = 0.0
     vals[0], vals[15] = -1.0, 1.0
     return Codebook("nf4", vals)

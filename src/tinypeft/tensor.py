@@ -16,7 +16,9 @@ per-block key/value cache, so decoding encodes only the new positions, and
 score only the last query (``last_only``), the one row decoding reads.
 ``linear`` fuses an affine layer and its optional LoRA pair into one node,
 and ``cross_entropy`` scores next-token targets on the (B, S, V) logits
-through a view, without copying them.
+through a view, without copying them. The exact ``gelu`` needs erf: ``_erf``
+evaluates cephes' erf in f64 and rounds it to f32, as scipy's f32 loop
+does, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -25,11 +27,25 @@ import contextlib
 import functools
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, NumericError, ShapeError, StateError
 
 _SQRT_2 = np.float32(np.sqrt(2.0))
+# cephes ndtr.c coefficients: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8; U and Q are monic. Kept as
+# 0-d f64 arrays: numpy would convert a Python float operand on every call.
+_ERF_T, _ERF_U, _ERFC_P, _ERFC_Q = (tuple(np.array(c) for c in coef) for coef in (
+    (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+     7.00332514112805075473E3, 5.55923013010394962768E4),
+    (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+     2.26290000613890934246E4, 4.92673942608635921086E4),
+    (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+     4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+     9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2),
+    (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+     9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+     1.65666309194161350182E3, 5.57535340817727675546E2),
+))
 _INV_SQRT_2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 _MASK_VALUE = np.float32(-1e9)
 
@@ -284,15 +300,53 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(data, (a,), backward)
 
 
+def _horner(x: np.ndarray, p: np.ndarray, coef) -> np.ndarray:
+    """cephes' Horner steps in place: p = p * x + c for each c in coef."""
+    for c in coef:
+        p *= x
+        p += c
+    return p
+
+
+def _erf(u: np.ndarray) -> np.ndarray:
+    """erf of an f32 array, bitwise equal to scipy.special.erf.
+
+    Like scipy's f32 loop, it runs cephes' double-precision erf with the
+    same operation order and rounds the result to f32. |x| <= 1 takes the
+    rational x T(x^2) / U(x^2); only the other elements take 1 - erfc(|x|)
+    with erfc = exp(-x^2) P(x) / Q(x). |x| is clamped to 8: cephes switches
+    to a second erfc rational there, but from 8 on erfc < 2^-54, so its
+    1 - erfc is exactly 1, which is also what the first rational gives at 8.
+    """
+    x = u.astype(np.float64)
+    z = x * x
+    tail = None
+    if not z.max(initial=0.0) <= 1.0:  # also taken for a nan
+        tail = z > 1.0
+        z[tail] = 0.0  # keeps the unused |x| <= 1 rational finite
+    p = _horner(z, z * _ERF_T[0] + _ERF_T[1], _ERF_T[2:])
+    p *= x
+    p /= _horner(z, z + _ERF_U[0], _ERF_U[1:])
+    if tail is not None:
+        xt = x[tail]
+        a = np.minimum(np.abs(xt), 8.0)
+        erfc = np.exp(-a * a) * _horner(a, a * _ERFC_P[0] + _ERFC_P[1], _ERFC_P[2:])
+        erfc /= _horner(a, a + _ERFC_Q[0], _ERFC_Q[1:])
+        p[tail] = np.copysign(1.0 - erfc, xt)
+    return p.astype(np.float32)
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x)."""
+    """Exact GELU: x * Phi(x), with Phi(x) = (1 + erf(x / sqrt(2))) / 2."""
     x = a.data
-    cdf = (0.5 * (1.0 + erf(x / _SQRT_2))).astype(np.float32)
+    cdf = _erf(x / _SQRT_2)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def backward(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        a._accumulate((g * (cdf + x * pdf)).astype(np.float32))
+        a._accumulate(g * (cdf + x * pdf))
 
     return _node(data, (a,), backward)
 
@@ -306,10 +360,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} vs feature dim {d}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # ndarray.mean without its Python-level wrapper: mean divides the f32 sum
+    # by an integer count in f64 and rounds to f32, which gives the bits of
+    # one f32 divide (53 >= 2 * 24 + 2 bits, so double rounding is exact)
+    n = np.float32(d)
+    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
     xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(var + np.float32(eps))).astype(np.float32)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + np.float32(eps))
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
@@ -320,9 +378,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
             gx = g * gain.data
-            s1 = gx.mean(axis=-1, keepdims=True)
-            s2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            a._accumulate((inv * (gx - s1 - xhat * s2)).astype(np.float32))
+            s1 = np.add.reduce(gx, axis=-1, keepdims=True) / n
+            s2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
+            a._accumulate(inv * (gx - s1 - xhat * s2))
 
     return _node(data, (a, gain, bias), backward)
 

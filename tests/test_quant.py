@@ -1,5 +1,6 @@
-"""NF4 codebook against an independent bisection quantile oracle, blockwise
-round-trip bounds, packing layout, and double quantization."""
+"""NF4 codebook against an independent bisection quantile oracle and, bitwise,
+the build on scipy's ndtri; blockwise round-trip bounds, packing layout, and
+double quantization."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from tinypeft.errors import ConfigError, DataError, NumericError
 from tinypeft.quant import (
@@ -43,6 +45,18 @@ def test_codebook_matches_bisection_oracle():
     want = raw / np.abs(raw).max()
     got = build_nf4_codebook().values
     np.testing.assert_allclose(got, want, atol=1e-6)
+
+
+def test_codebook_bitwise_equals_ndtri_build():
+    raw = ndtri(np.concatenate([
+        np.linspace(_TAIL_DELTA, 0.5, 9)[:-1],
+        np.linspace(0.5, 1.0 - _TAIL_DELTA, 8),
+    ]))
+    want = (raw / np.abs(raw).max()).astype(np.float32)
+    want[8], want[0], want[15] = 0.0, -1.0, 1.0
+    got = build_nf4_codebook().values
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_codebook_endpoints_and_zero_exact():

@@ -1,8 +1,10 @@
 """Autodiff kernels against central finite differences plus the freeze and
-no_grad contracts."""
+no_grad contracts; erf, GELU and layer_norm against their scipy / ndarray.mean
+formulas, bitwise."""
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from tinypeft import tensor as T
 from tinypeft.errors import NumericError, ShapeError
@@ -214,3 +216,93 @@ def test_tensor_is_f32_throughout():
     assert t.data.dtype == np.float32
     out = T.gelu(t)
     assert out.data.dtype == np.float32
+
+
+# -- bitwise oracles: erf, GELU and layer_norm as first written ---------------
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray):
+    """Equal bit patterns (so -0.0 != 0.0); any nan matches any nan."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    bad = np.flatnonzero(got.view(np.uint32)[~nan] != want.view(np.uint32)[~nan])
+    assert bad.size == 0, f"{bad.size} differ, first at {want[~nan][bad[0]]!r}"
+
+
+def erf_inputs() -> np.ndarray:
+    """A dense grid over [-10, 10], every f32 in [0.5, 1), 10^6 random
+    finite f32 bit patterns, and the edge values: signed zeros and
+    infinities, nan, the smallest subnormal, +/-1 and their neighbours, both
+    sides of 6 and of 8."""
+    grid = np.linspace(-10.0, 10.0, 2**22 + 1).astype(np.float32)
+    half = np.float32(0.5).view(np.uint32)
+    binade = np.arange(half, half + 2**23, dtype=np.uint32).view(np.float32)
+    bits = np.random.default_rng(5).integers(0, 2**32, size=1_100_000, dtype=np.uint64)
+    rand = bits.astype(np.uint32).view(np.float32)
+    rand = rand[np.isfinite(rand)][:10**6]
+    assert rand.size == 10**6
+    one = np.float32(1.0)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, np.nextafter(np.float32(0), one),
+             one, np.nextafter(one, np.float32(0)), np.nextafter(one, np.float32(2)),
+             *np.linspace(1.0, 6.0, 41)[1:], 6.0001, 7.99, 8.0, 8.01, 26.5, 27.0, 1e10,
+             np.finfo(np.float32).max]
+    edges = np.array(edges, dtype=np.float32)
+    return np.concatenate([grid, binade, rand, edges, -edges])
+
+
+def reference_gelu(x: np.ndarray) -> np.ndarray:
+    """The exact GELU forward as first written, on scipy's erf."""
+    return x * (0.5 * (1.0 + scipy_erf(x / T._SQRT_2))).astype(np.float32)
+
+
+def test_erf_bitwise_equals_scipy():
+    for part in np.array_split(erf_inputs(), 16):
+        assert_bitwise(T._erf(part), scipy_erf(part))
+
+
+def test_gelu_forward_bitwise_equals_scipy_formula():
+    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+        for part in np.array_split(erf_inputs(), 16):
+            assert_bitwise(T.gelu(Tensor(part)).data, reference_gelu(part))
+
+
+@pytest.mark.parametrize("shape", [(2, 89, 256), (1, 1, 256)])
+def test_gelu_tensor_bitwise_equals_scipy_formula(shape):
+    x = randf(*shape) * np.float32(2.0)
+    g = randf(*shape)
+    a = Tensor(x, requires_grad=True)
+    out = T.gelu(a)
+    assert_bitwise(out.data, reference_gelu(x))
+    backward(T.tsum(T.mul(out, Tensor(g))))
+    cdf = (0.5 * (1.0 + scipy_erf(x / T._SQRT_2))).astype(np.float32)
+    pdf = T._INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    assert_bitwise(a.grad, (g * (cdf + x * pdf)).astype(np.float32))
+
+
+def reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    """layer_norm's forward and its x / gain / bias VJPs on ndarray.mean."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = (1.0 / np.sqrt(var + np.float32(eps))).astype(np.float32)
+    xhat = xc * inv
+    gx = g * gain
+    s1 = gx.mean(axis=-1, keepdims=True)
+    s2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias,
+            (inv * (gx - s1 - xhat * s2)).astype(np.float32),
+            (g * xhat).reshape(-1, d).sum(axis=0),
+            g.reshape(-1, d).sum(axis=0))
+
+
+@pytest.mark.parametrize("shape", [(2, 89, 64), (1, 1, 64)])
+def test_layer_norm_bitwise_equals_mean_formula(shape):
+    x, gain, bias, g = randf(*shape), randf(64), randf(64), randf(*shape)
+    a, ga, b = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
+    out = T.layer_norm(a, ga, b)
+    backward(T.tsum(T.mul(out, Tensor(g))))
+    want = reference_layer_norm(x, gain, bias, g)
+    for got, ref in zip((out.data, a.grad, ga.grad, b.grad), want):
+        assert_bitwise(got, ref)
