@@ -137,7 +137,7 @@ def classify_by_likelihood(model: CausalLM, tokenizer: TokenizerModel,
     with T.no_grad():
         cache = [[] for _ in model.blocks]
         first = _log_softmax(model.forward_logits(np.asarray([head]), cache=cache,
-                                                  last_only=True).data[0, -1])
+                                                  from_row=len(head) - 1).data[0, -1])
         for label, lab_ids in labels:
             logps = [first[lab_ids[0]]]
             if len(lab_ids) > 1:

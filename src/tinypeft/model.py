@@ -7,16 +7,19 @@ Between the two projections the causal attention core runs as one fused
 autodiff kernel, ``tensor.attention``; every linear layer, LoRA pair
 included, is one ``tensor.linear`` node. Positions are learned absolute
 embeddings; the output head is tied to the token embedding, and ``lm_loss``
-hands its (B, S, V) logits straight to the next-token ``cross_entropy``.
+hands its logits straight to the next-token ``cross_entropy``.
 
-The same forward serves training, eval and decoding. ``generate`` is
-KV-cached: it encodes the prompt once, then one position per new token. When
-the running sequence slides past the seq_len - 1 window, every absolute
-position shifts, so the cache is dropped and each step re-encodes the window.
-Decoding reads only the last position, so it asks the forward for that row
-alone (``last_only``): every block still encodes all positions' keys and
-values, but the last block's attention output, MLP and residuals, ``ln_f``
-and the tied head run on one row.
+The same forward serves training, eval and decoding, and it computes only
+the rows its caller reads: with ``from_row`` every block still encodes all
+positions' keys and values, but the last block's attention output, MLP and
+residuals, ``ln_f`` and the tied head run on rows from_row..S-1 alone.
+``lm_loss`` starts them at the first position with a label, so on
+prompt-masked fine-tuning data the prompt rows skip the tail of the network
+and the loss, in training and in perplexity alike. ``generate`` is KV-cached
+and reads only the last row: it encodes the prompt once, then one position
+per new token. When the running sequence slides past the seq_len - 1 window,
+every absolute position shifts, so the cache is dropped and each step
+re-encodes the window.
 """
 
 from __future__ import annotations
@@ -182,22 +185,27 @@ class CausalLM:
 
     def forward_logits(self, input_ids: np.ndarray, training: bool = False,
                        rng: RngState | None = None, cache: list | None = None,
-                       last_only: bool = False) -> Tensor:
-        """input_ids (B, T) -> logits (B, T, vocab); causal by construction.
+                       from_row: int = 0) -> Tensor:
+        """input_ids (B, S) -> logits (B, S - from_row, vocab); causal by construction.
+
+        ``from_row`` returns the logits of positions from_row..S-1 only. Every
+        block before the last, and the last block's ``ln1``, QKV projection
+        and keys and values, still run on all S positions; the last block's
+        queries, residual stream, attention output, adapters and MLP, then
+        ``ln_f`` and the head, run on the returned rows. It has a VJP, so
+        training takes it too: the rows above from_row would get a zero
+        gradient anyway.
 
         ``cache`` (no_grad only) holds one key/value list per block, see
         ``tensor.attention``; the ids then continue the cached positions.
-        ``last_only`` (no_grad only) returns the last position's logits,
-        (B, 1, vocab): every block still encodes and caches the keys and
-        values of all T positions, but the last block runs its attention
-        output, adapters, MLP and residuals, and then ``ln_f`` and the head,
-        on that one row.
         """
         ids = np.asarray(input_ids)
         if ids.ndim == 1:
             ids = ids[None, :]
         _, S = ids.shape
         cfg = self.config
+        if not 0 <= from_row < S:
+            raise ShapeError(f"from_row {from_row} out of range for {S} positions")
         if cache is not None and len(cache) != len(self.blocks):
             raise ShapeError(f"cache has {len(cache)} entries for {len(self.blocks)} blocks")
         past = cache[0][0].shape[2] if cache and cache[0] else 0
@@ -213,12 +221,12 @@ class CausalLM:
         x = T.add(T.embedding(tok, ids), T.embedding(pos, np.arange(past, past + S)))
 
         for i, b in enumerate(self.blocks):
-            last = last_only and i == len(self.blocks) - 1
+            cut = from_row if i == len(self.blocks) - 1 else 0
             h = b.ln1(x)
             ctx = T.attention(b.attn_qkv(h, training, rng), cfg.n_heads,
-                              None if cache is None else cache[i], last_only=last)
-            if last:
-                x = T.narrow(x, 1, S - 1, 1)
+                              None if cache is None else cache[i], from_row=cut)
+            if cut:
+                x = T.narrow(x, 1, cut, S - cut)
             a_out = b.attn_dense(ctx, training, rng)
             if b.attn_adapter is not None:
                 a_out = b.attn_adapter(a_out)
@@ -236,13 +244,24 @@ class CausalLM:
 
     def lm_loss(self, input_ids: np.ndarray, labels: np.ndarray,
                 training: bool = False, rng: RngState | None = None) -> Tensor:
-        """Mean next-token cross-entropy over unmasked label positions."""
+        """Mean next-token cross-entropy over unmasked label positions.
+
+        Position t is scored against labels[:, t + 1]. The forward starts its
+        last block's rows at the first position scored in any row of the
+        batch (``from_row``), so prompt-masked data skips the rows whose
+        output no loss reads; unmasked data gives from_row 0, the full
+        forward.
+        """
         ids = np.atleast_2d(np.asarray(input_ids))
         lab = np.atleast_2d(np.asarray(labels))
         if ids.shape != lab.shape:
             raise ShapeError(f"lm_loss: ids {ids.shape} vs labels {lab.shape}")
-        logits = self.forward_logits(ids, training=training, rng=rng)
-        return T.cross_entropy(logits, lab[:, 1:], ignore_index=IGNORE_LABEL)
+        targets = lab[:, 1:]
+        # argmax finds the first scored position; an all-masked batch gives
+        # 0, and cross_entropy raises for it
+        from_row = int((targets != IGNORE_LABEL).any(axis=0).argmax()) if targets.size else 0
+        logits = self.forward_logits(ids, training=training, rng=rng, from_row=from_row)
+        return T.cross_entropy(logits, targets[:, from_row:], ignore_index=IGNORE_LABEL)
 
     # -- generation ----------------------------------------------------------
 
@@ -263,9 +282,9 @@ class CausalLM:
         key/value cache and each step encodes only the newest token. Positions
         are absolute, so once the window slides every cached key is stale:
         from then on each step re-encodes the whole window without a cache.
-        Only the last position's logits are read, so every forward here is
-        ``last_only``: the final block's tail, ``ln_f`` and the head run on
-        one row.
+        Only the last position's logits are read, so every forward here asks
+        for that row alone (``from_row`` = S - 1): the final block's tail,
+        ``ln_f`` and the head run on one row.
         """
         if not prompt_ids:
             raise DataError("empty prompt")
@@ -290,7 +309,7 @@ class CausalLM:
                 ctx, step_cache = out[-window:], None
             with T.no_grad():
                 logits = self.forward_logits(np.asarray([ctx]), cache=step_cache,
-                                             last_only=True)
+                                             from_row=len(ctx) - 1)
             row = logits.data[0, -1].astype(np.float64)
             if mode == "greedy":
                 nxt = int(row.argmax())

@@ -11,9 +11,10 @@ copies only when numpy must); ``narrow`` and ``embedding`` copy. A view
 shares memory with its parent. That is safe because nothing writes node data
 in place between a forward and its backward: the optimizer updates
 parameters only after backward. ``attention`` fuses the causal multi-head
-attention core into a single node; under ``no_grad`` it can also extend a
-per-block key/value cache, so decoding encodes only the new positions, and
-score only the last query (``last_only``), the one row decoding reads.
+attention core into a single node. It can score only the queries from a
+given row on (``from_row``), with a VJP, so the forward computes just the
+rows the loss or the decoder reads; under ``no_grad`` it can also extend a
+per-block key/value cache, so decoding encodes only the new positions.
 ``linear`` fuses an affine layer and its optional LoRA pair into one node,
 and ``cross_entropy`` scores next-token targets on the (B, S, V) logits
 through a view, without copying them. The exact ``gelu`` needs erf: ``_erf``
@@ -122,12 +123,6 @@ class Tensor:
 
     def transpose(self, ax0: int = -2, ax1: int = -1):
         return transpose(self, ax0, ax1)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
 
 class Parameter(Tensor):
@@ -410,81 +405,70 @@ def _causal_keep(s: int) -> np.ndarray:
 
 
 def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
-              last_only: bool = False) -> Tensor:
-    """Causal multi-head self-attention core: (B, S, 3d) -> (B, S, d).
+              from_row: int = 0) -> Tensor:
+    """Causal multi-head self-attention core: (B, S, 3d) -> (B, S - from_row, d).
 
     ``qkv`` is the fused query/key/value projection, each part split into
     ``n_heads`` heads of d / n_heads features. One node with a hand-written
     VJP: scores are scaled by 1/sqrt(head dim), positions above the diagonal
-    are masked before the softmax and pass no gradient. Every product runs on
-    contiguous operands (numpy's strided matmul path rounds differently), so
-    the result is bitwise equal to the same math built from the single ops.
+    are masked before the softmax and pass no gradient. The operands of each
+    product are laid out so that the result is bitwise equal to the same
+    math built from the single ops (numpy's matmul can round differently on
+    a transposed operand); a single scored row makes the score product a
+    matrix-vector one, which rounds differently from that graph.
+
+    ``from_row`` scores only the queries from_row..S-1; the keys and values
+    of all S positions are still computed, and each scored query attends to
+    every key up to its own position. In the VJP the queries above from_row
+    get a zero gradient, and every key and value gets its gradient from all
+    the scored queries.
 
     ``cache`` is one block's key/value cache for decoding: a list that is
     empty at first and then holds ``[k, v]`` of every earlier position. This
-    call's keys and values are appended after the cached ones, its S queries
-    attend to all of them, and the longer ``[k, v]`` is stored back.
-
-    ``last_only`` scores only the last query, which attends to every key:
-    the result is (B, 1, d). Keys and values of all S positions are still
-    computed and cached. A cached or ``last_only`` call has no VJP, so it
-    raises while the tape records.
+    call's keys and values are appended after the cached ones, its queries
+    attend to all of them, and the longer ``[k, v]`` is stored back. A cached
+    call has no VJP, so it raises while the tape records.
     """
     if qkv.data.ndim != 3 or n_heads < 1 or qkv.shape[-1] % (3 * n_heads):
         raise ShapeError(f"attention: cannot split {qkv.shape} into q/k/v of {n_heads} heads")
     B, S, d3 = qkv.shape
+    if not 0 <= from_row < S:
+        raise ShapeError(f"attention: from_row {from_row} out of range for {S} positions")
     hd = d3 // (3 * n_heads)
     q, k, v = np.ascontiguousarray(
         qkv.data.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4))  # (B, H, S, hd)
     keep = _causal_keep(S)
-    if (cache is not None or last_only) and _grad_enabled:
-        raise StateError("attention: a key/value cache or last_only needs no_grad(), "
-                         "it has no backward")
+    if cache is not None and _grad_enabled:
+        raise StateError("attention: a key/value cache needs no_grad(), it has no backward")
     if cache is not None:
         if cache:
             k = np.concatenate((cache[0], k), axis=2)
             v = np.concatenate((cache[1], v), axis=2)
             keep = _causal_keep(k.shape[2])[-S:]
         cache[:] = [k, v]
-    if last_only:
-        q, keep, S = np.ascontiguousarray(q[:, :, -1:]), keep[-1:], 1
+    n = S - from_row  # scored rows
+    if from_row:
+        q, keep = np.ascontiguousarray(q[:, :, from_row:]), keep[from_row:]
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     scale = np.float32(1.0 / np.sqrt(hd))
     scores = np.where(keep, (q @ kt) * scale, _MASK_VALUE)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
-    data = (probs @ v).transpose(0, 2, 1, 3).reshape(B, S, d3 // 3)
+    data = (probs @ v).transpose(0, 2, 1, 3).reshape(B, n, d3 // 3)
 
     def backward(g):
-        g_ctx = np.ascontiguousarray(g.reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3))
+        g_ctx = np.ascontiguousarray(g.reshape(B, n, n_heads, hd).transpose(0, 2, 1, 3))
         dv = np.swapaxes(probs, -1, -2) @ g_ctx
         dp = g_ctx @ np.swapaxes(v, -1, -2)
         ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
         ds = np.where(keep, ds, np.float32(0.0)) * scale
-        dq = ds @ np.swapaxes(kt, -1, -2)
+        dq = ds @ k
         dk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
+        if from_row:
+            dq = np.concatenate((np.zeros((B, n_heads, from_row, hd), np.float32), dq), axis=2)
         qkv._accumulate(np.stack((dq, dk, dv)).transpose(1, 3, 0, 2, 4).reshape(B, S, d3))
 
     return _node(data, (qkv,), backward)
-
-
-def tsum(a: Tensor) -> Tensor:
-    data = np.float32(a.data.sum())
-
-    def backward(g):
-        a._accumulate(np.full_like(a.data, np.float32(g)))
-
-    return _node(data, (a,), backward)
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = np.float32(a.data.size)
-    data = np.float32(a.data.sum() / n)
-
-    def backward(g):
-        a._accumulate(np.full_like(a.data, np.float32(g) / n))
-
-    return _node(data, (a,), backward)
 
 
 def dropout_mask(shape, p: float, rng) -> np.ndarray | None:

@@ -3,9 +3,10 @@ checkpoint cadence, metrics logging, optional paged optimizer state, and
 grid/random hyperparameter search.
 
 Everything is a pure function of (seed, config, dataset): the data order of
-epoch e is recomputed from the seed, and the dropout stream lives in the
-serialized trainer state, so a stopped and resumed run is bitwise equal to
-one that never stopped.
+epoch e is recomputed from the seed, and the dropout stream and the open
+logging window live in the serialized trainer state, so a stopped and
+resumed run is bitwise equal to one that never stopped, in its weights and
+in the losses it logs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,9 +73,23 @@ class MetricsRecord:
     paging_evictions: int  # optimizer page evictions in this window
     grad_norm: float  # global gradient norm before clipping, at this step
     clip_factor: float  # the factor clipping applied at this step (1.0: none)
+    step_ms: float  # mean wall time of the window's train_step calls
+    tokens_per_s: float  # the window's non-pad input tokens over that time
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
+
+
+@dataclass
+class LogWindow:
+    """What the steps since the last metrics record add up to. It is trainer
+    state: a checkpoint saves it, so a resumed run logs what a straight run
+    logs."""
+
+    losses: list = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the steps
+    tokens: int = 0  # non-pad input tokens of the steps
+    evictions: int = 0  # optimizer page evictions during the steps
 
 
 def lr_at_step(config: TrainConfig, s: int, total_steps: int | None = None) -> float:
@@ -139,6 +154,7 @@ class Trainer:
         self.offset = 0
         self.metrics: list[MetricsRecord] = []
         self.step_losses: list[float] = []
+        self.window = LogWindow()
         self.clip = (0.0, 1.0)  # (grad norm, clip factor) of the last step
         self.optimizer = AdamW(
             model.trainable_parameters(), weight_decay=config.weight_decay
@@ -176,12 +192,16 @@ class Trainer:
     # -- stepping ------------------------------------------------------------
 
     def train_step(self) -> float:
+        t0 = time.perf_counter()
+        evictions = self.optimizer.evictions
         cfg = self.config
         acc = cfg.gradient_accumulation_steps
         inv = np.float32(1.0 / acc)
         loss_total = 0.0
+        tokens = 0
         for _ in range(acc):
             batch = self._next_micro_batch()
+            tokens += sum(e.length for e in batch)
             ids, labels = collate(batch, self.pad_id)
             loss = self.model.lm_loss(ids, labels, training=True, rng=self.rng)
             scaled = loss * float(inv)
@@ -199,6 +219,11 @@ class Trainer:
         self.optimizer.zero_grad()
         self.global_step += 1
         self.step_losses.append(loss_total)
+        w = self.window
+        w.losses.append(loss_total)
+        w.tokens += tokens
+        w.evictions += self.optimizer.evictions - evictions
+        w.seconds += time.perf_counter() - t0
         return loss_total
 
     def train(self, stop_after: int | None = None) -> dict:
@@ -218,25 +243,24 @@ class Trainer:
         if self.global_step == 0:
             open(metrics_path, "w").close()  # a fresh run starts the log, a resumed one appends
         t0 = time.monotonic()
-        window: list[float] = []
-        evictions = self.optimizer.evictions
         while self.global_step < limit:
-            loss = self.train_step()
-            window.append(loss)
+            self.train_step()
             s = self.global_step
             if s % cfg.logging_steps == 0 or s == self.total_steps:
+                w = self.window
                 rec = MetricsRecord(
                     step=s,
                     # mean loss since the previous record, not a single-step sample
-                    training_loss=float(np.mean(window)),
+                    training_loss=float(np.mean(w.losses)),
                     learning_rate=lr_at_step(cfg, s - 1, self.total_steps),
                     wall_ms=int((time.monotonic() - t0) * 1000),
-                    paging_evictions=self.optimizer.evictions - evictions,
+                    paging_evictions=w.evictions,
                     grad_norm=self.clip[0],
                     clip_factor=self.clip[1],
+                    step_ms=w.seconds * 1000 / len(w.losses),
+                    tokens_per_s=w.tokens / w.seconds if w.seconds > 0 else 0.0,
                 )
-                window = []
-                evictions = self.optimizer.evictions
+                self.window = LogWindow()
                 if not self.metrics or self.metrics[-1].step != s:
                     self.metrics.append(rec)
                     with open(metrics_path, "a") as f:
@@ -277,6 +301,8 @@ class Trainer:
             "optimizer_step_count": self.optimizer.step_count,
             "rng_state": self.rng.get_state(),
             "train_config": asdict(self.config),
+            "step_losses": self.step_losses,
+            "log_window": asdict(self.window),
         }
         save_archive(path, tensors, meta)
 
@@ -293,6 +319,13 @@ class Trainer:
                           "optimizer_step_count"):
             if field_name not in meta:
                 raise DataError(f"{path}: checkpoint missing field {field_name!r}")
+        # a checkpoint from before the log window was saved resumes with an
+        # empty one, and its summary loss covers the resumed steps only
+        try:
+            step_losses = [float(x) for x in meta.get("step_losses", [])]
+            window = LogWindow(**meta.get("log_window", {}))
+        except (TypeError, ValueError) as e:
+            raise DataError(f"{path}: malformed loss log in checkpoint: {e}") from e
         # every model tensor is checked before any is assigned
         for name, p in self.model.params.items():
             key = f"model.{name}"
@@ -311,6 +344,7 @@ class Trainer:
         self.global_step = int(meta["global_step"])
         self.epoch = int(meta["epoch"])
         self.offset = int(meta["offset"])
+        self.step_losses, self.window = step_losses, window
         self._perm = _epoch_permutation(self.config.seed, self.epoch, len(self.dataset))
         self._frozen_snapshot = {
             p.name: p.data.copy() for p in self.model.parameters() if not p.trainable

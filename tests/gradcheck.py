@@ -4,11 +4,35 @@ The forward pass runs in f32, so per-coordinate relative error on tiny
 gradient entries is dominated by rounding noise. Errors are therefore
 measured against the infinity norm of the analytic gradient of the same
 tensor, which is the quantity the optimizer actually consumes.
+
+``tsum`` and ``tmean`` reduce a tensor to a scalar loss with a gradient. The
+library never reduces that way (its one loss is ``cross_entropy``), so they
+live here, next to the tests that need a scalar to call ``backward`` on.
 """
 
 import numpy as np
 
+from tinypeft import tensor as T
 from tinypeft.tensor import Tensor, backward
+
+
+def tsum(a: Tensor) -> Tensor:
+    data = np.float32(a.data.sum())
+
+    def backward_fn(g):
+        a._accumulate(np.full_like(a.data, np.float32(g)))
+
+    return T._node(data, (a,), backward_fn)
+
+
+def tmean(a: Tensor) -> Tensor:
+    n = np.float32(a.data.size)
+    data = np.float32(a.data.sum() / n)
+
+    def backward_fn(g):
+        a._accumulate(np.full_like(a.data, np.float32(g) / n))
+
+    return T._node(data, (a,), backward_fn)
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
@@ -37,7 +61,7 @@ def check_op(op, inputs: list[np.ndarray], h: float = 1e-3, tol: float = 1e-3):
     tensors = [Tensor(a, requires_grad=True) for a in inputs]
     out = op(*tensors)
     w = Tensor(_proj(np.random.default_rng(0), out.shape))
-    loss = (out * w).sum()
+    loss = tsum(out * w)
     backward(loss)
 
     for k, a in enumerate(inputs):

@@ -2,8 +2,9 @@
 
 ``reference_attention`` is the attention core exactly as the model built it
 before the kernel existed: 16 tape nodes of reshape / transpose / narrow /
-matmul / mul / mask / softmax. The kernel must match it bit for bit, forward
-and backward, and in whole training runs.
+matmul / mul / mask / softmax. Given a ``from_row`` it narrows the queries
+and the mask's rows before the score product. The kernel must match it bit
+for bit, forward and backward, and in whole training runs.
 """
 
 import math
@@ -19,15 +20,17 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer
 
-from gradcheck import check_op
+from gradcheck import check_op, tsum
 
 _MASK_VALUE = np.float32(-1e9)
 
 
-def causal_mask(scores: Tensor) -> Tensor:
-    """Scores above the diagonal -> -1e9; masked positions pass no gradient."""
+def causal_mask(scores: Tensor, from_row: int = 0) -> Tensor:
+    """Scores above the diagonal -> -1e9; masked positions pass no gradient.
+
+    The scores are rows from_row.. of the (t, t) square."""
     t = scores.shape[-1]
-    keep = np.tril(np.ones((t, t), dtype=bool))
+    keep = np.tril(np.ones((t, t), dtype=bool))[from_row:]
     data = np.where(keep, scores.data, _MASK_VALUE)
 
     def backward_fn(g):
@@ -36,7 +39,7 @@ def causal_mask(scores: Tensor) -> Tensor:
     return T._node(data, (scores,), backward_fn)
 
 
-def reference_attention(qkv: Tensor, n_heads: int) -> Tensor:
+def reference_attention(qkv: Tensor, n_heads: int, from_row: int = 0) -> Tensor:
     B, S, d3 = qkv.shape
     d = d3 // 3
     H, hd = n_heads, d // n_heads
@@ -45,21 +48,25 @@ def reference_attention(qkv: Tensor, n_heads: int) -> Tensor:
     q = T.reshape(T.narrow(x, 2, 0, 1), (B, H, S, hd))
     k = T.reshape(T.narrow(x, 2, 1, 1), (B, H, S, hd))
     v = T.reshape(T.narrow(x, 2, 2, 1), (B, H, S, hd))
+    n = S - from_row
+    if from_row:
+        q = T.narrow(q, 2, from_row, n)
     scale = Tensor(np.float32(1.0 / math.sqrt(hd)))
     scores = T.mul(T.matmul(q, T.transpose(k)), scale)
-    attn = T.softmax(causal_mask(scores))
-    ctx = T.matmul(attn, v)  # (B, H, S, hd)
-    return T.reshape(T.transpose(ctx, 1, 2), (B, S, d))
+    attn = T.softmax(causal_mask(scores, from_row))
+    ctx = T.matmul(attn, v)  # (B, H, n, hd)
+    return T.reshape(T.transpose(ctx, 1, 2), (B, n, d))
 
 
-def forward_backward(fn, qkv: np.ndarray, upstream: np.ndarray, n_heads: int):
+def forward_backward(fn, qkv: np.ndarray, upstream: np.ndarray, n_heads: int,
+                     from_row: int = 0):
     x = Tensor(qkv.copy(), requires_grad=True)
-    out = fn(x, n_heads)
-    backward(T.tsum(T.mul(out, Tensor(upstream))))
+    out = fn(x, n_heads, from_row=from_row)
+    backward(tsum(T.mul(out, Tensor(upstream[:, from_row:]))))
     return out.data, x.grad
 
 
-@pytest.mark.parametrize("B,S", [(1, 1), (2, 7), (2, 128)])
+@pytest.mark.parametrize("B,S", [(1, 1), (2, 7), (3, 50), (2, 128)])
 def test_kernel_bitwise_equals_reference(B, S):
     d, H = 64, 4
     rng = np.random.default_rng(S)
@@ -70,11 +77,17 @@ def test_kernel_bitwise_equals_reference(B, S):
         cut = S // 2
         qkv[-1, cut:] = qkv[-1, cut]
         upstream[-1, cut:] = 0.0
-    want_out, want_grad = forward_backward(reference_attention, qkv, upstream, H)
-    got_out, got_grad = forward_backward(T.attention, qkv, upstream, H)
-    assert got_out.shape == (B, S, d)
-    assert got_out.tobytes() == want_out.tobytes()
-    assert got_grad.tobytes() == want_grad.tobytes()
+    # the loss scores at least two rows (from_row <= S - 2); a single scored
+    # row makes the score product a matrix-vector product, which rounds
+    # differently on the reference's transposed keys, so decoding's one-row
+    # forward is checked against the full forward in test_decode instead
+    for from_row in sorted({0, S // 2, max(S - 2, 0)}):
+        want_out, want_grad = forward_backward(reference_attention, qkv, upstream, H,
+                                               from_row)
+        got_out, got_grad = forward_backward(T.attention, qkv, upstream, H, from_row)
+        assert got_out.shape == (B, S - from_row, d)
+        assert got_out.tobytes() == want_out.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
 
 
 def test_attention_gradcheck():
@@ -99,7 +112,7 @@ def test_masked_scores_pass_no_gradient():
     out = T.attention(x, 2)
     upstream = np.zeros((1, S, d), dtype=np.float32)
     upstream[0, t] = 1.0  # only the output at position t is observed
-    backward(T.tsum(T.mul(out, Tensor(upstream))))
+    backward(tsum(T.mul(out, Tensor(upstream))))
     g = x.grad[0]
     assert np.all(g[t + 1:] == 0.0)  # later keys and values get nothing
     assert np.all(np.delete(g[:, :d], t, axis=0) == 0.0)  # nor do other queries
@@ -145,10 +158,9 @@ def test_training_bitwise_equals_reference(method, monkeypatch, tmp_path, tok, e
         tr.train()
         return tr.step_losses, {n: p.data.tobytes() for n, p in model.params.items()}
 
-    def uncached_reference(qkv, n_heads, cache=None, last_only=False):
-        # training never passes a key/value cache or asks for the last row only
-        assert cache is None and not last_only
-        return reference_attention(qkv, n_heads)
+    def uncached_reference(qkv, n_heads, cache=None, from_row=0):
+        assert cache is None  # training never passes a key/value cache
+        return reference_attention(qkv, n_heads, from_row)
 
     kernel = run("kernel")
     with monkeypatch.context() as m:

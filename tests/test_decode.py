@@ -2,9 +2,9 @@
 
 ``reference_generate`` is the decoding loop from before the cache: one full
 ``forward_logits`` over the last seq_len - 1 tokens per new token. Cached
-and ``last_only`` logits differ from it in the last bits (1-row products
-and shorter reductions round differently), so the oracle is identical
-tokens, plus a relative logit tolerance.
+and last-row (``from_row`` = S - 1) logits differ from it in the last bits
+(1-row products and shorter reductions round differently), so the oracle is
+identical tokens, plus a relative logit tolerance.
 """
 
 import numpy as np
@@ -23,7 +23,9 @@ from tinypeft.peft import (
 )
 from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
-from tinypeft.tensor import Tensor
+from tinypeft.tensor import Tensor, backward
+
+from gradcheck import check_op, tsum
 
 VOCAB, SEQ_LEN = 48, 24
 WINDOW = SEQ_LEN - 1
@@ -143,18 +145,18 @@ def test_cached_logits_close_to_full_forward():
 
 
 def _last_only(model, seq, regime):
-    """The last row of seq's logits with last_only, and the cache it leaves
-    next to the cache a full-row forward leaves (None without a cache)."""
+    """The last row of seq's logits with from_row = S - 1, and the cache it
+    leaves next to the cache a full-row forward leaves (None without a cache)."""
     ids = np.asarray([seq])
     if regime == "window":
-        return model.forward_logits(ids, last_only=True).data[0, -1], None, None
+        return model.forward_logits(ids, from_row=len(seq) - 1).data[0, -1], None, None
     caches = [[[] for _ in model.blocks] for _ in range(2)]
     if regime == "continued":  # the cache already holds the first 9 positions
         for c in caches:
             model.forward_logits(ids[:, :9], cache=c)
         ids = ids[:, 9:]
     model.forward_logits(ids, cache=caches[0])
-    out = model.forward_logits(ids, cache=caches[1], last_only=True)
+    out = model.forward_logits(ids, cache=caches[1], from_row=ids.shape[1] - 1)
     assert out.shape == (1, 1, VOCAB)
     return out.data[0, -1], caches[0], caches[1]
 
@@ -174,14 +176,18 @@ def test_last_only_is_the_full_forwards_last_row(kind, regime):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_last_only_raises_while_tape_records():
-    qkv = Tensor(np.zeros((1, 2, 12), dtype=np.float32), requires_grad=True)
-    with pytest.raises(StateError):
-        T.attention(qkv, 2, last_only=True)
-    with pytest.raises(StateError):
-        build("lora").forward_logits(np.asarray([prompt(5)]), last_only=True)
-    with T.no_grad():
-        assert T.attention(qkv, 2, last_only=True).shape == (1, 1, 4)
+@pytest.mark.parametrize("from_row", [1, 3, 4])
+def test_from_row_attention_gradcheck(from_row):
+    """The VJP of the cut: queries above from_row get zero, keys and values
+    get the gradient of every scored query, one scored row included."""
+    x = np.random.default_rng(from_row).standard_normal((2, 5, 12)).astype(np.float32)
+    check_op(lambda a: T.attention(a, 2, from_row=from_row), [x])
+    qkv = Tensor(x, requires_grad=True)
+    out = T.attention(qkv, 2, from_row=from_row)
+    assert out.shape == (2, 5 - from_row, 4)
+    backward(tsum(out))
+    assert np.all(qkv.grad[:, :from_row, :4] == 0.0)
+    assert np.all(qkv.grad[:, :, 4:].any(axis=-1))  # every key and value
 
 
 @pytest.mark.parametrize("kind, per_block", [("base", 1), ("adapter", 3)])
@@ -198,7 +204,7 @@ def test_only_the_last_block_runs_on_one_row(kind, per_block, monkeypatch):
 
     monkeypatch.setattr(T, "gelu", recording)
     with T.no_grad():
-        model.forward_logits(np.asarray([prompt(10)]), last_only=True)
+        model.forward_logits(np.asarray([prompt(10)]), from_row=9)
     model.generate(prompt(10), 1)  # one step: the prefill
     assert rows == ([10] * per_block + [1] * per_block) * 2
 
@@ -220,8 +226,13 @@ def test_prompt_is_encoded_once(monkeypatch):
 
 def test_cached_attention_raises_while_tape_records():
     qkv = Tensor(np.zeros((1, 2, 12), dtype=np.float32), requires_grad=True)
+    for from_row in (0, 1):
+        with pytest.raises(StateError):
+            T.attention(qkv, 2, cache=[], from_row=from_row)
+    model = build("lora")
     with pytest.raises(StateError):
-        T.attention(qkv, 2, cache=[])
+        model.forward_logits(np.asarray([prompt(5)]), cache=[[] for _ in model.blocks],
+                             from_row=4)
     with T.no_grad():
         cache = []
         T.attention(qkv, 2, cache=cache)

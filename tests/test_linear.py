@@ -3,8 +3,9 @@ they replaced.
 
 ``reference_linear`` is ``Linear.__call__`` exactly as the model built it
 before the kernel existed: matmul, bias add, dropout mul, two transposes, two
-matmuls, the scale mul and the add. ``reference_lm_loss`` narrows the logits
-to the first S-1 positions, flattens them and scores them with the 2-D
+matmuls, the scale mul and the add. ``reference_lm_loss`` asks the forward
+for the rows from the first scored position on, narrows those logits to all
+but their last row, flattens them and scores them with the 2-D
 cross-entropy that built a one-hot buffer in its backward. The kernels must
 match them bit for bit, forward and backward, and in whole training runs.
 """
@@ -32,7 +33,7 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Parameter, Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer, collate
 
-from gradcheck import check_op
+from gradcheck import check_op, tsum
 
 # -- the unfused graphs --------------------------------------------------------
 
@@ -102,8 +103,11 @@ def reference_next_token_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 def reference_lm_loss(self, input_ids, labels, training=False, rng=None) -> Tensor:
     ids = np.atleast_2d(np.asarray(input_ids))
     lab = np.atleast_2d(np.asarray(labels))
+    scored = np.flatnonzero((lab[:, 1:] != IGNORE_LABEL).any(axis=0))
+    from_row = int(scored[0]) if scored.size else 0
     return reference_next_token_loss(
-        self.forward_logits(ids, training=training, rng=rng), lab)
+        self.forward_logits(ids, training=training, rng=rng, from_row=from_row),
+        lab[:, from_row:])
 
 
 # -- the kernel, one layer -----------------------------------------------------
@@ -137,7 +141,7 @@ def run_layer(call, lin: Linear, x: np.ndarray, upstream: np.ndarray, x_grad: bo
     xt = Tensor(x.copy(), requires_grad=x_grad)
     rng = RngState(11)
     out = call(lin, xt, training=True, rng=rng)
-    backward(T.tsum(T.mul(out, Tensor(upstream))))
+    backward(tsum(T.mul(out, Tensor(upstream))))
     grads = {"x": xt.grad, "w": lin.weight.grad,
              "b": None if lin.bias is None else lin.bias.grad}
     if lin.adapter is not None:
@@ -271,7 +275,8 @@ def graph_sizes(loss: Tensor) -> tuple[int, int]:
 
 def test_lora_micro_batch_tape_size(tok, examples, monkeypatch):
     """The per-step node count of a LoRA micro-batch (d64, 2 blocks, r32 on all
-    four targets, dropout 0.05), fused and unfused."""
+    four targets, dropout 0.05), fused and unfused. Both count the ``narrow``
+    that cuts the last block's residual stream to the scored rows."""
     model = init_model(CausalLMConfig(vocab_size=tok.vocab_size), RngState(1))
     attach_lora(model, LoraConfig(), RngState(2))
     ids, labels = collate(examples[:2], tok.specials.pad)
@@ -283,8 +288,8 @@ def test_lora_micro_batch_tape_size(tok, examples, monkeypatch):
     monkeypatch.setattr(Linear, "__call__", reference_linear)
     monkeypatch.setattr(model_mod.CausalLM, "lm_loss", reference_lm_loss)
     unfused = graph_sizes(loss())
-    assert fused == (38, 16)
-    assert unfused == (101, 16)
+    assert fused == (39, 16)
+    assert unfused == (102, 16)
 
 
 TRAIN_METHODS = ["full", "lora", "lora_dropout", "paged_qlora", "bottleneck"]

@@ -11,7 +11,7 @@ from tinypeft.errors import NumericError, ShapeError
 from tinypeft.rng import RngState
 from tinypeft.tensor import Parameter, Tensor, backward
 
-from gradcheck import check_op, numeric_grad, relative_grad_error
+from gradcheck import check_op, numeric_grad, relative_grad_error, tmean, tsum
 
 rng = np.random.default_rng(11)
 
@@ -70,8 +70,8 @@ def test_layer_norm_grad():
 
 
 def test_sum_mean_grad():
-    check_op(lambda a: T.tsum(a), [randf(3, 4)])
-    check_op(lambda a: T.tmean(a), [randf(3, 4)])
+    check_op(tsum, [randf(3, 4)])
+    check_op(tmean, [randf(3, 4)])
 
 
 def test_embedding_grad():
@@ -81,7 +81,7 @@ def test_embedding_grad():
     t = Tensor(table, requires_grad=True)
     out = T.embedding(t, ids)
     w = np.random.default_rng(0).standard_normal(out.shape).astype(np.float32)
-    backward((out * Tensor(w)).sum())
+    backward(tsum(out * Tensor(w)))
 
     def f():
         o = T.embedding(Tensor(table), ids)
@@ -173,20 +173,20 @@ def test_dropout_deterministic_under_seed():
 def test_backward_accumulates_through_shared_node():
     x = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
     y = x * x  # dy/dx = 2x through two paths
-    backward(y.sum())
+    backward(tsum(y))
     np.testing.assert_allclose(x.grad, [4.0])
 
 
 def test_add_of_itself_has_gradient_two():
     x = Tensor(randf(3), requires_grad=True)
-    backward(T.add(x, x).sum())
+    backward(tsum(T.add(x, x)))
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_parents_fed_one_buffer_get_separate_gradients():
     # add's backward hands the same upstream array to both parents
     a, b = Tensor(randf(2, 3), requires_grad=True), Tensor(randf(2, 3), requires_grad=True)
-    backward(T.add(a, b).sum())
+    backward(tsum(T.add(a, b)))
     assert not np.shares_memory(a.grad, b.grad)
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, np.ones((2, 3), dtype=np.float32))
@@ -203,11 +203,11 @@ def test_frozen_parameter_gets_no_grad():
     p = Parameter(randf(3, 3), "w")
     p.freeze()
     out = T.matmul(Tensor(randf(2, 3)), p)
-    backward(out.sum())
+    backward(tsum(out))
     assert p.grad is None
     p.unfreeze()
     out = T.matmul(Tensor(randf(2, 3)), p)
-    backward(out.sum())
+    backward(tsum(out))
     assert p.grad is not None and p.grad.shape == (3, 3)
 
 
@@ -274,7 +274,7 @@ def test_gelu_tensor_bitwise_equals_scipy_formula(shape):
     a = Tensor(x, requires_grad=True)
     out = T.gelu(a)
     assert_bitwise(out.data, reference_gelu(x))
-    backward(T.tsum(T.mul(out, Tensor(g))))
+    backward(tsum(T.mul(out, Tensor(g))))
     cdf = (0.5 * (1.0 + scipy_erf(x / T._SQRT_2))).astype(np.float32)
     pdf = T._INV_SQRT_2PI * np.exp(-0.5 * x * x)
     assert_bitwise(a.grad, (g * (cdf + x * pdf)).astype(np.float32))
@@ -302,7 +302,7 @@ def test_layer_norm_bitwise_equals_mean_formula(shape):
     x, gain, bias, g = randf(*shape), randf(64), randf(64), randf(*shape)
     a, ga, b = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
     out = T.layer_norm(a, ga, b)
-    backward(T.tsum(T.mul(out, Tensor(g))))
+    backward(tsum(T.mul(out, Tensor(g))))
     want = reference_layer_norm(x, gain, bias, g)
     for got, ref in zip((out.data, a.grad, ga.grad, b.grad), want):
         assert_bitwise(got, ref)

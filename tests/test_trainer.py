@@ -416,7 +416,9 @@ def test_resume_rejects_misshaped_model_tensor_untouched(tmp_path, tiny_data, ti
 
 METRIC_FIELDS = {"step": int, "training_loss": float, "learning_rate": float,
                  "wall_ms": int, "paging_evictions": int, "grad_norm": float,
-                 "clip_factor": float}
+                 "clip_factor": float, "step_ms": float, "tokens_per_s": float}
+# wall-clock fields, which differ between any two runs
+TIMING_FIELDS = {"wall_ms", "step_ms", "tokens_per_s"}
 
 
 def read_metrics(run_dir):
@@ -465,7 +467,7 @@ def test_metrics_fields_leave_training_bitwise_unchanged(tmp_path, tiny_data, ti
 
 def test_metrics_jsonl_fresh_run_truncates_and_resume_appends(tmp_path, tiny_data, tiny_tok):
     def without_wall(rows):
-        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+        return [{k: v for k, v in r.items() if k not in TIMING_FIELDS} for r in rows]
 
     opts = dict(max_steps=8, logging_steps=2, save_steps=4)
     for _ in range(2):  # two fresh runs into one output_dir
@@ -479,3 +481,79 @@ def test_metrics_jsonl_fresh_run_truncates_and_resume_appends(tmp_path, tiny_dat
     second.resume(str(tmp_path / "split" / "checkpoint-4" / "state.pfwa"))
     second.train()
     assert without_wall(read_metrics(tmp_path / "split")) == straight
+
+
+def test_metrics_step_ms_and_tokens_per_s(tmp_path, tiny_data, tiny_tok):
+    """Both are taken over the window's train_step calls: tokens_per_s times
+    the window's step time gives back its non-pad input tokens."""
+    tr = make_trainer(tmp_path, tiny_data, tiny_tok, max_steps=6, logging_steps=2,
+                      save_steps=100)
+    counted = []
+    lm_loss = tr.model.lm_loss
+
+    def counting(ids, labels, **kw):
+        counted.append(int((ids != tiny_tok.specials.pad).sum()))
+        return lm_loss(ids, labels, **kw)
+
+    tr.model.lm_loss = counting
+    tr.train()
+    rows = read_metrics(tmp_path / "run")
+    per_window = 2 * tr.config.gradient_accumulation_steps
+    for i, r in enumerate(rows):
+        assert r["step_ms"] > 0.0 and r["tokens_per_s"] > 0.0
+        tokens = sum(counted[i * per_window:(i + 1) * per_window])
+        assert r["tokens_per_s"] * r["step_ms"] * 2 / 1000 == pytest.approx(tokens, rel=1e-9)
+    assert [(m.step_ms, m.tokens_per_s) for m in tr.metrics] == [
+        (r["step_ms"], r["tokens_per_s"]) for r in rows]
+
+
+def test_logged_losses_survive_a_stop_and_a_resume_inside_a_window(tmp_path, tiny_data,
+                                                                  tiny_tok):
+    """A run stopped at step 6 (inside the window 5..8) and continued, or
+    resumed from checkpoint-6, logs and sums up the straight run's losses."""
+    opts = dict(max_steps=8, logging_steps=4, save_steps=3)
+
+    def logged(run, tr):
+        rows = read_metrics(tmp_path / run)
+        return [(r["step"], r["training_loss"]) for r in rows], tr.summary()
+
+    straight = make_trainer(tmp_path, tiny_data, tiny_tok, run="straight", **opts)
+    straight.train()
+    want = logged("straight", straight)
+    assert [step for step, _ in want[0]] == [4, 8]
+
+    split = make_trainer(tmp_path, tiny_data, tiny_tok, run="split", **opts)
+    split.train(stop_after=6)
+    split.train()
+    assert logged("split", split) == want
+
+    resumed = make_trainer(tmp_path, tiny_data, tiny_tok, run="resumed", **opts)
+    resumed.resume(str(tmp_path / "split" / "checkpoint-6" / "state.pfwa"))
+    resumed.train()
+    rows, summary = logged("resumed", resumed)
+    assert (rows, summary) == (want[0][1:], want[1])  # it appends from step 7 on
+    for n, p in straight.model.params.items():
+        assert p.data.tobytes() == resumed.model.params[n].data.tobytes()
+
+
+def test_resume_from_a_checkpoint_without_the_loss_log(tmp_path, tiny_data, tiny_tok):
+    tr = make_trainer(tmp_path, tiny_data, tiny_tok, run="old", max_steps=4,
+                      logging_steps=4, save_steps=2)
+    tr.train(stop_after=2)
+    ck = str(tmp_path / "old" / "checkpoint-2" / "state.pfwa")
+    tensors, meta = load_archive(ck)
+    assert meta["step_losses"] == tr.step_losses and len(meta["log_window"]["losses"]) == 2
+    for key in ("step_losses", "log_window"):
+        del meta[key]
+    save_archive(ck, tensors, meta)
+    older = make_trainer(tmp_path, tiny_data, tiny_tok, run="old", max_steps=4,
+                         logging_steps=4, save_steps=2)
+    older.resume(ck)
+    assert older.step_losses == [] and older.window.losses == []
+    older.train()
+    assert older.metrics[-1].training_loss == float(np.mean(older.step_losses))
+    assert len(older.step_losses) == 2
+    meta["log_window"] = {"losses": [], "unknown": 1}
+    save_archive(ck, tensors, meta)
+    with pytest.raises(DataError, match="loss log"):
+        make_trainer(tmp_path, tiny_data, tiny_tok, run="old2", max_steps=4).resume(ck)
