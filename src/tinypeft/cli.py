@@ -28,10 +28,9 @@ from .model import CausalLMConfig, init_model
 from .rng import RngState
 from .trainer import TrainConfig
 
-# Fields without a flag: the tokenizer sets vocab_size, the CLI keeps the
-# others at their defaults.
-_NO_FLAG = {"vocab_size", "mlp_ratio", "layer_norm_eps", "positional", "stopword_list",
-            "bias_mode", "task_type", "activation"}
+# Fields without a flag: the tokenizer sets vocab_size, and layer_norm_eps
+# keeps its default.
+_NO_FLAG = {"vocab_size", "layer_norm_eps"}
 _RENAMED = {"r": "lora_rank", "alpha": "lora_alpha", "dropout": "lora_dropout"}
 # flag -> (config class, field name, field type), for every flag that sets a field
 FIELDS = {_RENAMED.get(name, name): (cls, name, hint)

@@ -3,8 +3,7 @@
 Accepts the fused ``QA_text`` CSV column ("##Question: ...## Answer: ...")
 or separate question/answer columns, auto-detected from the header. Text
 cleanup has two profiles: ``lm`` keeps punctuation intact for language-model
-training; ``analysis`` additionally strips symbols/emoji and optional
-stopwords.
+training; ``analysis`` additionally strips symbols/emoji.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class QAPair:
 
 @dataclass
 class PreprocessConfig:
-    stopword_list: set[str] | None = None
     redact_patterns: list[str] = field(default_factory=list)
     augment_shuffle: bool = False
     augment_p: float = 0.0
@@ -122,10 +120,6 @@ def normalize_text(s: str, profile: str = "lm") -> str:
     return s.strip()
 
 
-def remove_stopwords(s: str, stopwords: set[str]) -> str:
-    return " ".join(w for w in s.split() if w.lower() not in stopwords)
-
-
 def redact(s: str, patterns: list[str]) -> str:
     """Replace every pattern match with the fixed [REDACTED] token.
 
@@ -160,10 +154,7 @@ def preprocess_pair(pair: QAPair, cfg: PreprocessConfig) -> QAPair:
     def clean(t: str) -> str:
         if cfg.redact_patterns:
             t = redact(t, cfg.redact_patterns)
-        t = normalize_text(t, cfg.profile)
-        if cfg.profile == "analysis" and cfg.stopword_list:
-            t = remove_stopwords(t, cfg.stopword_list)
-        return t
+        return normalize_text(t, cfg.profile)
 
     return QAPair(clean(pair.question), clean(pair.answer))
 

@@ -44,9 +44,7 @@ class CausalLMConfig:
     n_heads: int = 4
     n_layers: int = 2
     seq_len: int = 128
-    mlp_ratio: int = 4
     layer_norm_eps: float = 1e-5
-    positional: str = "learned_absolute"
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -55,10 +53,6 @@ class CausalLMConfig:
             )
         if self.seq_len < 2:
             raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
-        if self.mlp_ratio != 4:
-            raise ConfigError(f"mlp_ratio is fixed at 4, got {self.mlp_ratio}")
-        if self.positional != "learned_absolute":
-            raise ConfigError(f"unsupported positional mode {self.positional!r}")
 
 
 class Linear:
@@ -71,7 +65,7 @@ class Linear:
         self.weight = weight
         self.bias = bias
         self.adapter = None  # set by peft.attach_lora
-        self.qweight = None  # set by quant integration (peft.quantize_base)
+        self.qweight = None  # the packed 4-bit weight, set by peft.quantize_base
 
     @property
     def d_in(self) -> int:
@@ -122,6 +116,8 @@ class CausalLM:
         self.blocks = blocks
         self.ln_f = ln_f
         self.lora_set = None  # peft.AdapterSet once attached
+        self.bottleneck_config = None  # set by peft.attach_bottleneck
+        self.quant_config = None  # set by peft.quantize_base
 
     # -- parameter access ----------------------------------------------------
 
@@ -151,25 +147,12 @@ class CausalLM:
             out[f"blocks.{i}.mlp.dense_4h_to_h"] = b.mlp_down
         return out
 
-    def module_by_name(self, name: str):
-        mods = self.modules()
-        if name not in mods:
-            raise ConfigError(f"no module named {name!r}")
-        return mods[name]
-
     def linears(self) -> list[Linear]:
         return [m for m in self.modules().values() if isinstance(m, Linear)]
 
     def freeze_all(self):
         for p in self.params.values():
             p.freeze()
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in sorted(self.params.items())}
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray]):
         for name, p in self.params.items():
@@ -352,7 +335,7 @@ def init_model(config: CausalLMConfig, rng: RngState) -> CausalLM:
     weight("pos_embeddings.weight", (cfg.seq_len, cfg.d_model))
 
     blocks = []
-    d, dh = cfg.d_model, cfg.mlp_ratio * cfg.d_model
+    d, dh = cfg.d_model, 4 * cfg.d_model
     for i in range(cfg.n_layers):
         pre = f"blocks.{i}"
         ln1 = LayerNorm(f"{pre}.ln1", ones(f"{pre}.ln1.gain", (d,)),
@@ -380,7 +363,7 @@ def init_model(config: CausalLMConfig, rng: RngState) -> CausalLM:
 
 def parameter_count(config: CausalLMConfig) -> int:
     """Closed-form total parameter count (tied head counted once)."""
-    d, dh = config.d_model, config.mlp_ratio * config.d_model
+    d, dh = config.d_model, 4 * config.d_model
     per_block = (
         2 * d  # ln1
         + d * 3 * d + 3 * d  # qkv

@@ -31,8 +31,6 @@ class LoraConfig:
     alpha: float = 32.0
     dropout: float = 0.05
     target_modules: list[str] = field(default_factory=lambda: list(FIG12_TARGET_MODULES))
-    bias_mode: str = "none"
-    task_type: str = "causal_lm"
 
     def __post_init__(self):
         if self.r < 1:
@@ -41,8 +39,6 @@ class LoraConfig:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
         if not self.target_modules:
             raise ConfigError("target_modules must be non-empty")
-        if self.bias_mode != "none":
-            raise ConfigError(f"only bias_mode='none' is supported, got {self.bias_mode!r}")
 
     @property
     def scaling(self) -> float:
@@ -162,13 +158,10 @@ def unmerge_lora(model: CausalLM) -> CausalLM:
 @dataclass
 class BottleneckAdapterConfig:
     bottleneck_dim: int = 8
-    activation: str = "gelu"
 
     def __post_init__(self):
         if self.bottleneck_dim < 1:
             raise ConfigError(f"bottleneck_dim must be >= 1, got {self.bottleneck_dim}")
-        if self.activation != "gelu":
-            raise ConfigError(f"only gelu activation is supported, got {self.activation!r}")
 
 
 class BottleneckAdapter:
@@ -229,9 +222,12 @@ def attach_bottleneck(model: CausalLM, config: BottleneckAdapterConfig,
 def quantize_base(model: CausalLM, qconfig: QuantConfig) -> CausalLM:
     """Quantize every linear weight to 4 bits and freeze it.
 
-    Compute continues in f32 on the dequantized values (exactly the
-    reference dequantize-then-matmul path); the packed form is kept on the
-    layer for persistence and for the frozen-bytes audit.
+    Each weight is replaced by its dequantized values, so training, eval and
+    decoding run the one ``tensor.linear`` path on f32. The packed form stays
+    on the layer as ``qweight``, but nothing reads it back: archives hold the
+    f32 weights, and the frozen-base audit compares their bytes. The config
+    is recorded on the model, so ``store.save_adapter`` writes it and
+    ``store.load_adapter`` can quantize a fresh base the same way.
     """
     for lin in model.linears():
         q = quantize_blockwise(lin.weight.data, qconfig)
@@ -240,6 +236,7 @@ def quantize_base(model: CausalLM, qconfig: QuantConfig) -> CausalLM:
         lin.weight.freeze()
         if lin.bias is not None:
             lin.bias.freeze()
+    model.quant_config = qconfig
     return model
 
 

@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError
 
 _TAIL_DELTA = 0.5 * (1.0 / 32.0 + 1.0 / 30.0)
 
@@ -44,10 +44,6 @@ class QuantConfig:
 class Codebook:
     codebook_id: str
     values: np.ndarray  # 16 f32 levels, ascending
-
-    @property
-    def max_gap(self) -> float:
-        return float(np.max(np.diff(self.values)))
 
 
 def build_nf4_codebook() -> Codebook:
@@ -196,15 +192,6 @@ def dequantize_blockwise(q: QuantizedTensor) -> np.ndarray:
     levels[:numel] = q.codebook().values[idx[:numel]]
     out = levels.reshape(n_scales, q.block_size) * scales[:, None]
     return out.reshape(-1)[:numel].astype(np.float32, copy=False).reshape(q.original_shape)
-
-
-def quantized_linear_forward(q: QuantizedTensor, x: np.ndarray) -> np.ndarray:
-    """y = x @ dequant(W), f32; identical to the reference two-step path."""
-    w = dequantize_blockwise(q)
-    x = np.asarray(x, dtype=np.float32)
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"quantized linear: x {x.shape} @ W {w.shape}")
-    return x @ w
 
 
 def memory_footprint_bits(q: QuantizedTensor) -> float:

@@ -47,10 +47,6 @@ class RngState:
 
     # -- state ---------------------------------------------------------------
 
-    @property
-    def algorithm_id(self) -> str:
-        return ALGORITHM_ID
-
     def get_state(self) -> dict:
         st = self._gen.bit_generator.state
         return {
@@ -72,13 +68,3 @@ class RngState:
             "uinteger": int(d["uinteger"]),
         }
         self._gen = np.random.Generator(bg)
-
-    @classmethod
-    def from_state(cls, d: dict) -> "RngState":
-        r = cls(0)
-        r.set_state(d)
-        return r
-
-    def spawn(self, salt: int) -> "RngState":
-        """Independent child stream, reproducible from (own draw, salt)."""
-        return RngState(self.randint(0, 2**63) ^ salt)

@@ -33,11 +33,21 @@ from .peft import (
     attach_lora,
     bottleneck_shapes,
     lora_shapes,
+    quantize_base,
 )
+from .quant import QuantConfig, dequantize_blockwise, quantize_blockwise
 from .rng import RngState
 
 MAGIC = b"PFWA"
 VERSION = 1
+
+# Config fields that accepted exactly one value, by meta key: archives
+# written before they were removed carry them, at that value.
+_RETIRED = {
+    "model_config": {"mlp_ratio": 4, "positional": "learned_absolute"},
+    "lora_config": {"bias_mode": "none", "task_type": "causal_lm"},
+    "bottleneck_config": {"activation": "gelu"},
+}
 
 _DTYPES = {"f32": np.float32, "u8": np.uint8, "i64": np.int64}
 
@@ -157,15 +167,26 @@ def _check_entry(path: str, i: int, ent) -> tuple:
 # -- model / adapter archives ------------------------------------------------
 
 
-def base_fingerprint(model: CausalLM) -> str:
-    """Hash of the base config plus all base weight bytes."""
+def base_fingerprint(model: CausalLM, quant: QuantConfig | None = None) -> str:
+    """Hash of the base config plus all base weight bytes.
+
+    With ``quant`` it hashes the weights ``quantize_base(model, quant)``
+    would leave, and leaves the model as it is.
+    """
+    quantized = {lin.weight.name for lin in model.linears()} if quant else set()
+    # the hashed config keeps the retired fields, so that adapters written
+    # before their removal still match their base
+    config = {**asdict(model.config), **_RETIRED["model_config"]}
     h = hashlib.sha256()
-    h.update(json.dumps(asdict(model.config), sort_keys=True).encode())
+    h.update(json.dumps(config, sort_keys=True).encode())
     for name in sorted(model.params):
         if ".lora_" in name or "_adapter." in name:
             continue
+        data = model.params[name].data
+        if name in quantized:
+            data = dequantize_blockwise(quantize_blockwise(data, quant))
         h.update(name.encode())
-        h.update(np.ascontiguousarray(model.params[name].data).tobytes())
+        h.update(np.ascontiguousarray(data).tobytes())
     return h.hexdigest()
 
 
@@ -179,11 +200,20 @@ def save_model(model: CausalLM, path: str, extra_meta: dict | None = None):
 
 
 def _config_field(path: str, meta: dict, key: str, cls):
-    """Build a config dataclass from meta[key], or raise DataError naming it."""
+    """Build a config dataclass from meta[key], or raise DataError naming it.
+
+    A retired field at its one legal value is dropped; at any other value
+    the archive needs a setting this version no longer has.
+    """
     if not isinstance(meta.get(key), dict):
         raise DataError(f"{path}: meta field {key!r} is missing or not an object")
+    fields = dict(meta[key])
+    for name, legal in _RETIRED.get(key, {}).items():
+        if name in fields and fields.pop(name) != legal:
+            raise DataError(f"{path}: meta field {key!r}: {name} must be {legal!r}, "
+                            f"got {meta[key][name]!r}")
     try:
-        return cls(**meta[key])
+        return cls(**fields)
     except (TypeError, ValueError, ConfigError) as e:
         raise DataError(f"{path}: meta field {key!r} is invalid: {e}")
 
@@ -202,8 +232,11 @@ def load_model(path: str) -> CausalLM:
 
 
 def save_adapter(model: CausalLM, path: str):
-    """Adapter-only archive with the base fingerprint embedded."""
+    """Adapter-only archive with the base fingerprint embedded; on a
+    quantized base it also records the ``QuantConfig``."""
     meta: dict = {"kind": "adapter", "base_fingerprint": base_fingerprint(model)}
+    if model.quant_config is not None:
+        meta["quant_config"] = asdict(model.quant_config)
     tensors: dict[str, np.ndarray] = {}
     if model.lora_set is not None:
         meta["peft_method"] = "lora"
@@ -211,7 +244,7 @@ def save_adapter(model: CausalLM, path: str):
         for a in model.lora_set.adapters.values():
             tensors[a.A.name] = a.A.data
             tensors[a.B.name] = a.B.data
-    elif getattr(model, "bottleneck_config", None) is not None:
+    elif model.bottleneck_config is not None:
         meta["peft_method"] = "adapter"
         meta["bottleneck_config"] = asdict(model.bottleneck_config)
         for n, p in model.params.items():
@@ -225,8 +258,10 @@ def save_adapter(model: CausalLM, path: str):
 def load_adapter(base: CausalLM, path: str) -> CausalLM:
     """Reattach an adapter archive onto its base model.
 
-    The stored fingerprint must match the base exactly; nothing is mutated
-    on mismatch.
+    An adapter trained on a quantized base carries its ``QuantConfig``: the
+    f32 base is quantized the same way before the adapter is attached. The
+    stored fingerprint must match the (quantized) base exactly; nothing is
+    mutated on mismatch.
     """
     tensors, meta = load_archive(path)
     if meta.get("kind") != "adapter":
@@ -234,7 +269,12 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
     stored = meta.get("base_fingerprint")
     if not isinstance(stored, str):
         raise DataError(f"{path}: meta field 'base_fingerprint' is missing or not a string")
-    fp = base_fingerprint(base)
+    qcfg = (_config_field(path, meta, "quant_config", QuantConfig)
+            if "quant_config" in meta else None)
+    try:
+        fp = base_fingerprint(base, qcfg)
+    except (TypeError, ValueError) as e:  # a quant_config value of the wrong type
+        raise DataError(f"{path}: meta field 'quant_config' is invalid: {e}")
     if stored != fp:
         raise DataError(
             f"{path}: adapter was trained on a different base "
@@ -259,6 +299,8 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
     missing = sorted(set(shapes) - set(tensors))
     if missing:
         raise DataError(f"{path}: adapter tensor {missing[0]!r} is missing")
+    if qcfg is not None:
+        quantize_base(base, qcfg)
     attach(base, cfg, RngState(0))
     for name, arr in tensors.items():
         base.params[name].data = arr.astype(np.float32).copy()

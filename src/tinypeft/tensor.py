@@ -6,20 +6,20 @@ vector-Jacobian product; ``backward`` replays the graph in reverse
 topological order. Compute is f32 throughout with fixed reduction order, so
 identical inputs give bitwise identical outputs.
 
-``transpose`` and ``reshape`` return numpy views of their input (``reshape``
-copies only when numpy must); ``narrow`` and ``embedding`` copy. A view
-shares memory with its parent. That is safe because nothing writes node data
-in place between a forward and its backward: the optimizer updates
-parameters only after backward. ``attention`` fuses the causal multi-head
-attention core into a single node. It can score only the queries from a
-given row on (``from_row``), with a VJP, so the forward computes just the
-rows the loss or the decoder reads; under ``no_grad`` it can also extend a
-per-block key/value cache, so decoding encodes only the new positions.
-``linear`` fuses an affine layer and its optional LoRA pair into one node,
-and ``cross_entropy`` scores next-token targets on the (B, S, V) logits
-through a view, without copying them. The exact ``gelu`` needs erf: ``_erf``
-evaluates cephes' erf in f64 and rounds it to f32, as scipy's f32 loop
-does, so the module needs numpy alone.
+``transpose`` returns a numpy view of its input; ``narrow`` and
+``embedding`` copy. A view shares memory with its parent. That is safe
+because nothing writes node data in place between a forward and its
+backward: the optimizer updates parameters only after backward.
+``attention`` fuses the causal multi-head attention core into a single
+node. It can score only the queries from a given row on (``from_row``),
+with a VJP, so the forward computes just the rows the loss or the decoder
+reads; under ``no_grad`` it can also extend a per-block key/value cache, so
+decoding encodes only the new positions. ``linear`` fuses an affine layer
+and its optional LoRA pair into one node, and ``cross_entropy`` scores
+next-token targets on the (B, S, V) logits through a view, without copying
+them. The exact ``gelu`` needs erf: ``_erf`` evaluates cephes' erf in f64
+and rounds it to f32, as scipy's f32 loop does, so the module needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -111,19 +111,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return add(self, mul(other, Tensor(-1.0)))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, ax0: int = -2, ax1: int = -1):
-        return transpose(self, ax0, ax1)
-
 
 class Parameter(Tensor):
     """A named model weight; frozen parameters never get gradient buffers."""
@@ -139,10 +126,6 @@ class Parameter(Tensor):
         self.trainable = False
         self.requires_grad = False
         self.grad = None
-
-    def unfreeze(self):
-        self.trainable = True
-        self.requires_grad = True
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
@@ -267,32 +250,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         a._accumulate(ga)
 
     return _node(data.copy(), (a,), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.shape
-    try:
-        data = a.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"reshape: cannot view {old} as {tuple(shape)}")
-
-    def backward(g):
-        a._accumulate(g.reshape(old))
-
-    return _node(data, (a,), backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Row-wise softmax, numerically stable."""
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    data = (e / e.sum(axis=axis, keepdims=True)).astype(np.float32)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        a._accumulate((data * (g - dot)).astype(np.float32))
-
-    return _node(data, (a,), backward)
 
 
 def _horner(x: np.ndarray, p: np.ndarray, coef) -> np.ndarray:

@@ -38,7 +38,6 @@ class TrainConfig:
     per_device_train_batch_size: int = 2
     gradient_accumulation_steps: int = 2
     optim: str = "adamw_32bit"  # adamw_32bit | paged_adamw_32bit
-    save_strategy: str = "steps"
     save_steps: int = 10
     logging_steps: int = 10
     learning_rate: float = 2e-4
@@ -54,14 +53,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_steps < 1 and not (self.epochs and self.epochs >= 1):
             raise ConfigError("need max_steps >= 1 or epochs >= 1")
+        for name in ("per_device_train_batch_size", "gradient_accumulation_steps",
+                     "save_steps", "logging_steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ConfigError(f"warmup_ratio must be in [0,1), got {self.warmup_ratio}")
         if self.optim not in ("adamw_32bit", "paged_adamw_32bit"):
             raise ConfigError(f"unknown optim {self.optim!r}")
         if self.lr_scheduler_type not in ("cosine", "constant"):
             raise ConfigError(f"unknown scheduler {self.lr_scheduler_type!r}")
-        if self.save_strategy != "steps":
-            raise ConfigError(f"only save_strategy='steps' is supported")
 
 
 @dataclass
@@ -265,7 +266,7 @@ class Trainer:
                     self.metrics.append(rec)
                     with open(metrics_path, "a") as f:
                         f.write(rec.to_json() + "\n")
-            if cfg.save_strategy == "steps" and s % cfg.save_steps == 0:
+            if s % cfg.save_steps == 0:
                 self.save_checkpoint()
         self.audit_frozen()
         return self.summary()

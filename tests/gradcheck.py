@@ -8,6 +8,8 @@ tensor, which is the quantity the optimizer actually consumes.
 ``tsum`` and ``tmean`` reduce a tensor to a scalar loss with a gradient. The
 library never reduces that way (its one loss is ``cross_entropy``), so they
 live here, next to the tests that need a scalar to call ``backward`` on.
+``reshape`` and ``softmax`` are the single ops the attention and loss
+oracles are built from; the library's fused kernels replaced them.
 """
 
 import numpy as np
@@ -31,6 +33,30 @@ def tmean(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         a._accumulate(np.full_like(a.data, np.float32(g) / n))
+
+    return T._node(data, (a,), backward_fn)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """A view of ``a`` in a new shape (numpy copies only when it must)."""
+    old = a.shape
+    data = a.data.reshape(shape)
+
+    def backward_fn(g):
+        a._accumulate(g.reshape(old))
+
+    return T._node(data, (a,), backward_fn)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Row-wise softmax, numerically stable."""
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    data = (e / e.sum(axis=axis, keepdims=True)).astype(np.float32)
+
+    def backward_fn(g):
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        a._accumulate((data * (g - dot)).astype(np.float32))
 
     return T._node(data, (a,), backward_fn)
 

@@ -23,10 +23,11 @@ from tinypeft.peft import (
     LoraConfig,
     attach_lora,
     merge_lora,
+    quantize_base,
     trainable_summary,
 )
 from tinypeft.quant import QuantConfig, build_nf4_codebook, dequantize_blockwise, \
-    memory_footprint_bits, quantize_blockwise, quantized_linear_forward
+    memory_footprint_bits, quantize_blockwise
 from tinypeft.rng import RngState
 from tinypeft.store import load_adapter, load_model, save_adapter, save_model
 from tinypeft.trainer import TrainConfig, Trainer, hyperparameter_search, lr_at_step
@@ -237,7 +238,7 @@ def test_criterion_07_checkpoint_determinism(tmp_path, desk_config, examples, to
     report(7, "straight 60-step and 30+resume+30 archives byte-identical", ok)
 
 
-def test_criterion_08_nf4_quantization():
+def test_criterion_08_nf4_quantization(desk_config):
     book = build_nf4_codebook()
     ok = book.values[0] == -1.0 and book.values[15] == 1.0 and book.values[8] == 0.0
 
@@ -245,19 +246,22 @@ def test_criterion_08_nf4_quantization():
     w = rng.normal(0.0, 0.02, size=100_000).astype(np.float32)
     q = quantize_blockwise(w, QuantConfig(block_size=64, double_quant=False))
     scales = np.repeat(q.scales, 64)[: w.size]
-    bound = scales * (book.max_gap / 2.0) + 1e-7
+    bound = scales * (np.diff(book.values).max() / 2.0) + 1e-7
     ok = ok and bool(np.all(np.abs(dequantize_blockwise(q) - w) <= bound))
 
     dq = quantize_blockwise(w, QuantConfig())  # defaults: 64 / dq 256
     ok = ok and memory_footprint_bits(dq) == 4.0 + 8.0 / 64.0 + 64.0 / 16384.0
 
-    x = rng.normal(0, 1, size=(4, 100)).astype(np.float32)
-    qw = quantize_blockwise(rng.normal(0, 0.02, (100, 40)).astype(np.float32),
-                            QuantConfig())
-    ok = ok and bool(np.array_equal(quantized_linear_forward(qw, x),
-                                    x @ dequantize_blockwise(qw)))
+    # the path that runs: a quantized base holds the dequantized weights, and
+    # its linears are tensor.linear on them
+    model = quantize_base(init_model(desk_config, RngState(8)), QuantConfig())
+    for lin in model.linears():
+        w = dequantize_blockwise(lin.qweight)
+        ok = ok and lin.weight.data.tobytes() == w.tobytes()
+        x = rng.normal(0, 1, size=(4, lin.d_in)).astype(np.float32)
+        ok = ok and bool(np.array_equal(T.linear(T.Tensor(x), lin.weight).data, x @ w))
     report(8, "NF4 endpoints/zero exact, round-trip bound on 1e5 weights, "
-              "footprint 4+8/64+64/16384, forward bitwise", ok)
+              "footprint 4+8/64+64/16384, quantized base forward bitwise", ok)
 
 
 def test_criterion_09_paging_transparency(tmp_path, desk_config, examples, tok):

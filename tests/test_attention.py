@@ -20,7 +20,7 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer
 
-from gradcheck import check_op, tsum
+from gradcheck import check_op, reshape, softmax, tsum
 
 _MASK_VALUE = np.float32(-1e9)
 
@@ -43,19 +43,19 @@ def reference_attention(qkv: Tensor, n_heads: int, from_row: int = 0) -> Tensor:
     B, S, d3 = qkv.shape
     d = d3 // 3
     H, hd = n_heads, d // n_heads
-    x = T.reshape(qkv, (B, S, 3, H, hd))
+    x = reshape(qkv, (B, S, 3, H, hd))
     x = T.transpose(x, 1, 3)  # (B, H, 3, S, hd)
-    q = T.reshape(T.narrow(x, 2, 0, 1), (B, H, S, hd))
-    k = T.reshape(T.narrow(x, 2, 1, 1), (B, H, S, hd))
-    v = T.reshape(T.narrow(x, 2, 2, 1), (B, H, S, hd))
+    q = reshape(T.narrow(x, 2, 0, 1), (B, H, S, hd))
+    k = reshape(T.narrow(x, 2, 1, 1), (B, H, S, hd))
+    v = reshape(T.narrow(x, 2, 2, 1), (B, H, S, hd))
     n = S - from_row
     if from_row:
         q = T.narrow(q, 2, from_row, n)
     scale = Tensor(np.float32(1.0 / math.sqrt(hd)))
     scores = T.mul(T.matmul(q, T.transpose(k)), scale)
-    attn = T.softmax(causal_mask(scores, from_row))
+    attn = softmax(causal_mask(scores, from_row))
     ctx = T.matmul(attn, v)  # (B, H, n, hd)
-    return T.reshape(T.transpose(ctx, 1, 2), (B, n, d))
+    return reshape(T.transpose(ctx, 1, 2), (B, n, d))
 
 
 def forward_backward(fn, qkv: np.ndarray, upstream: np.ndarray, n_heads: int,

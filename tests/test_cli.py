@@ -13,7 +13,7 @@ from tinypeft.cli import main
 from tinypeft.model import CausalLMConfig
 from tinypeft.peft import BottleneckAdapterConfig, LoraConfig
 from tinypeft.quant import QuantConfig
-from tinypeft.store import load_archive, load_model
+from tinypeft.store import load_adapter, load_archive, load_model
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,36 @@ def test_finetune_qlora_runs(workdir):
                  "--logging_steps", "100", "--lora_rank", "2",
                  "--block_size", "16"]) == 0
     assert os.path.exists(os.path.join(ft, "adapter.pfwa"))
+
+
+def test_qlora_adapter_reloads_in_every_command(workdir, capsys):
+    """A QLoRA adapter records its QuantConfig: eval, merge, generate and
+    compare quantize the f32 base the same way and attach it."""
+    d, tok = workdir["dir"], workdir["tok"]
+    ft = str(d / "qlora_reload")
+    assert main(["finetune", "--method", "qlora", "--base", workdir["base"],
+                 "--tokenizer", tok, "--csv", workdir["csv"], "--output_dir", ft,
+                 "--max_steps", "4", "--save_steps", "100", "--logging_steps", "100",
+                 "--lora_rank", "2", "--block_size", "16"]) == 0
+    adapter = os.path.join(ft, "adapter.pfwa")
+    merged = str(d / "qlora_merged.pfwa")
+    q = ["--question", "What is an Index?", "--max_new_tokens", "4"]
+    for argv in (["eval", "--model", workdir["base"], "--adapter", adapter,
+                  "--tokenizer", tok, "--csv", workdir["csv"]],
+                 ["merge", "--base", workdir["base"], "--adapter", adapter, "--out", merged],
+                 ["generate", "--model", workdir["base"], "--adapter", adapter,
+                  "--tokenizer", tok, *q],
+                 ["compare", "--base", workdir["base"], "--adapter", adapter,
+                  "--tokenizer", tok, *q]):
+        assert main(argv) == 0, (argv[0], capsys.readouterr().err)
+
+    # the merged f32 model computes what the reloaded adapter computes
+    attached = load_adapter(load_model(workdir["base"]), adapter)
+    assert attached.quant_config == QuantConfig(block_size=16)
+    ids = np.random.default_rng(0).integers(0, 400, size=(2, 12))
+    want = attached.forward_logits(ids).data
+    got = load_model(merged).forward_logits(ids).data
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
 
 
 def test_finetune_bottleneck_adapter_runs(workdir):
@@ -235,6 +265,17 @@ def test_sweep_grid(workdir):
 def test_missing_required_is_config_error(capsys):
     assert main(["tokenizer-train"]) == 1
     assert capsys.readouterr().err.startswith("error:config:")
+
+
+@pytest.mark.parametrize("flag", ["save_steps", "logging_steps",
+                                  "gradient_accumulation_steps",
+                                  "per_device_train_batch_size"])
+def test_zero_counts_are_config_errors(workdir, capsys, flag):
+    assert main(["finetune", "--base", workdir["base"], "--tokenizer", workdir["tok"],
+                 "--csv", workdir["csv"], "--output_dir", str(workdir["dir"] / "zero"),
+                 f"--{flag}", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and flag in err
 
 
 def test_bad_csv_is_data_error(workdir, tmp_path, capsys):

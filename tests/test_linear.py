@@ -33,7 +33,7 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Parameter, Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer, collate
 
-from gradcheck import check_op, tsum
+from gradcheck import check_op, reshape, tsum
 
 # -- the unfused graphs --------------------------------------------------------
 
@@ -96,7 +96,7 @@ def reference_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index=-1
 
 def reference_next_token_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     B, S, V = logits.shape
-    pred = T.reshape(T.narrow(logits, 1, 0, S - 1), (B * (S - 1), V))
+    pred = reshape(T.narrow(logits, 1, 0, S - 1), (B * (S - 1), V))
     return reference_cross_entropy(pred, labels[:, 1:].reshape(-1), IGNORE_LABEL)
 
 

@@ -32,8 +32,6 @@ def test_config_validation():
         CausalLMConfig(vocab_size=16, d_model=10, n_heads=4)  # d % heads != 0
     with pytest.raises(ConfigError):
         CausalLMConfig(vocab_size=16, seq_len=1)
-    with pytest.raises(ConfigError):
-        CausalLMConfig(vocab_size=16, mlp_ratio=2)
 
 
 def test_logits_shape(micro_model):

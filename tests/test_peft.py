@@ -34,7 +34,6 @@ def test_default_config_matches_published_run():
     cfg = LoraConfig()
     assert (cfg.r, cfg.alpha, cfg.dropout) == (32, 32.0, 0.05)
     assert cfg.target_modules == FIG12_TARGET_MODULES
-    assert cfg.bias_mode == "none" and cfg.task_type == "causal_lm"
     assert cfg.scaling == 1.0
 
 
@@ -68,7 +67,7 @@ def test_lora_forward_matches_matrix_oracle():
     model = fresh()
     attach_lora(model, LoraConfig(r=3, alpha=6.0, dropout=0.0,
                                   target_modules=["attn.dense"]), RngState(4))
-    lin = model.module_by_name("blocks.0.attn.dense")
+    lin = model.modules()["blocks.0.attn.dense"]
     a = lin.adapter
     a.B.data = np.random.default_rng(1).standard_normal(a.B.shape).astype(np.float32)
     x = np.random.default_rng(2).standard_normal((5, 8)).astype(np.float32)
@@ -82,7 +81,7 @@ def test_lora_forward_matches_matrix_oracle():
 def test_delta_weight_rank_bound():
     model = fresh()
     attach_lora(model, LoraConfig(r=2, target_modules=["dense_h_to_4h"]), RngState(5))
-    lin = model.module_by_name("blocks.0.mlp.dense_h_to_4h")
+    lin = model.modules()["blocks.0.mlp.dense_h_to_4h"]
     lin.adapter.B.data = np.random.default_rng(3).standard_normal(
         lin.adapter.B.shape).astype(np.float32)
     dw = lin.adapter.delta_weight()
@@ -97,7 +96,7 @@ def test_scaling_linear_in_alpha():
         model = fresh(9)
         attach_lora(model, LoraConfig(r=4, alpha=alpha, dropout=0.0,
                                       target_modules=["attn.dense"]), RngState(6))
-        lin = model.module_by_name("blocks.0.attn.dense")
+        lin = model.modules()["blocks.0.attn.dense"]
         lin.adapter.B.data = np.ones(lin.adapter.B.shape, np.float32)
         x = np.ones((2, 8), np.float32)
         lin.weight.data = np.zeros_like(lin.weight.data)  # base bias is 0: lin(x) is the delta
@@ -122,8 +121,6 @@ def test_config_validation():
         LoraConfig(r=0)
     with pytest.raises(ConfigError):
         LoraConfig(dropout=1.0)
-    with pytest.raises(ConfigError):
-        LoraConfig(bias_mode="all")
 
 
 # -- merge / unmerge ----------------------------------------------------------

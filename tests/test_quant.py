@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from tinypeft.errors import ConfigError, DataError, NumericError
+from tinypeft.model import CausalLMConfig, init_model
+from tinypeft.peft import quantize_base
 from tinypeft.quant import (
     _TAIL_DELTA,
     QuantConfig,
@@ -20,8 +22,14 @@ from tinypeft.quant import (
     get_codebook,
     memory_footprint_bits,
     quantize_blockwise,
-    quantized_linear_forward,
 )
+from tinypeft.rng import RngState
+from tinypeft.tensor import Tensor
+
+
+def half_gap(q) -> float:
+    """Half the widest gap between adjacent levels: the rounding bound."""
+    return float(np.diff(q.codebook().values).max()) / 2.0
 
 
 def normal_quantile_oracle(p: float) -> float:
@@ -93,9 +101,8 @@ def test_roundtrip_error_bound_large_sample():
     cfg = QuantConfig(block_size=64, double_quant=False)
     q = quantize_blockwise(w, cfg)
     back = dequantize_blockwise(q)
-    half_gap = q.codebook().max_gap / 2.0
     scales = np.repeat(q.block_scales(), 64)[: w.size]
-    assert np.all(np.abs(back - w) <= scales * half_gap + 1e-7)
+    assert np.all(np.abs(back - w) <= scales * half_gap(q) + 1e-7)
 
 
 def test_quantize_dequantize_quantize_is_stable():
@@ -124,9 +131,8 @@ def test_ragged_tail_block():
     assert q.n_blocks == 4  # 195 elements, tail block of 3
     back = dequantize_blockwise(q)
     assert back.shape == (3, 65)
-    half_gap = q.codebook().max_gap / 2.0
     scales = np.repeat(q.scales, 64)[: w.size].reshape(w.shape)
-    assert np.all(np.abs(back - w) <= scales * half_gap + 1e-6)
+    assert np.all(np.abs(back - w) <= scales * half_gap(q) + 1e-6)
 
 
 def reference_dequantize(q) -> np.ndarray:
@@ -194,7 +200,7 @@ def test_roundtrip_bound_property(n, seed):
     q = quantize_blockwise(w, cfg)
     back = dequantize_blockwise(q)
     scales = np.repeat(q.scales, 16)[:n]
-    bound = scales * (q.codebook().max_gap / 2.0) * (1 + 1e-5) + 1e-7
+    bound = scales * half_gap(q) * (1 + 1e-5) + 1e-7
     assert np.all(np.abs(back - w) <= bound)
 
 
@@ -241,13 +247,17 @@ def test_nf4_beats_uniform_on_gaussian_weights():
 
 
 def test_quantized_forward_bitwise_equals_two_step():
+    """A quantized base's linear is ``tensor.linear`` on the dequantized
+    weight: x @ dequantize(q) + b, bitwise."""
+    model = init_model(CausalLMConfig(vocab_size=32, d_model=16, n_heads=2, n_layers=1,
+                                      seq_len=8), RngState(6))
+    quantize_base(model, QuantConfig(block_size=16))
     rng = np.random.default_rng(6)
-    w = rng.normal(0, 0.05, size=(16, 12)).astype(np.float32)
-    x = rng.normal(0, 1, size=(4, 16)).astype(np.float32)
-    q = quantize_blockwise(w, QuantConfig(block_size=16))
-    np.testing.assert_array_equal(
-        quantized_linear_forward(q, x), x @ dequantize_blockwise(q)
-    )
+    for lin in model.linears():
+        lin.bias.data = rng.normal(0, 1, lin.d_out).astype(np.float32)
+        x = rng.normal(0, 1, size=(2, 3, lin.d_in)).astype(np.float32)
+        want = x @ dequantize_blockwise(lin.qweight) + lin.bias.data
+        np.testing.assert_array_equal(lin(Tensor(x)).data, want)
 
 
 def test_config_validation():

@@ -23,7 +23,8 @@ def test_state_roundtrip_resumes_stream():
     r.uniform((13,))  # advance
     snap = r.get_state()
     want = r.gaussian(0.0, 1.0, (50,))
-    r2 = RngState.from_state(snap)
+    r2 = RngState(0)
+    r2.set_state(snap)
     np.testing.assert_array_equal(r2.gaussian(0.0, 1.0, (50,)), want)
 
 
@@ -68,11 +69,3 @@ def test_choice_weighted_degenerate():
     r = RngState(0)
     probs = np.array([0.0, 1.0, 0.0], dtype=np.float32)
     assert all(r.choice_weighted(probs) == 1 for _ in range(100))
-
-
-def test_spawn_streams_are_reproducible_and_distinct():
-    a = RngState(9).spawn(1).uniform((20,))
-    b = RngState(9).spawn(1).uniform((20,))
-    c = RngState(9).spawn(2).uniform((20,))
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)

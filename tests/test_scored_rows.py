@@ -56,11 +56,12 @@ def build(method: str, vocab_size: int) -> CausalLM:
 
 
 def loss_and_grads(model, loss_fn, ids, labels):
-    model.zero_grad()
+    params = model.trainable_parameters()
     loss = loss_fn(model, ids, labels, training=True, rng=RngState(7))
     backward(loss)
-    grads = {p.name: p.grad.copy() for p in model.trainable_parameters()}
-    model.zero_grad()
+    grads = {p.name: p.grad.copy() for p in params}
+    for p in params:
+        p.grad = None
     return loss.item(), grads
 
 

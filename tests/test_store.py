@@ -2,6 +2,7 @@
 round trips with fingerprint checking."""
 
 import json
+import os
 import struct
 from dataclasses import asdict
 
@@ -12,8 +13,15 @@ from hypothesis import strategies as st
 
 from tinypeft.cli import main
 from tinypeft.errors import DataError
-from tinypeft.model import init_model
-from tinypeft.peft import BottleneckAdapterConfig, LoraConfig, attach_bottleneck, attach_lora
+from tinypeft.model import CausalLMConfig, init_model
+from tinypeft.peft import (
+    BottleneckAdapterConfig,
+    LoraConfig,
+    attach_bottleneck,
+    attach_lora,
+    quantize_base,
+)
+from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
 from tinypeft.store import (
     MAGIC,
@@ -117,6 +125,7 @@ def test_lora_adapter_roundtrip(tmp_path):
         a.B.data = 0.2 * rng.standard_normal(a.B.shape).astype(np.float32)
     adapter_path = str(tmp_path / "adapter.pfwa")
     save_adapter(base, adapter_path)
+    assert "quant_config" not in load_archive(adapter_path)[1]  # an f32 base
 
     restored = load_adapter(load_model(base_path), adapter_path)
     ids = rand_ids(np.random.default_rng(2), 2, 8, 32)
@@ -170,6 +179,7 @@ def test_bottleneck_adapter_roundtrip(tmp_path):
             p.data = 0.1 * rng.standard_normal(p.data.shape).astype(np.float32)
     adapter_path = str(tmp_path / "adapter.pfwa")
     save_adapter(base, adapter_path)
+    assert "quant_config" not in load_archive(adapter_path)[1]  # an f32 base
 
     restored = load_adapter(load_model(base_path), adapter_path)
     ids = rand_ids(np.random.default_rng(4), 1, 5, 32)
@@ -317,3 +327,123 @@ def test_fuzzed_manifest_loads_or_is_data_error(tmp_path, manifest, payload):
         return
     assert isinstance(meta, dict)
     assert all(isinstance(a, np.ndarray) for a in tensors.values())
+
+
+# -- QLoRA adapters -------------------------------------------------------------
+
+
+def _qlora_trained(seed: int):
+    """A QLoRA model on an f32 base, with B nudged so the adapter matters."""
+    model = init_model(micro_config(), RngState(seed))
+    quantize_base(model, QuantConfig(block_size=16))
+    attach_lora(model, LoraConfig(r=2, dropout=0.0), RngState(seed + 1))
+    rng = np.random.default_rng(seed)
+    for a in model.lora_set.adapters.values():
+        a.B.data = 0.2 * rng.standard_normal(a.B.shape).astype(np.float32)
+    return model
+
+
+def test_qlora_adapter_reloads_onto_its_f32_base(tmp_path):
+    base_path = str(tmp_path / "base.pfwa")
+    save_model(init_model(micro_config(), RngState(12)), base_path)
+    trained = _qlora_trained(12)
+    adapter_path = str(tmp_path / "adapter.pfwa")
+    save_adapter(trained, adapter_path)
+    assert load_archive(adapter_path)[1]["quant_config"] == asdict(QuantConfig(block_size=16))
+
+    restored = load_adapter(load_model(base_path), adapter_path)
+    assert restored.quant_config == QuantConfig(block_size=16)
+    for name, p in trained.params.items():
+        assert restored.params[name].data.tobytes() == p.data.tobytes(), name
+        assert restored.params[name].trainable == p.trainable, name
+    ids = rand_ids(np.random.default_rng(5), 2, 8, 32)
+    np.testing.assert_array_equal(restored.forward_logits(ids).data,
+                                  trained.forward_logits(ids).data)
+
+
+@pytest.mark.parametrize("field, value", [("block_size", 16.0), ("codebook", "fp4"),
+                                          ("dq_group", "x")])
+def test_malformed_quant_config_is_data_error(tmp_path, capsys, field, value):
+    base_path = str(tmp_path / "base.pfwa")
+    save_model(init_model(micro_config(), RngState(12)), base_path)
+    good = str(tmp_path / "a.pfwa")
+    save_adapter(_qlora_trained(12), good)
+    tensors, meta = load_archive(good)
+    meta["quant_config"][field] = value
+    path = str(tmp_path / "bad.pfwa")
+    save_archive(path, tensors, meta)
+    with pytest.raises(DataError, match="quant_config"):
+        load_adapter(load_model(base_path), path)
+    assert main(["merge", "--base", base_path, "--adapter", path,
+                 "--out", str(tmp_path / "o.pfwa")]) == 2
+    assert capsys.readouterr().err.startswith("error:data:")
+
+
+def test_qlora_fingerprint_mismatch_leaves_the_base_unchanged(tmp_path):
+    adapter_path = str(tmp_path / "adapter.pfwa")
+    save_adapter(_qlora_trained(15), adapter_path)
+    other = init_model(micro_config(), RngState(99))
+    before = {n: (p.data.tobytes(), p.trainable) for n, p in other.params.items()}
+    with pytest.raises(DataError, match="different base"):
+        load_adapter(other, adapter_path)
+    assert other.lora_set is None and other.quant_config is None
+    assert all(lin.qweight is None for lin in other.linears())
+    assert {n: (p.data.tobytes(), p.trainable) for n, p in other.params.items()} == before
+
+
+# -- archives that carry retired config fields ----------------------------------
+
+V1 = os.path.join(os.path.dirname(__file__), "data", "v1_archives")
+# the fields that accepted one value, at that value, as the archives in V1
+# carry them
+RETIRED = {
+    "model_config": {"mlp_ratio": 4, "positional": "learned_absolute"},
+    "lora_config": {"bias_mode": "none", "task_type": "causal_lm"},
+    "bottleneck_config": {"activation": "gelu"},
+}
+
+
+def test_archives_written_with_the_retired_fields_load():
+    metas = {k: load_archive(os.path.join(V1, f"{k}.pfwa"))[1]
+             for k in ("model", "lora", "bottleneck")}
+    for kind, key in (("model", "model_config"), ("lora", "lora_config"),
+                      ("bottleneck", "bottleneck_config")):
+        assert RETIRED[key].items() <= metas[kind][key].items()
+    base_path = os.path.join(V1, "model.pfwa")
+    model = load_model(base_path)
+    assert model.config == CausalLMConfig(vocab_size=32, d_model=8, n_heads=2,
+                                          n_layers=2, seq_len=16)
+    ids = rand_ids(np.random.default_rng(6), 2, 9, 32)
+    plain = model.forward_logits(ids).data
+    # the base fingerprints the adapters carry still match
+    lora = load_adapter(load_model(base_path), os.path.join(V1, "lora.pfwa"))
+    assert lora.lora_set.config == LoraConfig(r=2, alpha=4.0, dropout=0.0,
+                                              target_modules=["query_key_value",
+                                                              "dense_4h_to_h"])
+    bottleneck = load_adapter(load_model(base_path), os.path.join(V1, "bottleneck.pfwa"))
+    assert bottleneck.bottleneck_config == BottleneckAdapterConfig(bottleneck_dim=2)
+    for adapted in (lora, bottleneck):
+        assert not np.array_equal(adapted.forward_logits(ids).data, plain)
+
+
+@pytest.mark.parametrize("key, field, value, kind", [
+    ("model_config", "mlp_ratio", 2, "model"),
+    ("model_config", "positional", "rope", "model"),
+    ("lora_config", "bias_mode", "all", "lora"),
+    ("lora_config", "task_type", "seq_cls", "lora"),
+    ("bottleneck_config", "activation", "relu", "bottleneck"),
+])
+def test_retired_field_at_another_value_is_data_error(tmp_path, capsys, key, field,
+                                                      value, kind):
+    tensors, meta = load_archive(os.path.join(V1, f"{kind}.pfwa"))
+    meta[key][field] = value
+    path = str(tmp_path / f"{kind}.pfwa")
+    save_archive(path, tensors, meta)
+    base, adapter = ((path, os.path.join(V1, "lora.pfwa")) if kind == "model"
+                     else (os.path.join(V1, "model.pfwa"), path))
+    with pytest.raises(DataError, match=f"{key}.*{field}"):
+        load_adapter(load_model(base), adapter)
+    assert main(["merge", "--base", base, "--adapter", adapter,
+                 "--out", str(tmp_path / "o.pfwa")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and field in err
