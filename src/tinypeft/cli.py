@@ -78,16 +78,10 @@ def _hint(action: argparse.Action):
 def _check(path: str, key: str, value, hint):
     """A config-file value checked against its option's type (an int is
     taken for a float)."""
-    if hint is float and type(value) is int:
-        value = float(value)
-    if hint == list[str]:
-        ok = type(value) is list and all(type(t) is str for t in value)
-    else:
-        ok = type(value) in typing.get_args(hint) if hint == int | None else type(value) is hint
-    if not ok:
-        name = hint.__name__ if hint in (int, float, str, bool) else str(hint)
-        raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
-    return value
+    try:
+        return store.check_type(value, hint)
+    except TypeError as e:
+        raise ConfigError(f"{path}: {key} {e}")
 
 
 def _read_json(path: str, error: type[TinyPeftError]):

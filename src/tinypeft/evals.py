@@ -34,12 +34,15 @@ QUALITATIVE_PLACEHOLDERS = ["context_understanding", "coherence", "expert_evalua
 
 @dataclass
 class EvalReport:
+    """A metric that was not computed is None (JSON null) with a ``notes``
+    entry saying why, never 0.0."""
+
     perplexity: float
-    exact_match: float
+    exact_match: float | None
     per_label: dict
     macro: dict
-    bleu: float
-    rouge_l: float
+    bleu: float | None
+    rouge_l: float | None
     n_examples: int
     notes: dict = field(default_factory=lambda: dict(METRIC_NOTES))
     qualitative: dict = field(
@@ -240,18 +243,25 @@ def eval_report(model: CausalLM, tokenizer: TokenizerModel,
                 gold_labels: list[str] | None = None,
                 pred_labels: list[str] | None = None) -> EvalReport:
     ppl = perplexity(model, examples, tokenizer.specials.pad)
-    cand = candidates or []
-    refs = references or []
-    cls = classification_metrics(gold_labels or [], pred_labels or []) \
-        if gold_labels else {"per_label": {}, "macro": {"precision": 0.0, "recall": 0.0, "f1": 0.0}}
+    notes = dict(METRIC_NOTES)
+    cand, refs = candidates or [], references or []
+    if not cand:
+        notes["exact_match"] = notes["bleu"] = notes["rouge_l"] = \
+            "null: no generated answers were given to score"
+    if gold_labels:
+        cls = classification_metrics(gold_labels, pred_labels or [])
+    else:
+        cls = {"per_label": {}, "macro": {"precision": None, "recall": None, "f1": None}}
+        notes["macro"] = "null: no gold and predicted labels were given to score"
     return EvalReport(
         perplexity=ppl,
-        exact_match=exact_match(cand, refs) if cand else 0.0,
+        exact_match=exact_match(cand, refs) if cand else None,
         per_label=cls["per_label"],
         macro=cls["macro"],
-        bleu=bleu(cand, refs) if cand else 0.0,
-        rouge_l=rouge_l(cand, refs) if cand else 0.0,
+        bleu=bleu(cand, refs) if cand else None,
+        rouge_l=rouge_l(cand, refs) if cand else None,
         n_examples=len(examples),
+        notes=notes,
     )
 
 

@@ -2,9 +2,12 @@
 paged backing store for the moment buffers.
 
 Moments are f32 ("32-bit optimizer state"); the update order is fixed so a
-run is bitwise reproducible, paged or not. Paging keeps the least recently
-used pages in one preallocated memory-mapped slab per run, at a fixed offset
-per parameter: an eviction is a slice copy, not a file write.
+run is bitwise reproducible, paged or not. A step writes in place only into
+arrays the optimizer owns: the moments, the parameter and two scratch
+buffers per parameter. It reads the gradient and never writes it, and the
+arrays ``state_tensors`` returns change with the next step. Paging keeps the
+least recently used pages in one preallocated memory-mapped slab per run, at
+a fixed offset per parameter: an eviction is a slice copy, not a file write.
 """
 
 from __future__ import annotations
@@ -183,18 +186,31 @@ class AdamW:
         lr = np.float32(lr)
         bc1 = np.float32(1.0 - float(self.beta1) ** t)
         bc2 = np.float32(1.0 - float(self.beta2) ** t)
+        c1, c2 = np.float32(1.0) - self.beta1, np.float32(1.0) - self.beta2
         for p in self.params:
             if p.grad is None:
                 raise StateError(f"parameter {p.name!r} has no gradient before step")
             g = p.grad
             m, v = self._get_moments(p.name)
-            m = self.beta1 * m + (np.float32(1.0) - self.beta1) * g
-            v = self.beta2 * v + (np.float32(1.0) - self.beta2) * (g * g)
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps))
+            # m = beta1 m + (1 - beta1) g; v = beta2 v + (1 - beta2) g^2
+            t = np.multiply(g, c1)
+            m *= self.beta1
+            m += t
+            np.multiply(g, g, out=t)
+            t *= c2
+            v *= self.beta2
+            v += t
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            u = m / bc1
+            u /= t
+            u *= lr
+            p.data -= u
             if self.weight_decay > 0:
-                p.data -= lr * self.weight_decay * p.data
+                np.multiply(p.data, lr * self.weight_decay, out=u)
+                p.data -= u
             self._put_moments(p.name, m, v)
 
     def zero_grad(self):

@@ -20,6 +20,7 @@ import math
 import os
 import struct
 import tempfile
+import typing
 from dataclasses import asdict
 
 import numpy as np
@@ -199,11 +200,28 @@ def save_model(model: CausalLM, path: str, extra_meta: dict | None = None):
     save_archive(path, tensors, meta)
 
 
+def check_type(value, hint):
+    """``value`` if it has the config field type ``hint`` (a scalar type,
+    ``int | None`` or ``list[str]``), else TypeError; an int is taken for a
+    float and returned as one."""
+    if hint is float and type(value) is int:
+        return float(value)
+    if hint == list[str]:
+        ok = type(value) is list and all(type(t) is str for t in value)
+    else:
+        ok = type(value) in typing.get_args(hint) if hint == int | None else type(value) is hint
+    if not ok:
+        name = hint.__name__ if hint in (int, float, str, bool) else str(hint)
+        raise TypeError(f"must be {name}, got {value!r}")
+    return value
+
+
 def _config_field(path: str, meta: dict, key: str, cls):
     """Build a config dataclass from meta[key], or raise DataError naming it.
 
-    A retired field at its one legal value is dropped; at any other value
-    the archive needs a setting this version no longer has.
+    Every value must have its field's type, checked before anything uses
+    it. A retired field at its one legal value is dropped; at any other
+    value the archive needs a setting this version no longer has.
     """
     if not isinstance(meta.get(key), dict):
         raise DataError(f"{path}: meta field {key!r} is missing or not an object")
@@ -212,6 +230,12 @@ def _config_field(path: str, meta: dict, key: str, cls):
         if name in fields and fields.pop(name) != legal:
             raise DataError(f"{path}: meta field {key!r}: {name} must be {legal!r}, "
                             f"got {meta[key][name]!r}")
+    hints = typing.get_type_hints(cls)
+    for name in fields.keys() & hints.keys():  # an unknown name fails in cls()
+        try:
+            fields[name] = check_type(fields[name], hints[name])
+        except TypeError as e:
+            raise DataError(f"{path}: meta field '{key}.{name}' {e}")
     try:
         return cls(**fields)
     except (TypeError, ValueError, ConfigError) as e:
@@ -271,10 +295,7 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
         raise DataError(f"{path}: meta field 'base_fingerprint' is missing or not a string")
     qcfg = (_config_field(path, meta, "quant_config", QuantConfig)
             if "quant_config" in meta else None)
-    try:
-        fp = base_fingerprint(base, qcfg)
-    except (TypeError, ValueError) as e:  # a quant_config value of the wrong type
-        raise DataError(f"{path}: meta field 'quant_config' is invalid: {e}")
+    fp = base_fingerprint(base, qcfg)
     if stored != fp:
         raise DataError(
             f"{path}: adapter was trained on a different base "

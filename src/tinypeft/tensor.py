@@ -8,8 +8,11 @@ identical inputs give bitwise identical outputs.
 
 ``transpose`` returns a numpy view of its input; ``narrow`` and
 ``embedding`` copy. A view shares memory with its parent. That is safe
-because nothing writes node data in place between a forward and its
-backward: the optimizer updates parameters only after backward.
+because a kernel writes in place only into arrays it allocated itself, and
+only before it hands them out as node data, as an array its VJP saves or as
+a gradient: elementwise passes run inside those buffers instead of
+allocating a temporary each. Saved arrays, inputs and upstream gradients
+are read-only, and the optimizer updates parameters only after backward.
 ``attention`` fuses the causal multi-head attention core into a single
 node. It can score only the queries from a given row on (``from_row``),
 with a VJP, so the forward computes just the rows the loss or the decoder
@@ -297,8 +300,15 @@ def gelu(a: Tensor) -> Tensor:
     data = x * cdf
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf))
+        # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi), in one buffer
+        t = np.multiply(x, -0.5)
+        t *= x
+        np.exp(t, out=t)
+        t *= _INV_SQRT_2PI
+        t *= x
+        t += cdf
+        t *= g
+        a._accumulate(t)
 
     return _node(data, (a,), backward)
 
@@ -317,22 +327,32 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # one f32 divide (53 >= 2 * 24 + 2 bits, so double rounding is exact)
     n = np.float32(d)
     mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
-    xc = a.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    xhat = a.data - mu
+    data = xhat * xhat
+    var = np.add.reduce(data, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + np.float32(eps))
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def backward(g):
+        t = None
         if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+            t = g * xhat
+            gain._accumulate(t.reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
+            # inv * (gx - s1 - xhat * s2), with t holding gx * xhat, then xhat * s2
             gx = g * gain.data
             s1 = np.add.reduce(gx, axis=-1, keepdims=True) / n
-            s2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
-            a._accumulate(inv * (gx - s1 - xhat * s2))
+            t = np.multiply(gx, xhat, out=t)
+            s2 = np.add.reduce(t, axis=-1, keepdims=True) / n
+            np.multiply(xhat, s2, out=t)
+            gx -= s1
+            gx -= t
+            gx *= inv
+            a._accumulate(gx)
 
     return _node(data, (a, gain, bias), backward)
 
@@ -408,22 +428,32 @@ def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
         q, keep = np.ascontiguousarray(q[:, :, from_row:]), keep[from_row:]
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     scale = np.float32(1.0 / np.sqrt(hd))
-    scores = np.where(keep, (q @ kt) * scale, _MASK_VALUE)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
+    masked = ~keep
+    # scale, mask, max-shift, exp and normalise inside the score buffer
+    probs = q @ kt
+    probs *= scale
+    np.copyto(probs, _MASK_VALUE, where=masked)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     data = (probs @ v).transpose(0, 2, 1, 3).reshape(B, n, d3 // 3)
 
     def backward(g):
         g_ctx = np.ascontiguousarray(g.reshape(B, n, n_heads, hd).transpose(0, 2, 1, 3))
         dv = np.swapaxes(probs, -1, -2) @ g_ctx
-        dp = g_ctx @ np.swapaxes(v, -1, -2)
-        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-        ds = np.where(keep, ds, np.float32(0.0)) * scale
-        dq = ds @ k
+        # ds = probs * (dp - rowsum(dp * probs)), masked to 0, times scale
+        ds = g_ctx @ np.swapaxes(v, -1, -2)
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        np.copyto(ds, np.float32(0.0), where=masked)
+        ds *= scale
         dk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
-        if from_row:
-            dq = np.concatenate((np.zeros((B, n_heads, from_row, hd), np.float32), dq), axis=2)
-        qkv._accumulate(np.stack((dq, dk, dv)).transpose(1, 3, 0, 2, 4).reshape(B, S, d3))
+        gqkv = np.empty((B, S, 3, n_heads, hd), np.float32)
+        gqkv[:, :from_row, 0] = 0.0
+        gqkv[:, from_row:, 0] = (ds @ k).transpose(0, 2, 1, 3)
+        gqkv[:, :, 1] = dk.transpose(0, 2, 1, 3)
+        gqkv[:, :, 2] = dv.transpose(0, 2, 1, 3)
+        qkv._accumulate(gqkv.reshape(B, S, d3))
 
     return _node(data, (qkv,), backward)
 
@@ -434,7 +464,8 @@ def dropout_mask(shape, p: float, rng) -> np.ndarray | None:
         return None
     if rng is None:
         raise ConfigError(f"dropout {p} needs an rng")
-    return (rng.uniform(shape) >= np.float32(p)).astype(np.float32) / np.float32(1.0 - p)
+    return np.where(rng.uniform(shape) >= np.float32(p),
+                    np.float32(1.0) / np.float32(1.0 - p), np.float32(0.0))
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None, lora: tuple | None = None) -> Tensor:
@@ -459,7 +490,9 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None, lora: tuple | None = N
         xd = x.data if mask is None else x.data * mask
         At, Bt = np.swapaxes(A.data, 0, 1), np.swapaxes(B.data, 0, 1)
         h = xd @ At
-        data += (h @ Bt) * s
+        delta = h @ Bt
+        delta *= s
+        data += delta
         parents += [A, B]
 
     def backward(g):
@@ -479,7 +512,9 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None, lora: tuple | None = N
                 A._accumulate(np.swapaxes(gAt, 0, 1))
             if gx is not None:
                 gxd = gh @ np.swapaxes(At, -1, -2)
-                gx += gxd if mask is None else gxd * mask
+                if mask is not None:
+                    gxd *= mask
+                gx += gxd
         if gx is not None:
             x._accumulate(gx)
 

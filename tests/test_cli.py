@@ -8,11 +8,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tinypeft import cli, peft
+from tinypeft import cli, peft, store
 from tinypeft.cli import main
 from tinypeft.model import CausalLMConfig
 from tinypeft.peft import BottleneckAdapterConfig, LoraConfig
 from tinypeft.quant import QuantConfig
+from tinypeft.rng import RngState
 from tinypeft.store import load_adapter, load_archive, load_model
 
 
@@ -117,6 +118,30 @@ def test_qlora_adapter_reloads_in_every_command(workdir, capsys):
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
 
 
+def test_mistyped_adapter_config_exits_2_from_every_command(workdir, capsys):
+    d, tok = workdir["dir"], workdir["tok"]
+    model = load_model(workdir["base"])
+    peft.attach_lora(model, LoraConfig(r=2), RngState(1))
+    good = str(d / "typed_ok.pfwa")
+    store.save_adapter(model, good)
+    tensors, meta = load_archive(good)
+    meta["lora_config"]["alpha"] = "x"
+    bad = str(d / "typed_bad.pfwa")
+    store.save_archive(bad, tensors, meta)
+    q = ["--question", "What is an Index?", "--max_new_tokens", "2"]
+    for argv in (["eval", "--model", workdir["base"], "--adapter", bad,
+                  "--tokenizer", tok, "--csv", workdir["csv"]],
+                 ["merge", "--base", workdir["base"], "--adapter", bad,
+                  "--out", str(d / "typed_merged.pfwa")],
+                 ["generate", "--model", workdir["base"], "--adapter", bad,
+                  "--tokenizer", tok, *q],
+                 ["compare", "--base", workdir["base"], "--adapter", bad,
+                  "--tokenizer", tok, *q]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:data:") and "'lora_config.alpha' must be float" in err
+
+
 def test_finetune_bottleneck_adapter_runs(workdir):
     ft = str(workdir["dir"] / "adapter")
     assert main(["finetune", "--method", "adapter", "--base", workdir["base"],
@@ -131,6 +156,22 @@ def test_eval_emits_json(workdir, capsys):
                  workdir["tok"], "--csv", workdir["csv"]]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "perplexity" in doc and np.isfinite(doc["perplexity"])
+
+
+def test_eval_reports_what_it_did_not_compute_as_null(workdir, capsys):
+    out = str(workdir["dir"] / "eval.json")
+    assert main(["eval", "--model", workdir["base"], "--tokenizer", workdir["tok"],
+                 "--csv", workdir["csv"], "--out", out]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    with open(out, encoding="utf-8") as f:
+        doc = json.load(f)
+    assert doc == printed
+    for key in ("exact_match", "bleu", "rouge_l"):
+        assert doc[key] is None and doc["notes"][key].startswith("null:"), key
+    assert doc["macro"] == {"precision": None, "recall": None, "f1": None}
+    assert doc["notes"]["macro"].startswith("null:")
+    assert doc["per_label"] == {}
+    assert np.isfinite(doc["perplexity"]) and doc["n_examples"] > 0
 
 
 def test_compare_report(workdir, capsys):

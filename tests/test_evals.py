@@ -309,6 +309,8 @@ def test_eval_report_fields(report_setup):
     assert set(rep.qualitative) == {"context_understanding", "coherence",
                                     "expert_evaluation"}
     assert all(v is None for v in rep.qualitative.values())
+    assert rep.macro == {"precision": None, "recall": None, "f1": None}
+    assert "exact_match" not in rep.notes and rep.notes["macro"].startswith("null:")
     import json
     assert json.loads(rep.to_json())["perplexity"] == rep.perplexity
 

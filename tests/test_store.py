@@ -379,6 +379,52 @@ def test_malformed_quant_config_is_data_error(tmp_path, capsys, field, value):
     assert capsys.readouterr().err.startswith("error:data:")
 
 
+@pytest.mark.parametrize("key, field, value", [
+    ("lora_config", "alpha", "x"), ("lora_config", "r", 2.0), ("lora_config", "r", True),
+    ("lora_config", "dropout", None), ("lora_config", "target_modules", "q_proj"),
+    ("bottleneck_config", "bottleneck_dim", "2")])
+def test_mistyped_adapter_config_is_data_error_and_leaves_the_base_untouched(
+        tmp_path, capsys, key, field, value):
+    trained = init_model(micro_config(), RngState(16))
+    if key == "lora_config":
+        attach_lora(trained, LoraConfig(r=2), RngState(17))
+    else:
+        attach_bottleneck(trained, BottleneckAdapterConfig(bottleneck_dim=2), RngState(17))
+    good = str(tmp_path / "good.pfwa")
+    save_adapter(trained, good)
+    tensors, meta = load_archive(good)
+    meta[key][field] = value
+    bad = str(tmp_path / "bad.pfwa")
+    save_archive(bad, tensors, meta)
+
+    base = init_model(micro_config(), RngState(16))
+    before = {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()}
+    with pytest.raises(DataError, match=rf"'{key}\.{field}' must be"):
+        load_adapter(base, bad)
+    assert base.lora_set is None and base.bottleneck_config is None
+    assert {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()} == before
+    load_adapter(base, good)  # the intact archive still loads onto it
+
+    base_path = str(tmp_path / "base.pfwa")
+    save_model(init_model(micro_config(), RngState(16)), base_path)
+    assert main(["merge", "--base", base_path, "--adapter", bad,
+                 "--out", str(tmp_path / "o.pfwa")]) == 2
+    assert f"'{key}.{field}'" in capsys.readouterr().err
+
+
+def test_int_values_load_into_float_config_fields(tmp_path):
+    trained = init_model(micro_config(), RngState(18))
+    attach_lora(trained, LoraConfig(r=2, alpha=4.0, dropout=0.0), RngState(19))
+    path = str(tmp_path / "a.pfwa")
+    save_adapter(trained, path)
+    tensors, meta = load_archive(path)
+    meta["lora_config"].update(alpha=4, dropout=0)
+    save_archive(path, tensors, meta)
+    restored = load_adapter(init_model(micro_config(), RngState(18)), path)
+    assert restored.lora_set.config == LoraConfig(r=2, alpha=4.0, dropout=0.0)
+    assert type(restored.lora_set.config.alpha) is float
+
+
 def test_qlora_fingerprint_mismatch_leaves_the_base_unchanged(tmp_path):
     adapter_path = str(tmp_path / "adapter.pfwa")
     save_adapter(_qlora_trained(15), adapter_path)
