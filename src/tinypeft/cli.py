@@ -184,7 +184,10 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, seq_len: int,
 def cmd_tokenizer_train(eff: dict) -> int:
     corpus_path, target_vocab, out = _require(eff, "corpus", "target_vocab", "out")
     terms = [t for t in (eff.get("domain_terms") or "").split(",") if t]
-    tok = bpe.train_bpe(_load_corpus_texts(corpus_path), target_vocab, terms)
+    texts = _load_corpus_texts(corpus_path)
+    if not any(t.strip() for t in texts):
+        raise DataError(f"{corpus_path}: no text to train a tokenizer on")
+    tok = bpe.train_bpe(texts, target_vocab, terms)
     tok.save(out)
     print(f"tokenizer: vocab_size={tok.vocab_size} merges={len(tok.merges)} "
           f"domain_terms={len(terms)} -> {out}")
@@ -205,6 +208,8 @@ def cmd_prepare_data(eff: dict) -> int:
         pairs, tok, template=eff.get("template", corpus.DEFAULT_TRAIN_TEMPLATE),
         seq_len=seq_len, mask_prompt=not eff.get("no_mask_prompt", False),
     )
+    if not examples:
+        raise DataError(f"{csv_path}: no usable examples")
     doc = {
         "seq_len": seq_len,
         "pad_id": tok.specials.pad,

@@ -5,8 +5,7 @@ base-vs-adapted comparison report.
 Generation-quality criteria without a formula are operationalized as exact
 match after normalization (generation accuracy) and likelihood
 classification (prediction accuracy); both mappings are stated in the
-report header. Qualitative rows are emitted as empty placeholders for
-human annotation.
+report header.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ METRIC_NOTES = {
     "sentence_generation_accuracy": "operationalized as exact match after normalization",
     "financial_prediction_accuracy": "operationalized as likelihood classification accuracy",
 }
-QUALITATIVE_PLACEHOLDERS = ["context_understanding", "coherence", "expert_evaluation"]
 
 
 @dataclass
@@ -45,9 +43,6 @@ class EvalReport:
     rouge_l: float | None
     n_examples: int
     notes: dict = field(default_factory=lambda: dict(METRIC_NOTES))
-    qualitative: dict = field(
-        default_factory=lambda: {k: None for k in QUALITATIVE_PLACEHOLDERS}
-    )
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, ensure_ascii=False)

@@ -6,8 +6,9 @@ so per-block linear names line up with the usual PEFT target-module lists.
 Between the two projections the causal attention core runs as one fused
 autodiff kernel, ``tensor.attention``; every linear layer, LoRA pair
 included, is one ``tensor.linear`` node. Positions are learned absolute
-embeddings; the output head is tied to the token embedding, and ``lm_loss``
-hands its logits straight to the next-token ``cross_entropy``.
+embeddings; the output head is tied to the token embedding, a
+``tensor.linear`` node on its transpose, and ``lm_loss`` hands its logits
+straight to the next-token ``cross_entropy``.
 
 The same forward serves training, eval and decoding, and it computes only
 the rows its caller reads: with ``from_row`` every block still encodes all
@@ -222,8 +223,7 @@ class CausalLM:
             x = T.add(x, m_out)
 
         x = self.ln_f(x)
-        logits = T.matmul(x, T.transpose(tok, 0, 1))  # tied head
-        return logits
+        return T.linear(x, T.transpose(tok, 0, 1))  # tied head
 
     def lm_loss(self, input_ids: np.ndarray, labels: np.ndarray,
                 training: bool = False, rng: RngState | None = None) -> Tensor:

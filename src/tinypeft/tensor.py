@@ -4,7 +4,12 @@ Every kernel is a pure function over numpy arrays. When any input requires
 gradient the kernel records a node with a closure computing the local
 vector-Jacobian product; ``backward`` replays the graph in reverse
 topological order. Compute is f32 throughout with fixed reduction order, so
-identical inputs give bitwise identical outputs.
+identical inputs give bitwise identical outputs. The tape holds nothing
+but these kernels, each with a hand-written VJP: ``embedding``, ``add`` (of
+two tensors, for the residuals), ``narrow``, ``transpose``, ``layer_norm``,
+``linear``, ``attention``, ``gelu`` and ``cross_entropy``. The generic ops
+they replaced (``matmul``, ``mul``, ``reshape``, ``softmax``) live in
+``tests/gradcheck.py``, as the graphs the kernels are checked against.
 
 ``transpose`` returns a numpy view of its input; ``narrow`` and
 ``embedding`` copy. A view shares memory with its parent. That is safe
@@ -54,18 +59,13 @@ _INV_SQRT_2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
 _MASK_VALUE = np.float32(-1e9)
 
 
-def _as_f32(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float32)
-    return a
-
-
 class Tensor:
     """A node in the autodiff graph: f32 data, optional grad, parents."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f32(data)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -99,20 +99,6 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float32, order="C")
         else:
             self.grad += g
-
-    # operators
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
 
 class Parameter(Tensor):
@@ -168,15 +154,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.astype(np.float32, copy=False)
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # -- kernels -----------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
     except ValueError:
@@ -187,42 +168,6 @@ def add(a, b) -> Tensor:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    """2D or batched matrix product with numpy broadcasting semantics."""
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim < 1 or b.data.ndim < 2:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} not supported")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.shape))
 
     return _node(data, (a, b), backward)
 
@@ -566,8 +511,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -
 # -- backward pass -----------------------------------------------------------
 
 
-def backward(loss: Tensor):
-    """Populate .grad on every trainable tensor reachable from a scalar loss."""
+def backward(loss: Tensor, scale: float = 1.0):
+    """Populate .grad on every trainable tensor reachable from a scalar loss.
+
+    The loss's own gradient is seeded with ``scale`` rather than 1, so the
+    gradients are those of scale * loss (the trainer's accumulation weight).
+    """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     topo: list[Tensor] = []
@@ -584,7 +533,7 @@ def backward(loss: Tensor):
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    loss._accumulate(np.ones_like(loss.data))
+    loss._accumulate(np.full_like(loss.data, scale))
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)

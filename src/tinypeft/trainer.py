@@ -200,18 +200,21 @@ class Trainer:
         inv = np.float32(1.0 / acc)
         loss_total = 0.0
         tokens = 0
-        for _ in range(acc):
-            batch = self._next_micro_batch()
-            tokens += sum(e.length for e in batch)
-            ids, labels = collate(batch, self.pad_id)
-            loss = self.model.lm_loss(ids, labels, training=True, rng=self.rng)
-            scaled = loss * float(inv)
-            backward(scaled)
-            loss_total += scaled.item()
         params = self.model.trainable_parameters()
         try:
-            norm = global_grad_norm(params)
-        except NumericError as e:
+            # A blow-up raises at its first overflow instead of warning and
+            # carrying nans on; underflow stays quiet, as the masked attention
+            # scores underflow by design.
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for _ in range(acc):
+                    batch = self._next_micro_batch()
+                    tokens += sum(e.length for e in batch)
+                    ids, labels = collate(batch, self.pad_id)
+                    loss = self.model.lm_loss(ids, labels, training=True, rng=self.rng)
+                    backward(loss, inv)
+                    loss_total += float(loss.data * inv)
+                norm = global_grad_norm(params)
+        except (NumericError, FloatingPointError) as e:
             # raised before the optimizer update, so weights and checkpoints stay clean
             raise NumericError(f"step {self.global_step + 1}: {e}") from e
         self.clip = (norm, clip_global_norm(params, cfg.max_grad_norm, norm))

@@ -8,8 +8,9 @@ tensor, which is the quantity the optimizer actually consumes.
 ``tsum`` and ``tmean`` reduce a tensor to a scalar loss with a gradient. The
 library never reduces that way (its one loss is ``cross_entropy``), so they
 live here, next to the tests that need a scalar to call ``backward`` on.
-``reshape`` and ``softmax`` are the single ops the attention and loss
-oracles are built from; the library's fused kernels replaced them.
+``matmul``, ``mul``, ``reshape`` and ``softmax`` are the single ops the
+linear, attention, loss and tied-head oracles are built from; the library's
+fused kernels replaced them.
 """
 
 import numpy as np
@@ -35,6 +36,34 @@ def tmean(a: Tensor) -> Tensor:
         a._accumulate(np.full_like(a.data, np.float32(g) / n))
 
     return T._node(data, (a,), backward_fn)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product with numpy broadcasting."""
+    data = a.data * b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(T._unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(T._unbroadcast(g * a.data, b.shape))
+
+    return T._node(data, (a, b), backward_fn)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2D or batched matrix product with numpy broadcasting semantics."""
+    data = a.data @ b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            ga = g @ np.swapaxes(b.data, -1, -2)
+            a._accumulate(T._unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            gb = np.swapaxes(a.data, -1, -2) @ g
+            b._accumulate(T._unbroadcast(gb, b.shape))
+
+    return T._node(data, (a, b), backward_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -87,7 +116,7 @@ def check_op(op, inputs: list[np.ndarray], h: float = 1e-3, tol: float = 1e-3):
     tensors = [Tensor(a, requires_grad=True) for a in inputs]
     out = op(*tensors)
     w = Tensor(_proj(np.random.default_rng(0), out.shape))
-    loss = tsum(out * w)
+    loss = tsum(mul(out, w))
     backward(loss)
 
     for k, a in enumerate(inputs):

@@ -20,7 +20,7 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer
 
-from gradcheck import check_op, reshape, softmax, tsum
+from gradcheck import check_op, matmul, mul, reshape, softmax, tsum
 
 _MASK_VALUE = np.float32(-1e9)
 
@@ -52,9 +52,9 @@ def reference_attention(qkv: Tensor, n_heads: int, from_row: int = 0) -> Tensor:
     if from_row:
         q = T.narrow(q, 2, from_row, n)
     scale = Tensor(np.float32(1.0 / math.sqrt(hd)))
-    scores = T.mul(T.matmul(q, T.transpose(k)), scale)
+    scores = mul(matmul(q, T.transpose(k)), scale)
     attn = softmax(causal_mask(scores, from_row))
-    ctx = T.matmul(attn, v)  # (B, H, n, hd)
+    ctx = matmul(attn, v)  # (B, H, n, hd)
     return reshape(T.transpose(ctx, 1, 2), (B, n, d))
 
 
@@ -62,7 +62,7 @@ def forward_backward(fn, qkv: np.ndarray, upstream: np.ndarray, n_heads: int,
                      from_row: int = 0):
     x = Tensor(qkv.copy(), requires_grad=True)
     out = fn(x, n_heads, from_row=from_row)
-    backward(tsum(T.mul(out, Tensor(upstream[:, from_row:]))))
+    backward(tsum(mul(out, Tensor(upstream[:, from_row:]))))
     return out.data, x.grad
 
 
@@ -112,7 +112,7 @@ def test_masked_scores_pass_no_gradient():
     out = T.attention(x, 2)
     upstream = np.zeros((1, S, d), dtype=np.float32)
     upstream[0, t] = 1.0  # only the output at position t is observed
-    backward(tsum(T.mul(out, Tensor(upstream))))
+    backward(tsum(mul(out, Tensor(upstream))))
     g = x.grad[0]
     assert np.all(g[t + 1:] == 0.0)  # later keys and values get nothing
     assert np.all(np.delete(g[:, :d], t, axis=0) == 0.0)  # nor do other queries

@@ -3,6 +3,8 @@ tokenize -> pretrain -> finetune -> merge -> generate chain on tiny settings."""
 
 import json
 import os
+import re
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -325,6 +327,38 @@ def test_bad_csv_is_data_error(workdir, tmp_path, capsys):
     assert main(["tokenizer-train", "--corpus", str(bad),
                  "--target_vocab", "300", "--out", str(tmp_path / "t.json")]) == 2
     assert capsys.readouterr().err.startswith("error:data:")
+
+
+@pytest.mark.parametrize("name, text", [("header.csv", "question,answer\n"),
+                                        ("empty.txt", "")])
+def test_empty_corpus_is_data_error_in_every_command(workdir, tmp_path, capsys, name, text):
+    corpus_file = tmp_path / name
+    corpus_file.write_text(text)
+    out = tmp_path / "t.json"
+    assert main(["tokenizer-train", "--corpus", str(corpus_file),
+                 "--target_vocab", "300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and str(corpus_file) in err
+    assert not out.exists()
+    if name.endswith(".csv"):  # the same rule in every command that reads a QA CSV
+        for argv in (["prepare-data", "--out", str(tmp_path / "d.json")],
+                     ["finetune", "--base", workdir["base"], "--output_dir", str(tmp_path / "ft")],
+                     ["eval", "--model", workdir["base"]]):
+            assert main([*argv, "--tokenizer", workdir["tok"], "--csv", str(corpus_file)]) == 2
+            assert capsys.readouterr().err.startswith("error:data:")
+
+
+def test_forward_blow_up_names_its_step(workdir, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pretrain", "--csv", workdir["csv"], "--tokenizer", workdir["tok"],
+                     "--output_dir", str(tmp_path / "pre"), "--d_model", "16",
+                     "--n_heads", "2", "--n_layers", "1", "--seq_len", "64",
+                     "--max_steps", "4", "--save_steps", "100", "--learning_rate", "1e9"])
+    err = capsys.readouterr().err
+    assert code == 3 and re.match(r"error:runtime: step \d+: ", err), err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_corrupt_archive_is_data_error(workdir, tmp_path, capsys):

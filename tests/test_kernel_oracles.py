@@ -6,6 +6,10 @@ elementwise passes worked in buffers of its own: ``attention``,
 each allocating a fresh temporary per pass. The kernels must match them bit
 for bit: outputs, every gradient, the RNG stream, parameters and moments, one
 call at a time and in whole training and decoding runs.
+
+The tape holds kernels alone: the tied head is a ``linear`` node and the
+accumulation weight seeds ``backward``, and both match the generic
+``matmul`` and ``mul`` nodes they replaced, bit for bit.
 """
 
 import dataclasses
@@ -27,9 +31,9 @@ from tinypeft.peft import (
 from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
 from tinypeft.tensor import Parameter, Tensor, backward
-from tinypeft.trainer import TrainConfig, Trainer
+from tinypeft.trainer import TrainConfig, Trainer, collate
 
-from gradcheck import tsum
+from gradcheck import matmul, mul, tsum
 
 # -- the kernels as they were --------------------------------------------------
 
@@ -197,7 +201,7 @@ def run_both(kernel, reference, make_inputs, upstream):
                    if isinstance(t, Tensor)]
         before = [t.data.tobytes() for t in tensors]
         y = fn(*inputs)
-        backward(tsum(T.mul(y, Tensor(upstream))))
+        backward(tsum(mul(y, Tensor(upstream))))
         assert [t.data.tobytes() for t in tensors] == before
         same_bits(y.grad, upstream)  # the upstream gradient, still unwritten
         out.append((y.data, [t.grad for t in tensors]))
@@ -410,3 +414,98 @@ def test_generate_bitwise_equals_reference(monkeypatch, tok):
         use_references(m)
         want = model.generate(prompt, 20)
     assert got == want
+
+
+# -- the tape ---------------------------------------------------------------------
+
+KERNELS = {"embedding", "add", "narrow", "layer_norm", "linear", "attention", "gelu",
+           "transpose", "cross_entropy"}
+FINETUNE = ["full", "lora", "qlora", "adapter"]
+
+
+def finetune_model(method, tok):
+    """A small model set up as ``finetune --method`` sets it up, LoRA with dropout."""
+    cfg = CausalLMConfig(vocab_size=tok.vocab_size, d_model=32, n_heads=4,
+                         n_layers=2, seq_len=128)
+    model = init_model(cfg, RngState(4))
+    if method == "qlora":
+        quantize_base(model, QuantConfig())
+    if method in ("lora", "qlora"):
+        attach_lora(model, LoraConfig(r=4, alpha=8.0, dropout=0.05), RngState(5))
+        for a in model.lora_set.adapters.values():  # B = 0 would hide the LoRA branch
+            a.B.data = np.random.default_rng(6).standard_normal(a.B.shape).astype(np.float32)
+    elif method == "adapter":
+        attach_bottleneck(model, BottleneckAdapterConfig(bottleneck_dim=8), RngState(5))
+    return model
+
+
+@pytest.mark.parametrize("method", FINETUNE)
+def test_every_tape_node_is_a_kernel(method, tok, examples):
+    model = finetune_model(method, tok)
+    ids, labels = collate(examples[:2], tok.specials.pad)
+    loss = model.lm_loss(ids, labels, training=True, rng=RngState(7))
+    kinds, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        kinds.add(node._backward.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    assert kinds <= KERNELS, kinds - KERNELS
+    assert {"linear", "attention", "cross_entropy"} <= kinds
+
+
+def generic_head(monkeypatch):
+    """Route the tied head, the one ``linear`` call without a bias, through
+    ``matmul`` on the transposed table, as it was built before it became a
+    ``linear`` node; returns the list its calls are counted in."""
+    real, calls = T.linear, []
+
+    def linear(x, W, b=None, lora=None):
+        if b is None and lora is None:
+            calls.append(x.shape)
+            return matmul(x, W)
+        return real(x, W, b, lora)
+
+    monkeypatch.setattr(T, "linear", linear)
+    return calls
+
+
+@pytest.mark.parametrize("acc", [1, 2, 3])
+@pytest.mark.parametrize("method", FINETUNE)
+def test_head_and_loss_scale_bitwise_equal_generic_graph(method, acc, monkeypatch,
+                                                         tok, examples):
+    """One accumulated training step: the logits, every parameter gradient
+    and the step loss against the graph with the head as a ``matmul`` node and
+    each micro-batch loss scaled by a ``mul`` node, as the trainer built it."""
+    model = finetune_model(method, tok)
+    inv = np.float32(1.0 / acc)
+    batches = [collate(examples[2 * i:2 * i + 2], tok.specials.pad) for i in range(acc)]
+
+    def step(generic: bool):
+        for p in model.params.values():
+            p.grad = None
+        rng, step_loss = RngState(7), 0.0
+        for ids, labels in batches:
+            loss = model.lm_loss(ids, labels, training=True, rng=rng)
+            if generic:
+                scaled = mul(loss, Tensor(float(inv)))
+                backward(scaled)
+                step_loss += scaled.item()
+            else:
+                backward(loss, inv)
+                step_loss += float(loss.data * inv)
+        logits = model.forward_logits(batches[0][0]).data
+        grads = {n: p.grad.tobytes() for n, p in model.params.items() if p.grad is not None}
+        return step_loss, logits, grads
+
+    got = step(generic=False)
+    with monkeypatch.context() as m:
+        calls = generic_head(m)
+        want = step(generic=True)
+    assert len(calls) == acc + 1
+    assert got[0] == want[0]
+    same_bits(got[1], want[1])
+    assert got[2] == want[2]
+    assert any(k.startswith("tok_embeddings") for k in got[2]) == (method == "full")

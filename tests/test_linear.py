@@ -33,7 +33,7 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Parameter, Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer, collate
 
-from gradcheck import check_op, reshape, tsum
+from gradcheck import check_op, matmul, mul, reshape, tsum
 
 # -- the unfused graphs --------------------------------------------------------
 
@@ -42,7 +42,7 @@ def reference_dropout(a: Tensor, p: float, rng) -> Tensor:
     if p == 0.0:
         return a
     mask = (rng.uniform(a.shape) >= np.float32(p)).astype(np.float32) / np.float32(1.0 - p)
-    return T.mul(a, Tensor(mask))
+    return mul(a, Tensor(mask))
 
 
 def reference_delta(adapter: LoraAdapter, x: Tensor, training=False, rng=None) -> Tensor:
@@ -52,13 +52,13 @@ def reference_delta(adapter: LoraAdapter, x: Tensor, training=False, rng=None) -
         if rng is None:
             raise ConfigError("training-mode LoRA forward needs an rng for dropout")
         x = reference_dropout(x, adapter.dropout, rng)
-    h = T.matmul(x, T.transpose(adapter.A, 0, 1))
-    h = T.matmul(h, T.transpose(adapter.B, 0, 1))
-    return T.mul(h, Tensor(adapter.scaling))
+    h = matmul(x, T.transpose(adapter.A, 0, 1))
+    h = matmul(h, T.transpose(adapter.B, 0, 1))
+    return mul(h, Tensor(adapter.scaling))
 
 
 def reference_linear(self: Linear, x: Tensor, training=False, rng=None) -> Tensor:
-    y = T.matmul(x, self.weight)
+    y = matmul(x, self.weight)
     if self.bias is not None:
         y = T.add(y, self.bias)
     if self.adapter is not None:
@@ -67,8 +67,8 @@ def reference_linear(self: Linear, x: Tensor, training=False, rng=None) -> Tenso
 
 
 def reference_bottleneck(self, h: Tensor) -> Tensor:
-    z = T.add(T.matmul(h, self.down_w), self.down_b)
-    z = T.add(T.matmul(T.gelu(z), self.up_w), self.up_b)
+    z = T.add(matmul(h, self.down_w), self.down_b)
+    z = T.add(matmul(T.gelu(z), self.up_w), self.up_b)
     return T.add(h, z)
 
 
@@ -141,7 +141,7 @@ def run_layer(call, lin: Linear, x: np.ndarray, upstream: np.ndarray, x_grad: bo
     xt = Tensor(x.copy(), requires_grad=x_grad)
     rng = RngState(11)
     out = call(lin, xt, training=True, rng=rng)
-    backward(tsum(T.mul(out, Tensor(upstream))))
+    backward(tsum(mul(out, Tensor(upstream))))
     grads = {"x": xt.grad, "w": lin.weight.grad,
              "b": None if lin.bias is None else lin.bias.grad}
     if lin.adapter is not None:
@@ -214,7 +214,7 @@ def test_linear_gradcheck():
 
 
 def test_linear_rejects_mismatched_input():
-    with pytest.raises(ShapeError, match="linear"):
+    with pytest.raises(ShapeError, match=r"linear: input \(2, 3\) vs weight \(4, 5\)"):
         T.linear(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((4, 5), np.float32)))
 
 
@@ -227,7 +227,7 @@ def ce_pair(logits: np.ndarray, labels: np.ndarray):
                lambda lt, lab: T.cross_entropy(lt, lab[:, 1:], IGNORE_LABEL)):
         lt = Tensor(logits.copy(), requires_grad=True)
         loss = fn(lt, labels)
-        backward(loss * 0.5)
+        backward(loss, 0.5)
         out.append((loss.data.tobytes(), lt.grad.tobytes()))
     return out
 

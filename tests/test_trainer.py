@@ -311,8 +311,8 @@ def test_nonfinite_gradient_stops_the_step(tmp_path, tiny_data, tiny_tok, monkey
 
     real_backward = trainer_mod.backward
 
-    def poisoned(loss):
-        real_backward(loss)
+    def poisoned(loss, scale):
+        real_backward(loss, scale)
         tr.model.params["blocks.1.attn.dense.weight"].grad[0, 0] = np.nan
 
     monkeypatch.setattr(trainer_mod, "backward", poisoned)
