@@ -32,7 +32,8 @@ def global_grad_norm(params: list[Parameter]) -> float:
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.square(p.grad.astype(np.float64)).sum())
+            g = p.grad.astype(np.float64)
+            total += float(np.square(g, out=g).sum())
     norm = total**0.5
     if not math.isfinite(norm):
         bad = next(p for p in params if p.grad is not None and not np.isfinite(p.grad).all())

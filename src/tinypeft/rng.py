@@ -4,9 +4,20 @@ Wraps numpy's PCG64 bit generator (128-bit state + 128-bit increment, i.e.
 256 bits of internal state). The same seed produces the same draw sequence
 on every platform, and the full state round-trips through a plain dict so
 checkpoints can resume a run bitwise.
+
+``keep_mask`` draws a dropout mask equal to ``uniform(shape) >= float32(p)``
+without building the floats. numpy makes an f32 uniform from the stream's
+next 32-bit word w as ``(w >> 8) * 2**-24``, which is exact, and PCG64 yields
+its words as the low half of a 64-bit draw, then the high half, which it
+buffers in ``has_uint32``/``uinteger``. With c = ceil(float32(p) * 2**24),
+also exact, ``(w >> 8) * 2**-24 >= float32(p)`` holds exactly when
+``w >> 8 >= c``, that is when ``w >= c << 8``. So comparing the raw words to
+``c << 8`` gives the same bits, and the state is left as ``uniform`` leaves it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +43,27 @@ class RngState:
 
     def uniform(self, shape) -> np.ndarray:
         return self._gen.random(size=shape, dtype=np.float32)
+
+    def keep_mask(self, shape, p: float) -> np.ndarray:
+        """Bool mask equal to ``uniform(shape) >= float32(p)``, leaving the
+        same state; see the module docstring."""
+        out = np.empty(shape, dtype=bool)
+        flat = out.reshape(-1)
+        threshold = math.ceil(float(np.float32(p)) * 2**24) << 8  # 2**32 when p rounds to 1
+        bg = self._gen.bit_generator
+        st = bg.state
+        first = min(flat.size, st["has_uint32"])  # the buffered high half comes first
+        if first:
+            flat[0] = st["uinteger"] >= threshold
+            st["has_uint32"] = 0
+        m = flat.size - first
+        if m:
+            words = bg.random_raw((m + 1) // 2).astype("<u8", copy=False).view("<u4")
+            np.greater_equal(words[:m], threshold, out=flat[first:])
+            st = bg.state
+            st["has_uint32"], st["uinteger"] = m % 2, int(words[-1])
+        bg.state = st
+        return out
 
     def randint(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))

@@ -18,6 +18,16 @@ only before it hands them out as node data, as an array its VJP saves or as
 a gradient: elementwise passes run inside those buffers instead of
 allocating a temporary each. Saved arrays, inputs and upstream gradients
 are read-only, and the optimizer updates parameters only after backward.
+
+Gradients follow one ownership rule. A VJP hands a parent, flagged
+``owned``, only a C-contiguous buffer it allocated for that parent alone (a
+product, a reduced sum, a scatter), and ``_accumulate`` adopts it as the
+parent's first gradient; later gradients are added into it. Anything else
+is copied first: a view (``transpose``'s, LoRA's swapped ``gBt``/``gAt``)
+and the upstream gradient passed on unreduced (``add`` gives it to both
+parents). So no gradient shares memory with another array, and ``+=`` on
+one never writes through to a second.
+
 ``attention`` fuses the causal multi-head attention core into a single
 node. It can score only the queries from a given row on (``from_row``),
 with a VJP, so the forward computes just the rows the loss or the decoder
@@ -92,11 +102,11 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray):
-        # The first gradient is copied: a backward closure may hand the same
-        # buffer to several parents, and later ``+=`` must not alias them.
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
+        # adopts an ``owned`` first gradient and copies any other one; see
+        # the ownership rule in the module docstring
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float32, order="C")
+            self.grad = g if owned else np.array(g, dtype=np.float32, order="C")
         else:
             self.grad += g
 
@@ -151,7 +161,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
-    return g.astype(np.float32, copy=False)
+    return np.asarray(g, np.float32)  # a sum to shape () is a scalar
 
 
 # -- kernels -----------------------------------------------------------------
@@ -164,19 +174,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        # a reduced gradient is new; an unreduced one is g, seen by both parents
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.shape)
+                t._accumulate(gt, owned=gt is not g)
 
     return _node(data, (a, b), backward)
 
 
 def transpose(a: Tensor, ax0: int = -2, ax1: int = -1) -> Tensor:
-    data = np.swapaxes(a.data, ax0, ax1)
+    data = a.data.swapaxes(ax0, ax1)
 
     def backward(g):
-        a._accumulate(np.swapaxes(g, ax0, ax1))
+        a._accumulate(g.swapaxes(ax0, ax1))
 
     return _node(data, (a,), backward)
 
@@ -193,9 +204,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(a.shape, np.float32)
         ga[idx] = g
-        a._accumulate(ga)
+        a._accumulate(ga, owned=True)
 
     return _node(data.copy(), (a,), backward)
 
@@ -253,7 +264,7 @@ def gelu(a: Tensor) -> Tensor:
         t *= x
         t += cdf
         t *= g
-        a._accumulate(t)
+        a._accumulate(t, owned=True)
 
     return _node(data, (a,), backward)
 
@@ -284,9 +295,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         t = None
         if gain.requires_grad:
             t = g * xhat
-            gain._accumulate(t.reshape(-1, d).sum(axis=0))
+            gain._accumulate(t.reshape(-1, d).sum(axis=0), owned=True)
         if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
+            bias._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
         if a.requires_grad:
             # inv * (gx - s1 - xhat * s2), with t holding gx * xhat, then xhat * s2
             gx = g * gain.data
@@ -297,7 +308,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gx -= s1
             gx -= t
             gx *= inv
-            a._accumulate(gx)
+            a._accumulate(gx, owned=True)
 
     return _node(data, (a, gain, bias), backward)
 
@@ -311,9 +322,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table.shape, np.float32)
         np.add.at(gt, ids.ravel(), g.reshape(-1, table.shape[1]))
-        table._accumulate(gt)
+        table._accumulate(gt, owned=True)
 
     return _node(data.copy(), (table,), backward)
 
@@ -324,6 +335,23 @@ def _causal_keep(s: int) -> np.ndarray:
     keep = np.tril(np.ones((s, s), dtype=bool))
     keep.flags.writeable = False
     return keep
+
+
+@functools.lru_cache(maxsize=None)
+def _causal_bias(s: int) -> np.ndarray:
+    """Read-only (s, s) f32 score bias: 0 where ``_causal_keep`` keeps, -1e9
+    above the diagonal. Adding it leaves a kept score as it is (a -0.0 turns
+    +0.0, which the exp erases) and takes a masked one to -1e9 within
+    rounding, which exps to exactly 0 after the max-shift, as long as the
+    scores are far smaller than 1e9 in magnitude. Each length gets the
+    top-left block of the bias of the next power of two, so the lengths
+    share a few buffers instead of holding an f32 square each."""
+    n = 1 << (s - 1).bit_length()
+    if n != s:
+        return _causal_bias(n)[:s, :s]
+    bias = np.where(_causal_keep(s), np.float32(0.0), _MASK_VALUE)
+    bias.flags.writeable = False
+    return bias
 
 
 def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
@@ -359,25 +387,25 @@ def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
     hd = d3 // (3 * n_heads)
     q, k, v = np.ascontiguousarray(
         qkv.data.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4))  # (B, H, S, hd)
-    keep = _causal_keep(S)
+    keep, bias = _causal_keep(S), _causal_bias(S)
     if cache is not None and _grad_enabled:
         raise StateError("attention: a key/value cache needs no_grad(), it has no backward")
     if cache is not None:
         if cache:
             k = np.concatenate((cache[0], k), axis=2)
             v = np.concatenate((cache[1], v), axis=2)
-            keep = _causal_keep(k.shape[2])[-S:]
+            keep, bias = _causal_keep(k.shape[2])[-S:], _causal_bias(k.shape[2])[-S:]
         cache[:] = [k, v]
     n = S - from_row  # scored rows
     if from_row:
-        q, keep = np.ascontiguousarray(q[:, :, from_row:]), keep[from_row:]
-    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+        q = np.ascontiguousarray(q[:, :, from_row:])
+        keep, bias = keep[from_row:], bias[from_row:]
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
     scale = np.float32(1.0 / np.sqrt(hd))
-    masked = ~keep
     # scale, mask, max-shift, exp and normalise inside the score buffer
     probs = q @ kt
     probs *= scale
-    np.copyto(probs, _MASK_VALUE, where=masked)
+    probs += bias
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -385,20 +413,20 @@ def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
 
     def backward(g):
         g_ctx = np.ascontiguousarray(g.reshape(B, n, n_heads, hd).transpose(0, 2, 1, 3))
-        dv = np.swapaxes(probs, -1, -2) @ g_ctx
+        dv = probs.swapaxes(-1, -2) @ g_ctx
         # ds = probs * (dp - rowsum(dp * probs)), masked to 0, times scale
-        ds = g_ctx @ np.swapaxes(v, -1, -2)
+        ds = g_ctx @ v.swapaxes(-1, -2)
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
-        np.copyto(ds, np.float32(0.0), where=masked)
+        np.copyto(ds, np.float32(0.0), where=~keep)
         ds *= scale
-        dk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
+        dk = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
         gqkv = np.empty((B, S, 3, n_heads, hd), np.float32)
         gqkv[:, :from_row, 0] = 0.0
         gqkv[:, from_row:, 0] = (ds @ k).transpose(0, 2, 1, 3)
         gqkv[:, :, 1] = dk.transpose(0, 2, 1, 3)
         gqkv[:, :, 2] = dv.transpose(0, 2, 1, 3)
-        qkv._accumulate(gqkv.reshape(B, S, d3))
+        qkv._accumulate(gqkv.reshape(B, S, d3), owned=True)
 
     return _node(data, (qkv,), backward)
 
@@ -409,8 +437,7 @@ def dropout_mask(shape, p: float, rng) -> np.ndarray | None:
         return None
     if rng is None:
         raise ConfigError(f"dropout {p} needs an rng")
-    return np.where(rng.uniform(shape) >= np.float32(p),
-                    np.float32(1.0) / np.float32(1.0 - p), np.float32(0.0))
+    return rng.keep_mask(shape, p) * (np.float32(1.0) / np.float32(1.0 - p))
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None, lora: tuple | None = None) -> Tensor:
@@ -433,35 +460,39 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None, lora: tuple | None = N
     if lora is not None:
         A, B, s, mask = lora
         xd = x.data if mask is None else x.data * mask
-        At, Bt = np.swapaxes(A.data, 0, 1), np.swapaxes(B.data, 0, 1)
+        At, Bt = A.data.swapaxes(0, 1), B.data.swapaxes(0, 1)
         h = xd @ At
         delta = h @ Bt
-        delta *= s
+        if s != 1:  # x * 1 is x: the default alpha = r skips the pass
+            delta *= s
         data += delta
         parents += [A, B]
 
     def backward(g):
+        # the products and the reduced sums are new; gBt and gAt are handed
+        # over as swapped views, and an unreduced bias gradient is g itself
         if b is not None and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            b._accumulate(gb, owned=gb is not g)
         if W.requires_grad:
-            W._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, W.shape))
-        gx = g @ np.swapaxes(W.data, -1, -2) if x.requires_grad else None
+            W._accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, W.shape), owned=True)
+        gx = g @ W.data.swapaxes(-1, -2) if x.requires_grad else None
         if lora is not None:
-            gd = g * s
+            gd = g * s if s != 1 else g
             if B.requires_grad:
-                gBt = _unbroadcast(np.swapaxes(h, -1, -2) @ gd, Bt.shape)
-                B._accumulate(np.swapaxes(gBt, 0, 1))
-            gh = gd @ np.swapaxes(Bt, -1, -2)
+                gBt = _unbroadcast(h.swapaxes(-1, -2) @ gd, Bt.shape)
+                B._accumulate(gBt.swapaxes(0, 1))
+            gh = gd @ Bt.swapaxes(-1, -2)
             if A.requires_grad:
-                gAt = _unbroadcast(np.swapaxes(xd, -1, -2) @ gh, At.shape)
-                A._accumulate(np.swapaxes(gAt, 0, 1))
+                gAt = _unbroadcast(xd.swapaxes(-1, -2) @ gh, At.shape)
+                A._accumulate(gAt.swapaxes(0, 1))
             if gx is not None:
-                gxd = gh @ np.swapaxes(At, -1, -2)
+                gxd = gh @ At.swapaxes(-1, -2)
                 if mask is not None:
                     gxd *= mask
                 gx += gxd
         if gx is not None:
-            x._accumulate(gx)
+            x._accumulate(gx, owned=True)
 
     return _node(data, parents, backward)
 
@@ -489,21 +520,23 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -1) -
     m = x.max(axis=-1, keepdims=True)
     z = x - m
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True)).astype(np.float32)
-    logp = z - lse
     safe_t = np.where(keep, targets, 0)[..., None]
-    picked = np.take_along_axis(logp, safe_t, axis=-1)
+    picked = np.take_along_axis(z, safe_t, axis=-1) - lse  # log p of each target
     data = np.float32(-(picked.reshape(-1) * keep.reshape(-1)).sum() / n_keep)
     if not np.isfinite(data):
         raise NumericError("cross_entropy: non-finite loss")
 
     def backward(g):
-        gl = np.zeros_like(logits.data)
+        # softmax(z) = exp(z - lse), written straight into the gradient buffer
+        gl = np.empty(logits.shape, np.float32)
+        gl[..., n:, :] = 0.0
         gp = gl[..., :n, :]
-        np.exp(logp, out=gp)
+        np.subtract(z, lse, out=gp)
+        np.exp(gp, out=gp)
         np.put_along_axis(gp, safe_t, np.take_along_axis(gp, safe_t, axis=-1) - 1.0, axis=-1)
         gp *= keep[..., None] / np.float32(n_keep)
         gp *= np.float32(g)
-        logits._accumulate(gl)
+        logits._accumulate(gl, owned=True)
 
     return _node(data, (logits,), backward)
 
@@ -533,7 +566,7 @@ def backward(loss: Tensor, scale: float = 1.0):
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    loss._accumulate(np.full_like(loss.data, scale))
+    loss._accumulate(np.full_like(loss.data, scale), owned=True)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)

@@ -83,14 +83,17 @@ class MetricsRecord:
 
 @dataclass
 class LogWindow:
-    """What the steps since the last metrics record add up to. It is trainer
-    state: a checkpoint saves it, so a resumed run logs what a straight run
-    logs."""
+    """What the steps since the last metrics record add up to. Its losses and
+    evictions are trainer state: a checkpoint saves them, so a resumed run
+    logs what a straight run logs. The timing is not: a checkpoint is a
+    function of (seed, config, dataset), so the timed fields restart at
+    resume and cover the steps this process ran."""
 
     losses: list = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the steps
-    tokens: int = 0  # non-pad input tokens of the steps
     evictions: int = 0  # optimizer page evictions during the steps
+    timed: int = 0  # steps timed in this process
+    seconds: float = 0.0  # their wall time
+    tokens: int = 0  # their non-pad input tokens
 
 
 def lr_at_step(config: TrainConfig, s: int, total_steps: int | None = None) -> float:
@@ -227,6 +230,7 @@ class Trainer:
         w.losses.append(loss_total)
         w.tokens += tokens
         w.evictions += self.optimizer.evictions - evictions
+        w.timed += 1
         w.seconds += time.perf_counter() - t0
         return loss_total
 
@@ -261,7 +265,7 @@ class Trainer:
                     paging_evictions=w.evictions,
                     grad_norm=self.clip[0],
                     clip_factor=self.clip[1],
-                    step_ms=w.seconds * 1000 / len(w.losses),
+                    step_ms=w.seconds * 1000 / w.timed,
                     tokens_per_s=w.tokens / w.seconds if w.seconds > 0 else 0.0,
                 )
                 self.window = LogWindow()
@@ -306,7 +310,7 @@ class Trainer:
             "rng_state": self.rng.get_state(),
             "train_config": asdict(self.config),
             "step_losses": self.step_losses,
-            "log_window": asdict(self.window),
+            "log_window": {"losses": self.window.losses, "evictions": self.window.evictions},
         }
         save_archive(path, tensors, meta)
 
@@ -324,10 +328,14 @@ class Trainer:
             if field_name not in meta:
                 raise DataError(f"{path}: checkpoint missing field {field_name!r}")
         # a checkpoint from before the log window was saved resumes with an
-        # empty one, and its summary loss covers the resumed steps only
+        # empty one, and its summary loss covers the resumed steps only; the
+        # timing an older one saved is dropped
         try:
             step_losses = [float(x) for x in meta.get("step_losses", [])]
-            window = LogWindow(**meta.get("log_window", {}))
+            saved = dict(meta.get("log_window", {}))
+            for key in ("seconds", "tokens"):
+                saved.pop(key, None)
+            window = LogWindow(**saved)
         except (TypeError, ValueError) as e:
             raise DataError(f"{path}: malformed loss log in checkpoint: {e}") from e
         # every model tensor is checked before any is assigned

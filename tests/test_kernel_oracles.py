@@ -1,18 +1,23 @@
 """The in-place kernels against the bodies they replaced.
 
 Each ``reference_*`` below is a kernel exactly as it was written before its
-elementwise passes worked in buffers of its own: ``attention``,
-``layer_norm``, ``gelu``, ``dropout_mask``, ``linear`` and ``AdamW.step``,
+elementwise passes worked in buffers of its own: ``attention`` (masking by
+``np.where`` rather than adding a bias), ``layer_norm``, ``gelu``,
+``dropout_mask`` (from f32 uniforms rather than raw words), ``linear``,
+``cross_entropy`` (through a full log-softmax array) and ``AdamW.step``,
 each allocating a fresh temporary per pass. The kernels must match them bit
 for bit: outputs, every gradient, the RNG stream, parameters and moments, one
 call at a time and in whole training and decoding runs.
 
 The tape holds kernels alone: the tied head is a ``linear`` node and the
 accumulation weight seeds ``backward``, and both match the generic
-``matmul`` and ``mul`` nodes they replaced, bit for bit.
+``matmul`` and ``mul`` nodes they replaced, bit for bit. A kernel hands a
+parent the gradient buffer it allocated for it instead of a copy; after a
+step, no gradient shares memory with another array of the step.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +162,32 @@ def reference_linear(x, W, b=None, lora=None):
     return T._node(data, parents, backward_fn)
 
 
+def reference_cross_entropy(logits, targets, ignore_index=-1):
+    targets = np.asarray(targets)
+    n = targets.shape[-1]
+    keep = targets != ignore_index
+    n_keep = int(keep.sum())
+    x = logits.data[..., :n, :]
+    m = x.max(axis=-1, keepdims=True)
+    z = x - m
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True)).astype(np.float32)
+    logp = z - lse
+    safe_t = np.where(keep, targets, 0)[..., None]
+    picked = np.take_along_axis(logp, safe_t, axis=-1)
+    data = np.float32(-(picked.reshape(-1) * keep.reshape(-1)).sum() / n_keep)
+
+    def backward_fn(g):
+        gl = np.zeros_like(logits.data)
+        gp = gl[..., :n, :]
+        np.exp(logp, out=gp)
+        np.put_along_axis(gp, safe_t, np.take_along_axis(gp, safe_t, axis=-1) - 1.0, axis=-1)
+        gp *= keep[..., None] / np.float32(n_keep)
+        gp *= np.float32(g)
+        logits._accumulate(gl)
+
+    return T._node(data, (logits,), backward_fn)
+
+
 def reference_adamw_step(self, lr):
     self.step_count += 1
     t = self.step_count
@@ -179,7 +210,8 @@ def reference_adamw_step(self, lr):
 def use_references(monkeypatch):
     for name, fn in (("attention", reference_attention), ("gelu", reference_gelu),
                      ("layer_norm", reference_layer_norm),
-                     ("dropout_mask", reference_dropout_mask), ("linear", reference_linear)):
+                     ("dropout_mask", reference_dropout_mask), ("linear", reference_linear),
+                     ("cross_entropy", reference_cross_entropy)):
         monkeypatch.setattr(T, name, fn)
     monkeypatch.setattr(optim.AdamW, "step", reference_adamw_step)
 
@@ -298,6 +330,69 @@ def test_dropout_mask_bitwise_equals_reference(p):
             assert got is None and want is None
         else:
             same_bits(got, want)
+
+
+KEEP_PS = [0.05, 0.15, 0.5, 1 - 2**-26]  # the last rounds to 1.0f
+
+
+def rng_pair(seed, half_word, word=None):
+    """Two equal RngStates, with the high half of a draw buffered when
+    ``half_word``; ``word`` replaces that buffered half."""
+    pair = RngState(seed), RngState(seed)
+    if half_word:
+        for r in pair:
+            r.uniform((1,))
+            if word is not None:
+                r.set_state({**r.get_state(), "uinteger": word})
+            assert r.get_state()["has_uint32"] == 1
+    return pair
+
+
+@pytest.mark.parametrize("p", KEEP_PS)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_keep_mask_bitwise_equals_uniform(seed, p):
+    """The mask from raw words is ``uniform >= float32(p)`` bit for bit and
+    leaves the state ``uniform`` leaves, so the streams go on equal: odd,
+    even and empty shapes, with and without a half-word buffered."""
+    for half_word in (False, True):
+        for shape in ((), (0,), (1,), (2, 0, 3), (3, 5), (1, 1, 16), (2, 7, 63)):
+            rng, ref_rng = rng_pair(seed, half_word)
+            same_bits(rng.keep_mask(shape, p), ref_rng.uniform(shape) >= np.float32(p))
+            assert rng.get_state() == ref_rng.get_state()
+        same_bits(rng.uniform((9,)), ref_rng.uniform((9,)))
+
+
+@pytest.mark.parametrize("p", KEEP_PS)
+def test_keep_mask_at_the_threshold(p):
+    """Words on either side of ceil(float32(p) * 2**24) << 8, fed in as the
+    buffered half-word: a uniform draw's f32 rounding is never reached."""
+    c = math.ceil(float(np.float32(p)) * 2**24)
+    words = {0, 2**32 - 1} | {w for base in (c - 1, c, c + 1) for w in (base << 8, (base << 8) - 1)}
+    for word in sorted(w for w in words if 0 <= w < 2**32):
+        rng, ref_rng = rng_pair(5, True, word)
+        got, want = rng.keep_mask((3,), p), ref_rng.uniform((3,)) >= np.float32(p)
+        same_bits(got, want)
+        assert got[0] == ((word >> 8) * 2.0**-24 >= np.float32(p))
+        assert rng.get_state() == ref_rng.get_state()
+
+
+@pytest.mark.parametrize("B,S", SHAPES)
+def test_cross_entropy_bitwise_equals_reference(B, S):
+    V = 40
+    rng = np.random.default_rng(S)
+    logits = randf(rng, B, S, V, scale=4.0)
+    for n in sorted({1, S - 1, S} - {0}):
+        targets = rng.integers(0, V, size=(B, n))
+        targets[0, 0] = -1  # an ignored position
+        if B * n == 1:
+            targets[0, 0] = 3
+        upstream = np.array(0.75, np.float32)
+
+        def make():
+            return (Tensor(logits.copy(), requires_grad=True), targets)
+
+        got, want = run_both(T.cross_entropy, reference_cross_entropy, make, upstream)
+        assert_same_run(got, want)
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
@@ -509,3 +604,51 @@ def test_head_and_loss_scale_bitwise_equal_generic_graph(method, acc, monkeypatc
     same_bits(got[1], want[1])
     assert got[2] == want[2]
     assert any(k.startswith("tok_embeddings") for k in got[2]) == (method == "full")
+
+
+def tape_arrays(loss):
+    """The nodes of the tape under ``loss`` and the arrays their VJPs saved."""
+    nodes, saved, seen, stack = [], [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        for cell in (node._backward.__closure__ or ()) if node._backward else ():
+            try:
+                value = cell.cell_contents
+            except ValueError:  # a local the forward did not bind (linear without LoRA)
+                continue
+            saved += [v for v in (value if isinstance(value, (tuple, list)) else (value,))
+                      if isinstance(v, np.ndarray)]
+        stack.extend(node._parents)
+    return nodes, saved
+
+
+@pytest.mark.parametrize("method", ["full", "lora", "paged_qlora", "adapter"])
+def test_gradients_own_their_buffers(method, tok, examples, tmp_path):
+    """Two accumulated micro-batches (a first gradient is adopted, a second
+    added) and an optimizer step: every gradient on the tape is a
+    C-contiguous f32 array of its own, sharing memory with no other
+    gradient, no node's data, no saved array and no optimizer moment."""
+    model = finetune_model("qlora" if method == "paged_qlora" else method, tok)
+    opt = AdamW(list(model.params.values()))
+    if method == "paged_qlora":
+        opt.enable_paging(str(tmp_path), budget=3)
+    rng, nodes, saved = RngState(7), {}, []
+    for i in range(2):
+        ids, labels = collate(examples[2 * i:2 * i + 2], tok.specials.pad)
+        loss = model.lm_loss(ids, labels, training=True, rng=rng)
+        tape, kept = tape_arrays(loss)
+        backward(loss, 0.5)
+        nodes.update((id(n), n) for n in tape)
+        saved += kept
+    opt.step(1e-3)
+    grads = [n.grad for n in nodes.values() if n.grad is not None]
+    assert all(p.grad is not None for p in opt.params)
+    others = [n.data for n in nodes.values()] + saved + list(opt.state_tensors().values())
+    for i, g in enumerate(grads):
+        assert g.dtype == np.float32 and g.flags.c_contiguous
+        for other in grads[i + 1:] + others:
+            assert not np.shares_memory(g, other)

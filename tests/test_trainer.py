@@ -536,6 +536,68 @@ def test_logged_losses_survive_a_stop_and_a_resume_inside_a_window(tmp_path, tin
         assert p.data.tobytes() == resumed.model.params[n].data.tobytes()
 
 
+def test_same_seed_runs_write_byte_identical_checkpoints(tmp_path, tiny_data, tiny_tok):
+    """A checkpoint is a function of (seed, config, dataset): two LoRA runs
+    with dropout into one output_dir write the same bytes at steps 2 and 4,
+    while the window is open (it logs at step 4) and after it closed."""
+    def run():
+        model = init_model(train_model_config(tiny_tok.vocab_size), RngState(0))
+        attach_lora(model, LoraConfig(r=2, dropout=0.1), RngState(1))
+        cfg = TrainConfig(output_dir=str(tmp_path / "run"), max_steps=4, save_steps=2,
+                          logging_steps=4)
+        Trainer(model, tiny_data, cfg, tiny_tok.specials.pad).train()
+        return [(tmp_path / "run" / f"checkpoint-{s}" / "state.pfwa").read_bytes()
+                for s in (2, 4)]
+
+    first = run()
+    assert run() == first
+    _, meta = load_archive(str(tmp_path / "run" / "checkpoint-2" / "state.pfwa"))
+    assert meta["log_window"] == {"losses": meta["step_losses"], "evictions": 0}
+
+
+def test_a_window_across_a_resume_is_timed_in_this_process(tmp_path, tiny_data, tiny_tok):
+    """The window 5..8 resumed from checkpoint-6 keeps the losses of steps 5
+    and 6, and its step_ms and tokens_per_s cover steps 7 and 8, the ones
+    this process ran."""
+    opts = dict(max_steps=8, logging_steps=4, save_steps=3)
+    make_trainer(tmp_path, tiny_data, tiny_tok, run="first", **opts).train(stop_after=6)
+    resumed = make_trainer(tmp_path, tiny_data, tiny_tok, run="resumed", **opts)
+    resumed.resume(str(tmp_path / "first" / "checkpoint-6" / "state.pfwa"))
+    w = resumed.window
+    assert (len(w.losses), w.timed, w.seconds, w.tokens) == (2, 0, 0.0, 0)
+    counted = []
+    lm_loss = resumed.model.lm_loss
+
+    def counting(ids, labels, **kw):
+        counted.append(int((ids != tiny_tok.specials.pad).sum()))
+        return lm_loss(ids, labels, **kw)
+
+    resumed.model.lm_loss = counting
+    resumed.train()
+    rec = resumed.metrics[-1]
+    assert rec.step == 8 and len(counted) == 2 * resumed.config.gradient_accumulation_steps
+    assert rec.tokens_per_s * rec.step_ms * 2 / 1000 == pytest.approx(sum(counted), rel=1e-9)
+
+
+def test_resume_from_a_checkpoint_with_the_window_timing(tmp_path, tiny_data, tiny_tok):
+    """A checkpoint written when the window's wall time and tokens were saved
+    still resumes, drops them, and logs what a straight run logs."""
+    opts = dict(max_steps=8, logging_steps=4, save_steps=3)
+    straight = make_trainer(tmp_path, tiny_data, tiny_tok, run="straight", **opts)
+    straight.train()
+    make_trainer(tmp_path, tiny_data, tiny_tok, run="old", **opts).train(stop_after=6)
+    ck = str(tmp_path / "old" / "checkpoint-6" / "state.pfwa")
+    tensors, meta = load_archive(ck)
+    meta["log_window"].update(seconds=0.25, tokens=123)
+    save_archive(ck, tensors, meta)
+    resumed = make_trainer(tmp_path, tiny_data, tiny_tok, run="resumed", **opts)
+    resumed.resume(ck)
+    assert (resumed.window.seconds, resumed.window.tokens) == (0.0, 0)
+    resumed.train()
+    assert [(m.step, m.training_loss) for m in resumed.metrics] == [
+        (m.step, m.training_loss) for m in straight.metrics[1:]]
+
+
 def test_resume_from_a_checkpoint_without_the_loss_log(tmp_path, tiny_data, tiny_tok):
     tr = make_trainer(tmp_path, tiny_data, tiny_tok, run="old", max_steps=4,
                       logging_steps=4, save_steps=2)
