@@ -274,7 +274,7 @@ def cmd_merge(eff: dict) -> int:
     base_path, adapter_path, out = _require(eff, "base", "adapter", "out")
     model = store.load_model(base_path)
     store.load_adapter(model, adapter_path)
-    if model.lora_set is None:
+    if not isinstance(model.adapter_config, peft.LoraConfig):
         raise DataError("merge requires a LoRA adapter archive")
     peft.merge_lora(model)
     store.save_model(model, out)

@@ -9,6 +9,7 @@ training; ``analysis`` additionally strips symbols/emoji.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import re
 import unicodedata
@@ -74,7 +75,7 @@ def load_qa_csv(path: str) -> list[QAPair]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: invalid UTF-8 at byte offset {e.start}")
-    reader = csv.DictReader(text.splitlines())
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     header = reader.fieldnames or []
     fused = next((h for h in header if h.strip() == "QA_text"), None)
     q_col = next((h for h in header if h.strip().lower() == "question"), None)

@@ -116,8 +116,8 @@ class CausalLM:
         self.params = params  # name -> Parameter, insertion-ordered
         self.blocks = blocks
         self.ln_f = ln_f
-        self.lora_set = None  # peft.AdapterSet once attached
-        self.bottleneck_config = None  # set by peft.attach_bottleneck
+        self.base_names = frozenset(params)  # the names init_model made
+        self.adapter_config = None  # the one adapter slot, set by peft.attach_*
         self.quant_config = None  # set by peft.quantize_base
 
     # -- parameter access ----------------------------------------------------
@@ -154,16 +154,6 @@ class CausalLM:
     def freeze_all(self):
         for p in self.params.values():
             p.freeze()
-
-    def load_state_tensors(self, tensors: dict[str, np.ndarray]):
-        for name, p in self.params.items():
-            if name not in tensors:
-                raise DataError(f"missing tensor {name!r} in archive")
-            if tensors[name].shape != p.data.shape:
-                raise DataError(
-                    f"tensor {name!r}: shape {tensors[name].shape} != {p.data.shape}"
-                )
-            p.data = tensors[name].astype(np.float32).copy()
 
     # -- forward -------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, StateError
+from .errors import ConfigError, NumericError, StateError
 from .tensor import Parameter
 
 
@@ -230,15 +230,7 @@ class AdamW:
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray], step_count: int):
-        self.step_count = int(step_count)
+        """Adopt moments that ``store.check_tensors`` checked (``Trainer.resume``)."""
+        self.step_count = step_count
         for p in self.params:
-            pair = []
-            for key in (f"optim.m.{p.name}", f"optim.v.{p.name}"):
-                t = tensors.get(key)
-                if t is None:
-                    raise DataError(f"checkpoint missing tensor {key!r}")
-                if t.shape != p.shape:
-                    raise DataError(f"checkpoint tensor {key!r} has shape {t.shape}, "
-                                    f"parameter has {p.shape}")
-                pair.append(t.astype(np.float32))
-            self._put_moments(p.name, *pair)
+            self._put_moments(p.name, tensors[f"optim.m.{p.name}"], tensors[f"optim.v.{p.name}"])

@@ -63,38 +63,26 @@ class LoraAdapter:
         return (self.scaling * (self.B.data @ self.A.data)).T.astype(np.float32)
 
 
-@dataclass
-class AdapterSet:
-    config: LoraConfig
-    adapters: dict[str, LoraAdapter]  # target module name -> adapter
-
-    @property
-    def merged(self) -> bool:
-        return all(a.merged for a in self.adapters.values())
-
-
-def attach_lora(model: CausalLM, config: LoraConfig, rng: RngState) -> AdapterSet:
+def attach_lora(model: CausalLM, config: LoraConfig, rng: RngState) -> CausalLM:
     """Freeze the base and add a trainable A/B pair to every matched linear.
 
-    A ~ N(0, 1/r), B = 0 so the adapted model is the base at init.
+    A ~ N(0, 1/r), B = 0 so the adapted model is the base at init. A model
+    carries one adapter: a taken slot raises before anything changes.
     """
-    if model.lora_set is not None:
-        raise StateError("model already has LoRA adapters attached")
+    if model.adapter_config is not None:
+        raise StateError(f"model already carries an adapter: {model.adapter_config}")
     matched = _lora_targets(model, config)
 
     model.freeze_all()
-    adapters: dict[str, LoraAdapter] = {}
     std = 1.0 / np.sqrt(config.r)
     for lin in matched:
         A = Parameter(rng.gaussian(0.0, std, (config.r, lin.d_in)), f"{lin.name}.lora_A")
         B = Parameter(np.zeros((lin.d_out, config.r), dtype=np.float32), f"{lin.name}.lora_B")
         model.add_parameter(A)
         model.add_parameter(B)
-        adapter = LoraAdapter(lin.name, A, B, config.scaling, config.dropout)
-        lin.adapter = adapter
-        adapters[lin.name] = adapter
-    model.lora_set = AdapterSet(config=config, adapters=adapters)
-    return model.lora_set
+        lin.adapter = LoraAdapter(lin.name, A, B, config.scaling, config.dropout)
+    model.adapter_config = config
+    return model
 
 
 def _lora_targets(model: CausalLM, config: LoraConfig) -> list:
@@ -120,9 +108,9 @@ def merge_lora(model: CausalLM, drop_adapters: bool = True) -> CausalLM:
     With drop_adapters the model returns to the plain base architecture;
     otherwise adapters stay attached (inactive) so unmerge can undo it.
     """
-    if model.lora_set is None:
+    if not isinstance(model.adapter_config, LoraConfig):
         raise StateError("model has no LoRA adapters to merge")
-    if model.lora_set.merged:
+    if all(lin.adapter.merged for lin in model.linears() if lin.adapter):
         raise StateError("adapters already merged")
     for lin in model.linears():
         if lin.adapter is None:
@@ -134,15 +122,15 @@ def merge_lora(model: CausalLM, drop_adapters: bool = True) -> CausalLM:
             del model.params[lin.adapter.B.name]
             lin.adapter = None
     if drop_adapters:
-        model.lora_set = None
+        model.adapter_config = None
     return model
 
 
 def unmerge_lora(model: CausalLM) -> CausalLM:
     """Subtract the folded contribution back out; adapters become live again."""
-    if model.lora_set is None:
+    if not isinstance(model.adapter_config, LoraConfig):
         raise StateError("model has no LoRA adapters")
-    if not model.lora_set.merged:
+    if not all(lin.adapter.merged for lin in model.linears() if lin.adapter):
         raise StateError("adapters are not merged")
     for lin in model.linears():
         if lin.adapter is None:
@@ -183,6 +171,8 @@ def bottleneck_shapes(model: CausalLM,
                       config: BottleneckAdapterConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter attach_bottleneck would add."""
     d, b = model.config.d_model, config.bottleneck_dim
+    if b >= d:
+        raise ConfigError(f"bottleneck_dim {b} must be < d_model {d}")
     out: dict[str, tuple[int, ...]] = {}
     for i in range(len(model.blocks)):
         for slot in ("attn_adapter", "mlp_adapter"):
@@ -194,13 +184,12 @@ def bottleneck_shapes(model: CausalLM,
 
 def attach_bottleneck(model: CausalLM, config: BottleneckAdapterConfig,
                       rng: RngState) -> CausalLM:
-    """Insert serial adapters after the attention and MLP sublayers."""
-    d = model.config.d_model
-    b = config.bottleneck_dim
-    if b >= d:
-        raise ConfigError(f"bottleneck_dim {b} must be < d_model {d}")
-    if any(blk.attn_adapter is not None for blk in model.blocks):
-        raise StateError("model already has bottleneck adapters")
+    """Insert serial adapters after the attention and MLP sublayers. A model
+    carries one adapter: a taken slot raises before anything changes."""
+    if model.adapter_config is not None:
+        raise StateError(f"model already carries an adapter: {model.adapter_config}")
+    bottleneck_shapes(model, config)  # checks the width
+    d, b = model.config.d_model, config.bottleneck_dim
     model.freeze_all()
     for i, blk in enumerate(model.blocks):
         for slot in ("attn_adapter", "mlp_adapter"):
@@ -212,7 +201,7 @@ def attach_bottleneck(model: CausalLM, config: BottleneckAdapterConfig,
             for p in (down_w, down_b, up_w, up_b):
                 model.add_parameter(p)
             setattr(blk, slot, BottleneckAdapter(down_w, down_b, up_w, up_b))
-    model.bottleneck_config = config
+    model.adapter_config = config
     return model
 
 

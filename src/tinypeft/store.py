@@ -25,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, StateError
 from .model import CausalLM, CausalLMConfig, init_model
 from .peft import (
     BottleneckAdapterConfig,
@@ -136,7 +136,7 @@ def load_archive(path: str) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, meta
 
 
-def _is_count(x) -> bool:
+def is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
@@ -150,12 +150,12 @@ def _check_entry(path: str, i: int, ent) -> tuple:
     name, shape = ent["name"], ent["shape"]
     if not isinstance(name, str):
         raise DataError(f"{path}: manifest entry {i}: field 'name' is not a string")
-    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+    if not isinstance(shape, list) or not all(is_count(n) for n in shape):
         raise DataError(f"{path}: tensor {name!r}: field 'shape' is not a list of sizes")
     if not isinstance(ent["dtype"], str) or ent["dtype"] not in _DTYPES:
         raise DataError(f"{path}: tensor {name!r}: unknown dtype {ent['dtype']!r}")
     for key in ("offset", "length"):
-        if not _is_count(ent[key]):
+        if not is_count(ent[key]):
             raise DataError(f"{path}: tensor {name!r}: field {key!r} is not a count")
     dtype = np.dtype(_DTYPES[ent["dtype"]])
     if ent["length"] != math.prod(shape) * dtype.itemsize:
@@ -163,6 +163,23 @@ def _check_entry(path: str, i: int, ent) -> tuple:
             f"{path}: tensor {name!r}: field 'length' {ent['length']} does not fit "
             f"shape {shape} of {ent['dtype']}")
     return name, shape, dtype, ent["offset"], ent["length"]
+
+
+def check_tensors(path: str, tensors: dict[str, np.ndarray],
+                  shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """``tensors`` as f32 if they are exactly ``shapes`` (name -> shape), else
+    DataError naming the file and the tensor. Every archive reader checks
+    here before it assigns anything; ``load_archive``'s copies are adopted."""
+    for name, arr in tensors.items():
+        if name not in shapes:
+            raise DataError(f"{path}: tensor {name!r} does not belong in this archive")
+        if arr.shape != shapes[name]:
+            raise DataError(f"{path}: tensor {name!r} has shape {arr.shape}, "
+                            f"expected {shapes[name]}")
+    missing = sorted(shapes.keys() - tensors.keys())
+    if missing:
+        raise DataError(f"{path}: tensor {missing[0]!r} is missing")
+    return {name: arr.astype(np.float32, copy=False) for name, arr in tensors.items()}
 
 
 # -- model / adapter archives ------------------------------------------------
@@ -180,9 +197,7 @@ def base_fingerprint(model: CausalLM, quant: QuantConfig | None = None) -> str:
     config = {**asdict(model.config), **_RETIRED["model_config"]}
     h = hashlib.sha256()
     h.update(json.dumps(config, sort_keys=True).encode())
-    for name in sorted(model.params):
-        if ".lora_" in name or "_adapter." in name:
-            continue
+    for name in sorted(model.base_names):
         data = model.params[name].data
         if name in quantized:
             data = dequantize_blockwise(quantize_blockwise(data, quant))
@@ -191,13 +206,10 @@ def base_fingerprint(model: CausalLM, quant: QuantConfig | None = None) -> str:
     return h.hexdigest()
 
 
-def save_model(model: CausalLM, path: str, extra_meta: dict | None = None):
+def save_model(model: CausalLM, path: str):
     """Persist a plain model (base weights only; adapters are saved apart)."""
-    tensors = {n: p.data for n, p in model.params.items()
-               if ".lora_" not in n and "_adapter." not in n}
-    meta = {"kind": "model", "model_config": asdict(model.config)}
-    meta.update(extra_meta or {})
-    save_archive(path, tensors, meta)
+    tensors = {n: p.data for n, p in model.params.items() if n in model.base_names}
+    save_archive(path, tensors, {"kind": "model", "model_config": asdict(model.config)})
 
 
 def check_type(value, hint):
@@ -249,33 +261,33 @@ def load_model(path: str) -> CausalLM:
     config = _config_field(path, meta, "model_config", CausalLMConfig)
     try:
         model = init_model(config, RngState(0))
-        model.load_state_tensors(tensors)
-    except (TypeError, ValueError, DataError) as e:
+    except (TypeError, ValueError) as e:
         raise DataError(f"{path}: {e}")
+    shapes = {n: p.shape for n, p in model.params.items()}
+    for name, arr in check_tensors(path, tensors, shapes).items():
+        model.params[name].data = arr
     return model
 
 
+# peft_method -> (config class, its meta key, attach, the shapes attach adds)
+_METHODS = {
+    "lora": (LoraConfig, "lora_config", attach_lora, lora_shapes),
+    "adapter": (BottleneckAdapterConfig, "bottleneck_config", attach_bottleneck, bottleneck_shapes),
+}
+
+
 def save_adapter(model: CausalLM, path: str):
-    """Adapter-only archive with the base fingerprint embedded; on a
-    quantized base it also records the ``QuantConfig``."""
-    meta: dict = {"kind": "adapter", "base_fingerprint": base_fingerprint(model)}
+    """The parameters outside ``model.base_names``, with the base fingerprint;
+    on a quantized base it also records the ``QuantConfig``."""
+    cfg = model.adapter_config
+    method = next((m for m, (cls, *_) in _METHODS.items() if isinstance(cfg, cls)), None)
+    if method is None:
+        raise DataError("model has no adapters to save")
+    meta: dict = {"kind": "adapter", "base_fingerprint": base_fingerprint(model),
+                  "peft_method": method, _METHODS[method][1]: asdict(cfg)}
     if model.quant_config is not None:
         meta["quant_config"] = asdict(model.quant_config)
-    tensors: dict[str, np.ndarray] = {}
-    if model.lora_set is not None:
-        meta["peft_method"] = "lora"
-        meta["lora_config"] = asdict(model.lora_set.config)
-        for a in model.lora_set.adapters.values():
-            tensors[a.A.name] = a.A.data
-            tensors[a.B.name] = a.B.data
-    elif model.bottleneck_config is not None:
-        meta["peft_method"] = "adapter"
-        meta["bottleneck_config"] = asdict(model.bottleneck_config)
-        for n, p in model.params.items():
-            if "_adapter." in n:
-                tensors[n] = p.data
-    else:
-        raise DataError("model has no adapters to save")
+    tensors = {n: p.data for n, p in model.params.items() if n not in model.base_names}
     save_archive(path, tensors, meta)
 
 
@@ -284,9 +296,12 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
 
     An adapter trained on a quantized base carries its ``QuantConfig``: the
     f32 base is quantized the same way before the adapter is attached. The
-    stored fingerprint must match the (quantized) base exactly; nothing is
-    mutated on mismatch.
+    stored fingerprint must match the (quantized) base exactly and the
+    tensors must be the ones the adapter adds; nothing is mutated otherwise.
+    A base that already carries an adapter is refused before the read.
     """
+    if base.adapter_config is not None:
+        raise StateError(f"{path}: the base already carries an adapter")
     tensors, meta = load_archive(path)
     if meta.get("kind") != "adapter":
         raise DataError(f"{path}: archive is not an adapter (kind={meta.get('kind')!r})")
@@ -301,28 +316,19 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
             f"{path}: adapter was trained on a different base "
             f"(archive {stored[:16]}..., model {fp[:16]}...)"
         )
-    if meta.get("peft_method") == "lora":
-        cfg = _config_field(path, meta, "lora_config", LoraConfig)
-        attach, layout = attach_lora, lora_shapes
-    elif meta.get("peft_method") == "adapter":
-        cfg = _config_field(path, meta, "bottleneck_config", BottleneckAdapterConfig)
-        attach, layout = attach_bottleneck, bottleneck_shapes
-    else:
-        raise DataError(f"{path}: unknown peft_method {meta.get('peft_method')!r}")
+    method = meta.get("peft_method")
+    if not (isinstance(method, str) and method in _METHODS):
+        raise DataError(f"{path}: unknown peft_method {method!r}")
+    cls, key, attach, layout = _METHODS[method]
+    cfg = _config_field(path, meta, key, cls)
     try:
         shapes = layout(base, cfg)
     except ConfigError as e:
         raise DataError(f"{path}: adapter config does not fit the base: {e}")
-    # check every tensor before the base is touched
-    for name, arr in tensors.items():
-        if shapes.get(name) != arr.shape:
-            raise DataError(f"{path}: tensor {name!r} does not fit the attached adapters")
-    missing = sorted(set(shapes) - set(tensors))
-    if missing:
-        raise DataError(f"{path}: adapter tensor {missing[0]!r} is missing")
+    tensors = check_tensors(path, tensors, shapes)
     if qcfg is not None:
         quantize_base(base, qcfg)
     attach(base, cfg, RngState(0))
     for name, arr in tensors.items():
-        base.params[name].data = arr.astype(np.float32).copy()
+        base.params[name].data = arr
     return base

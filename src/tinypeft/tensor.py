@@ -91,9 +91,6 @@ class Tensor:
     def numel(self) -> int:
         return int(self.data.size)
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data)
 

@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, NumericError, StateError
 from .model import CausalLM
 from .optim import AdamW, clip_global_norm, global_grad_norm
 from .rng import RngState
-from .store import load_archive, save_archive
+from .store import check_tensors, is_count, load_archive, save_archive
 from .tensor import backward
 
 log = logging.getLogger(__name__)
@@ -299,8 +299,6 @@ class Trainer:
         path = path or os.path.join(
             self.config.output_dir, f"checkpoint-{self.global_step}", "state.pfwa"
         )
-        tensors = {f"model.{n}": p.data for n, p in self.model.params.items()}
-        tensors.update(self.optimizer.state_tensors())
         meta = {
             "kind": "checkpoint",
             "global_step": self.global_step,
@@ -312,7 +310,13 @@ class Trainer:
             "step_losses": self.step_losses,
             "log_window": {"losses": self.window.losses, "evictions": self.window.evictions},
         }
-        save_archive(path, tensors, meta)
+        save_archive(path, self._state_tensors(), meta)
+
+    def _state_tensors(self) -> dict[str, np.ndarray]:
+        """What a checkpoint holds: every model parameter and moment."""
+        tensors = {f"model.{n}": p.data for n, p in self.model.params.items()}
+        tensors.update(self.optimizer.state_tensors())
+        return tensors
 
     def resume(self, path: str):
         """Restore weights, moments, scheduler position, cursor and PRNG.
@@ -323,10 +327,16 @@ class Trainer:
         tensors, meta = load_archive(path)
         if meta.get("kind") != "checkpoint":
             raise DataError(f"{path}: not a checkpoint (kind={meta.get('kind')!r})")
-        for field_name in ("global_step", "epoch", "offset", "rng_state",
-                          "optimizer_step_count"):
-            if field_name not in meta:
-                raise DataError(f"{path}: checkpoint missing field {field_name!r}")
+        # every field and tensor is checked before anything is assigned
+        for name in ("global_step", "epoch", "offset", "optimizer_step_count"):
+            if not is_count(meta.get(name)):
+                raise DataError(f"{path}: checkpoint field {name!r} is "
+                                f"{meta.get(name)!r}, not a non-negative int")
+        rng = RngState()
+        try:
+            rng.set_state(meta.get("rng_state"))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+            raise DataError(f"{path}: checkpoint field 'rng_state' is malformed: {e!r}") from e
         # a checkpoint from before the log window was saved resumes with an
         # empty one, and its summary loss covers the resumed steps only; the
         # timing an older one saved is dropped
@@ -338,24 +348,14 @@ class Trainer:
             window = LogWindow(**saved)
         except (TypeError, ValueError) as e:
             raise DataError(f"{path}: malformed loss log in checkpoint: {e}") from e
-        # every model tensor is checked before any is assigned
+        tensors = check_tensors(path, tensors, {k: v.shape for k, v in
+                                                self._state_tensors().items()})
+        self.optimizer.load_state_tensors(tensors, meta["optimizer_step_count"])
         for name, p in self.model.params.items():
-            key = f"model.{name}"
-            if key not in tensors:
-                raise DataError(f"{path}: checkpoint missing tensor {key!r}")
-            if tensors[key].shape != p.data.shape:
-                raise DataError(f"{path}: checkpoint tensor {key!r} has shape "
-                                f"{tensors[key].shape}, the model's is {p.data.shape}")
-        self.optimizer.load_state_tensors(
-            {k: v for k, v in tensors.items() if k.startswith("optim.")},
-            meta["optimizer_step_count"],
-        )
-        for name, p in self.model.params.items():
-            p.data = tensors[f"model.{name}"].astype(np.float32).copy()
-        self.rng.set_state(meta["rng_state"])
-        self.global_step = int(meta["global_step"])
-        self.epoch = int(meta["epoch"])
-        self.offset = int(meta["offset"])
+            p.data = tensors[f"model.{name}"]
+        self.rng = rng
+        self.global_step, self.epoch = meta["global_step"], meta["epoch"]
+        self.offset = meta["offset"]
         self.step_losses, self.window = step_losses, window
         self._perm = _epoch_permutation(self.config.seed, self.epoch, len(self.dataset))
         self._frozen_snapshot = {

@@ -57,3 +57,8 @@ def micro_model():
 
 def rand_ids(rng: np.random.Generator, batch: int, seq: int, vocab: int):
     return rng.integers(0, vocab, size=(batch, seq), dtype=np.int64)
+
+
+def lora_pairs(model) -> list:
+    """The model's LoRA pairs, in layer order."""
+    return [lin.adapter for lin in model.linears() if lin.adapter is not None]

@@ -492,4 +492,4 @@ def test_unreadable_config_is_config_error(capsys, tmp_path):
 def test_merged_model_loads_plain(workdir):
     merged = str(workdir["dir"] / "merged.pfwa")
     model = load_model(merged)
-    assert model.lora_set is None
+    assert model.adapter_config is None

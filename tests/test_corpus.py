@@ -43,6 +43,20 @@ def test_separate_columns(tmp_path):
     assert pairs[0].answer == "Chance of loss."
 
 
+def test_cells_keep_their_line_breaks(tmp_path):
+    # a quoted cell spans lines, and the other characters str.splitlines
+    # breaks at are cell text
+    breaks = "\u2028\u2029\x0b\x0c\x1c\x1d\x1e\x85"
+    p = tmp_path / "qa.csv"
+    p.write_bytes(f'question,answer\r\n"What is\nEBITDA?",Earnings{breaks}before\r\n'
+                  f'"q2",a2\r\n'.encode("utf-8"))
+    assert load_qa_csv(str(p)) == [QAPair("What is\nEBITDA?", f"Earnings{breaks}before"),
+                                   QAPair("q2", "a2")]
+    p.write_text('QA_text\n"##Question: What is\nEBITDA?## Answer: Earnings\u2028before"\n',
+                 encoding="utf-8")
+    assert load_qa_csv(str(p)) == [QAPair("What is\nEBITDA?", "Earnings\u2028before")]
+
+
 def test_malformed_cell_reports_row(tmp_path):
     p = tmp_path / "qa.csv"
     p.write_text('QA_text\n"##Question: ok## Answer: fine"\n"no markers here"\n')

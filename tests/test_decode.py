@@ -25,6 +25,7 @@ from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
 from tinypeft.tensor import Tensor, backward
 
+from conftest import lora_pairs
 from gradcheck import check_op, tsum
 
 VOCAB, SEQ_LEN = 48, 24
@@ -77,8 +78,8 @@ def _randomize(params, seed: int):
 def build(kind: str):
     model = sharp_model()
     if kind in ("lora", "merged"):
-        lset = attach_lora(model, LoraConfig(r=4, alpha=8.0, dropout=0.0), RngState(6))
-        _randomize([a.B for a in lset.adapters.values()], 7)
+        attach_lora(model, LoraConfig(r=4, alpha=8.0, dropout=0.0), RngState(6))
+        _randomize([a.B for a in lora_pairs(model)], 7)
         if kind == "merged":
             merge_lora(model)
     elif kind == "adapter":

@@ -38,6 +38,7 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Parameter, Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer, collate
 
+from conftest import lora_pairs
 from gradcheck import matmul, mul, tsum
 
 # -- the kernels as they were --------------------------------------------------
@@ -501,7 +502,7 @@ def test_generate_bitwise_equals_reference(monkeypatch, tok):
                          n_layers=2, seq_len=24)
     model = init_model(cfg, RngState(8))
     attach_lora(model, LoraConfig(r=4, alpha=8.0), RngState(9))
-    for a in model.lora_set.adapters.values():
+    for a in lora_pairs(model):
         a.B.data = np.random.default_rng(10).standard_normal(a.B.shape).astype(np.float32)
     prompt = list(range(3, 17))
     got = model.generate(prompt, 20)
@@ -527,7 +528,7 @@ def finetune_model(method, tok):
         quantize_base(model, QuantConfig())
     if method in ("lora", "qlora"):
         attach_lora(model, LoraConfig(r=4, alpha=8.0, dropout=0.05), RngState(5))
-        for a in model.lora_set.adapters.values():  # B = 0 would hide the LoRA branch
+        for a in lora_pairs(model):  # B = 0 would hide the LoRA branch
             a.B.data = np.random.default_rng(6).standard_normal(a.B.shape).astype(np.float32)
     elif method == "adapter":
         attach_bottleneck(model, BottleneckAdapterConfig(bottleneck_dim=8), RngState(5))

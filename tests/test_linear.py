@@ -33,6 +33,7 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Parameter, Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer, collate
 
+from conftest import lora_pairs
 from gradcheck import check_op, matmul, mul, reshape, tsum
 
 # -- the unfused graphs --------------------------------------------------------
@@ -193,7 +194,7 @@ def test_merged_attached_adapter_equals_reference(monkeypatch):
     model = init_model(CausalLMConfig(vocab_size=40, d_model=16, n_heads=2, n_layers=2,
                                       seq_len=16), RngState(1))
     attach_lora(model, LoraConfig(r=4, alpha=8.0, dropout=0.05), RngState(2))
-    for a in model.lora_set.adapters.values():
+    for a in lora_pairs(model):
         a.B.data = np.random.default_rng(3).standard_normal(a.B.shape).astype(np.float32)
     merge_lora(model, drop_adapters=False)
     ids = np.random.default_rng(4).integers(0, 40, size=(2, 9))

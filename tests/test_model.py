@@ -147,13 +147,3 @@ def test_tied_head_shares_embedding(micro_model):
     tok.data[0] -= 1.0
     logits2 = micro_model.forward_logits(ids).data
     assert not np.array_equal(logits, logits2)  # head moved with the embedding
-
-
-def test_state_tensor_roundtrip(micro_model):
-    tensors = {n: p.data.copy() for n, p in micro_model.params.items()}
-    fresh = init_model(micro_config(), RngState(99))
-    fresh.load_state_tensors(tensors)
-    ids = rand_ids(np.random.default_rng(7), 1, 6, 32)
-    np.testing.assert_array_equal(
-        fresh.forward_logits(ids).data, micro_model.forward_logits(ids).data
-    )

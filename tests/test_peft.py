@@ -23,7 +23,7 @@ from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
 from tinypeft.tensor import backward
 
-from conftest import micro_config, rand_ids
+from conftest import lora_pairs, micro_config, rand_ids
 
 
 def fresh(seed=0):
@@ -39,10 +39,10 @@ def test_default_config_matches_published_run():
 
 def test_attach_creates_one_pair_per_target():
     model = fresh()
-    aset = attach_lora(model, LoraConfig(r=4), RngState(1))
+    assert attach_lora(model, LoraConfig(r=4), RngState(1)) is model
     # 4 suffixes x 2 blocks
-    assert len(aset.adapters) == 8
-    for name, a in aset.adapters.items():
+    assert len(lora_pairs(model)) == 8
+    for a in lora_pairs(model):
         assert a.A.shape[0] == 4 and a.B.shape[1] == 4
         assert np.all(a.B.data == 0.0)
 
@@ -58,8 +58,8 @@ def test_identity_at_init_bitwise():
 
 def test_a_init_statistics():
     model = fresh()
-    aset = attach_lora(model, LoraConfig(r=16), RngState(3))
-    flat = np.concatenate([a.A.data.ravel() for a in aset.adapters.values()])
+    attach_lora(model, LoraConfig(r=16), RngState(3))
+    flat = np.concatenate([a.A.data.ravel() for a in lora_pairs(model)])
     assert abs(flat.std() - 1.0 / 4.0) < 0.02  # std 1/sqrt(r)
 
 
@@ -131,7 +131,7 @@ def _trained_lora_model(seed=7):
     attach_lora(model, LoraConfig(r=4, dropout=0.0), RngState(seed + 1))
     # nudge B away from zero so merge actually changes weights
     rng = np.random.default_rng(seed)
-    for a in model.lora_set.adapters.values():
+    for a in lora_pairs(model):
         a.B.data = 0.1 * rng.standard_normal(a.B.shape).astype(np.float32)
     return model
 
@@ -141,7 +141,7 @@ def test_merge_matches_adapted_forward():
     ids = rand_ids(np.random.default_rng(1), 4, 10, 32)
     want = model.forward_logits(ids).data.copy()
     merge_lora(model)
-    assert model.lora_set is None
+    assert model.adapter_config is None
     got = model.forward_logits(ids).data
     err = np.abs(got - want).max() / max(np.abs(want).max(), 1e-9)
     assert err < 1e-5

@@ -27,6 +27,8 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import backward
 from tinypeft.trainer import collate
 
+from conftest import lora_pairs
+
 METHODS = ["full", "lora", "qlora", "bottleneck"]
 
 
@@ -45,8 +47,8 @@ def build(method: str, vocab_size: int) -> CausalLM:
         attach_bottleneck(model, BottleneckAdapterConfig(bottleneck_dim=8), RngState(5))
         zero_init = [p for n, p in model.params.items() if n.endswith("up.weight")]
     elif method != "full":
-        lset = attach_lora(model, LoraConfig(r=4, alpha=8.0, dropout=0.0), RngState(5))
-        zero_init = [a.B for a in lset.adapters.values()]
+        attach_lora(model, LoraConfig(r=4, alpha=8.0, dropout=0.0), RngState(5))
+        zero_init = [a.B for a in lora_pairs(model)]
     else:
         zero_init = []
     rng = np.random.default_rng(6)

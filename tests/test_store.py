@@ -1,6 +1,7 @@
 """Archive format: canonical bytes, corruption detection, and model/adapter
 round trips with fingerprint checking."""
 
+import functools
 import json
 import os
 import struct
@@ -12,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tinypeft.cli import main
-from tinypeft.errors import DataError
+from tinypeft.corpus import TrainingExample
+from tinypeft.errors import DataError, StateError
 from tinypeft.model import CausalLMConfig, init_model
 from tinypeft.peft import (
     BottleneckAdapterConfig,
@@ -35,8 +37,9 @@ from tinypeft.store import (
     save_archive,
     save_model,
 )
+from tinypeft.trainer import TrainConfig, Trainer
 
-from conftest import micro_config, rand_ids
+from conftest import lora_pairs, micro_config, rand_ids
 
 
 def sample_tensors():
@@ -121,7 +124,7 @@ def test_lora_adapter_roundtrip(tmp_path):
 
     attach_lora(base, LoraConfig(r=3, dropout=0.0), RngState(3))
     rng = np.random.default_rng(1)
-    for a in base.lora_set.adapters.values():
+    for a in lora_pairs(base):
         a.B.data = 0.2 * rng.standard_normal(a.B.shape).astype(np.float32)
     adapter_path = str(tmp_path / "adapter.pfwa")
     save_adapter(base, adapter_path)
@@ -132,7 +135,7 @@ def test_lora_adapter_roundtrip(tmp_path):
     np.testing.assert_array_equal(
         restored.forward_logits(ids).data, base.forward_logits(ids).data
     )
-    assert restored.lora_set.config.r == 3
+    assert restored.adapter_config.r == 3
 
 
 def test_adapter_archive_is_small(tmp_path):
@@ -156,7 +159,7 @@ def test_fingerprint_mismatch_rejected_without_mutation(tmp_path):
     before = {n: p.data.copy() for n, p in other.params.items()}
     with pytest.raises(DataError, match="different base"):
         load_adapter(other, adapter_path)
-    assert other.lora_set is None
+    assert other.adapter_config is None
     for n, p in other.params.items():
         np.testing.assert_array_equal(p.data, before[n])
 
@@ -259,35 +262,138 @@ def test_adapter_archive_with_foreign_tensor_is_data_error(tmp_path):
         load_adapter(base, path)
 
 
-@pytest.mark.parametrize("method", ["lora", "adapter"])
-@pytest.mark.parametrize("defect", ["foreign", "misshaped", "missing"])
-def test_bad_adapter_archive_leaves_the_base_untouched(tmp_path, method, defect):
-    trained = init_model(micro_config(), RngState(6))
-    if method == "lora":
-        attach_lora(trained, LoraConfig(r=2), RngState(7))
+# -- one table of bad archives ---------------------------------------------------
+
+EXAMPLES = [TrainingExample(ids, ids) for ids in
+            np.random.default_rng(0).integers(0, 32, (8, 10)).tolist()]
+
+
+def _trainer(tmp_path, run: str, seed: int, paged: bool) -> Trainer:
+    cfg = TrainConfig(output_dir=str(tmp_path / run), max_steps=4, save_steps=2,
+                      per_device_train_batch_size=2, gradient_accumulation_steps=1,
+                      optim="paged_adamw_32bit" if paged else "adamw_32bit",
+                      paging_budget=3, seed=seed)
+    return Trainer(init_model(micro_config(), RngState(seed)), EXAMPLES, cfg, pad_id=0)
+
+
+def _good_archive(tmp_path, kind: str) -> str:
+    """An intact archive of ``kind``, written from seed 6 (its base's)."""
+    path = str(tmp_path / "good.pfwa")
+    if kind in ("checkpoint", "paged"):
+        _trainer(tmp_path, "src", 6, kind == "paged").train(stop_after=2)
+        return str(tmp_path / "src" / "checkpoint-2" / "state.pfwa")
+    if kind == "qlora":
+        trained = _qlora_trained(6)
     else:
+        trained = init_model(micro_config(), RngState(6))
+    if kind == "lora":
+        attach_lora(trained, LoraConfig(r=2), RngState(7))
+    elif kind == "adapter":
         attach_bottleneck(trained, BottleneckAdapterConfig(bottleneck_dim=2), RngState(7))
-    good = str(tmp_path / "good.pfwa")
-    save_adapter(trained, good)
+    (save_model if kind == "model" else save_adapter)(trained, path)
+    return path
+
+
+def _state(target) -> dict:
+    """Everything a failed load must leave as it was."""
+    tr = target if isinstance(target, Trainer) else None
+    model = tr.model if tr else target
+    state = {n: (p.data.tobytes(), p.trainable) for n, p in model.params.items()}
+    state["slots"] = (model.adapter_config, model.quant_config,
+                      [lin.qweight is None for lin in model.linears()])
+    if tr:
+        opt = tr.optimizer
+        state["optimizer"] = ({k: v.tobytes() for k, v in opt.state_tensors().items()},
+                              opt.step_count, opt.evictions)
+        state["trainer"] = (tr.global_step, tr.epoch, tr.offset, list(tr.step_losses),
+                            asdict(tr.window), tr.rng.get_state())
+    return state
+
+
+DEFECTS = ("foreign", "misshaped", "missing")
+CHECKPOINT_DEFECTS = DEFECTS + ("misshaped_moment", "missing_moment", "rng_state",
+                                "global_step")
+ROWS = ([(d, k) for k in ("model", "lora", "adapter", "qlora") for d in DEFECTS]
+        + [(d, k) for k in ("checkpoint", "paged") for d in CHECKPOINT_DEFECTS])
+
+
+@pytest.mark.parametrize("defect, kind", ROWS, ids=[f"{d}-{k}" for d, k in ROWS])
+def test_bad_adapter_archive_leaves_the_base_untouched(tmp_path, defect, kind):
+    """Every archive kind (model, LoRA, bottleneck and QLoRA adapter, and
+    checkpoint, paged or not) must hold exactly its tensors, and a checkpoint
+    well-formed counters and PRNG state. A defect is a DataError naming the
+    file and the tensor or field, raised before the target changes; the
+    intact archive still loads onto the same target afterwards."""
+    good = _good_archive(tmp_path, kind)
     tensors, meta = load_archive(good)
-    victim = sorted(tensors)[0]
+    victim = "optim.v.ln_f.bias" if defect.endswith("moment") else sorted(tensors)[0]
+    named = {"foreign": "w", "rng_state": "rng_state", "global_step": "global_step"}
     if defect == "foreign":
         tensors["w"] = np.zeros(2, np.float32)
-    elif defect == "misshaped":
+    elif defect.startswith("misshaped"):
         tensors[victim] = np.zeros(tensors[victim].shape + (1,), np.float32)
-    else:
+    elif defect.startswith("missing"):
         del tensors[victim]
+    elif defect == "rng_state":
+        del meta["rng_state"]["state"]
+    else:
+        meta["global_step"] = "x"
     bad = str(tmp_path / "bad.pfwa")
     save_archive(bad, tensors, meta)
 
-    base = init_model(micro_config(), RngState(6))
-    before = {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()}
-    with pytest.raises(DataError, match="'w'" if defect == "foreign" else repr(victim)):
-        load_adapter(base, bad)
-    assert base.lora_set is None and getattr(base, "bottleneck_config", None) is None
-    assert {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()} == before
-    # the intact archive still loads onto the same base afterwards
-    load_adapter(base, good)
+    target, load = None, load_model
+    if kind in ("checkpoint", "paged"):
+        target = _trainer(tmp_path, "dst", 6, kind == "paged")
+        target.train(stop_after=1)  # its state differs from the checkpoint's
+        load = target.resume
+    elif kind != "model":
+        target = init_model(micro_config(), RngState(6))
+        load = functools.partial(load_adapter, target)
+    before = _state(target) if target else None
+    with pytest.raises(DataError) as err:
+        load(bad)
+    if target:
+        assert _state(target) == before
+    assert bad in str(err.value) and repr(named.get(defect, victim)) in str(err.value)
+
+    loaded = load(good)
+    if kind == "model":  # the intact archive is the source model, bit for bit
+        source = init_model(micro_config(), RngState(6))
+        assert _state(loaded) == _state(source)
+    elif kind in ("checkpoint", "paged"):
+        assert loaded.global_step == 2
+
+
+def _adapted(method: str):
+    model = init_model(micro_config(), RngState(6))
+    if method == "lora":
+        return attach_lora(model, LoraConfig(r=2), RngState(7))
+    return attach_bottleneck(model, BottleneckAdapterConfig(bottleneck_dim=2), RngState(7))
+
+
+@pytest.mark.parametrize("first, second", [("lora", "adapter"), ("adapter", "lora"),
+                                           ("lora", "lora"), ("adapter", "adapter")])
+def test_a_model_carries_one_adapter(first, second):
+    model = _adapted(first)
+    before = _state(model)
+    with pytest.raises(StateError, match="already"):
+        if second == "lora":
+            attach_lora(model, LoraConfig(r=2), RngState(8))
+        else:
+            attach_bottleneck(model, BottleneckAdapterConfig(bottleneck_dim=2), RngState(8))
+    assert _state(model) == before
+
+
+@pytest.mark.parametrize("archive", ["lora", "adapter", "qlora"])
+@pytest.mark.parametrize("first", ["lora", "adapter"])
+def test_load_adapter_refuses_an_adapted_base(tmp_path, first, archive):
+    """Refused before the archive is read or the base quantized."""
+    good = _good_archive(tmp_path, archive)
+    base = _adapted(first)
+    before = _state(base)
+    with pytest.raises(StateError, match="already"):
+        load_adapter(base, good)
+    assert _state(base) == before
 
 
 def test_malformed_archive_exits_2_from_the_cli(tmp_path, capsys):
@@ -338,7 +444,7 @@ def _qlora_trained(seed: int):
     quantize_base(model, QuantConfig(block_size=16))
     attach_lora(model, LoraConfig(r=2, dropout=0.0), RngState(seed + 1))
     rng = np.random.default_rng(seed)
-    for a in model.lora_set.adapters.values():
+    for a in lora_pairs(model):
         a.B.data = 0.2 * rng.standard_normal(a.B.shape).astype(np.float32)
     return model
 
@@ -401,7 +507,7 @@ def test_mistyped_adapter_config_is_data_error_and_leaves_the_base_untouched(
     before = {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()}
     with pytest.raises(DataError, match=rf"'{key}\.{field}' must be"):
         load_adapter(base, bad)
-    assert base.lora_set is None and base.bottleneck_config is None
+    assert base.adapter_config is None
     assert {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()} == before
     load_adapter(base, good)  # the intact archive still loads onto it
 
@@ -421,8 +527,8 @@ def test_int_values_load_into_float_config_fields(tmp_path):
     meta["lora_config"].update(alpha=4, dropout=0)
     save_archive(path, tensors, meta)
     restored = load_adapter(init_model(micro_config(), RngState(18)), path)
-    assert restored.lora_set.config == LoraConfig(r=2, alpha=4.0, dropout=0.0)
-    assert type(restored.lora_set.config.alpha) is float
+    assert restored.adapter_config == LoraConfig(r=2, alpha=4.0, dropout=0.0)
+    assert type(restored.adapter_config.alpha) is float
 
 
 def test_qlora_fingerprint_mismatch_leaves_the_base_unchanged(tmp_path):
@@ -432,7 +538,7 @@ def test_qlora_fingerprint_mismatch_leaves_the_base_unchanged(tmp_path):
     before = {n: (p.data.tobytes(), p.trainable) for n, p in other.params.items()}
     with pytest.raises(DataError, match="different base"):
         load_adapter(other, adapter_path)
-    assert other.lora_set is None and other.quant_config is None
+    assert other.adapter_config is None and other.quant_config is None
     assert all(lin.qweight is None for lin in other.linears())
     assert {n: (p.data.tobytes(), p.trainable) for n, p in other.params.items()} == before
 
@@ -463,11 +569,11 @@ def test_archives_written_with_the_retired_fields_load():
     plain = model.forward_logits(ids).data
     # the base fingerprints the adapters carry still match
     lora = load_adapter(load_model(base_path), os.path.join(V1, "lora.pfwa"))
-    assert lora.lora_set.config == LoraConfig(r=2, alpha=4.0, dropout=0.0,
+    assert lora.adapter_config == LoraConfig(r=2, alpha=4.0, dropout=0.0,
                                               target_modules=["query_key_value",
                                                               "dense_4h_to_h"])
     bottleneck = load_adapter(load_model(base_path), os.path.join(V1, "bottleneck.pfwa"))
-    assert bottleneck.bottleneck_config == BottleneckAdapterConfig(bottleneck_dim=2)
+    assert bottleneck.adapter_config == BottleneckAdapterConfig(bottleneck_dim=2)
     for adapted in (lora, bottleneck):
         assert not np.array_equal(adapted.forward_logits(ids).data, plain)
 
