@@ -28,7 +28,6 @@ from .peft import (
     merge_lora,
     quantize_base,
     trainable_summary,
-    unmerge_lora,
 )
 from .quant import (
     QuantConfig,
@@ -48,7 +47,7 @@ __all__ = [
     "DEFAULT_TRAIN_TEMPLATE", "DEFAULT_INFER_TEMPLATE",
     "CausalLM", "CausalLMConfig", "init_model",
     "LoraConfig", "BottleneckAdapterConfig",
-    "attach_lora", "attach_bottleneck", "merge_lora", "unmerge_lora",
+    "attach_lora", "attach_bottleneck", "merge_lora",
     "quantize_base", "trainable_summary",
     "QuantConfig", "QuantizedTensor", "build_nf4_codebook",
     "quantize_blockwise", "dequantize_blockwise", "memory_footprint_bits",

@@ -132,6 +132,12 @@ def _echo_config(eff: dict):
         json.dump(eff, f, indent=2, sort_keys=True)
 
 
+def _given(eff: dict, *keys: str) -> dict:
+    """The options among ``keys`` that are set, as keywords, so an unset one
+    leaves the called function's default in force."""
+    return {k: eff[k] for k in keys if k in eff}
+
+
 def _require(eff: dict, *keys: str) -> list:
     missing = [k for k in keys if not eff.get(k)]
     if missing:
@@ -205,8 +211,8 @@ def cmd_prepare_data(eff: dict) -> int:
         pairs = [corpus.QAPair(p.question, corpus.augment_shuffle(p.answer, rng, pcfg.augment_p))
                  for p in pairs]
     examples, n_trunc = corpus.build_examples(
-        pairs, tok, template=eff.get("template", corpus.DEFAULT_TRAIN_TEMPLATE),
-        seq_len=seq_len, mask_prompt=not eff.get("no_mask_prompt", False),
+        pairs, tok, seq_len=seq_len, mask_prompt=not eff.get("no_mask_prompt", False),
+        **_given(eff, "template"),
     )
     if not examples:
         raise DataError(f"{csv_path}: no usable examples")
@@ -304,11 +310,9 @@ def cmd_generate(eff: dict) -> int:
     out_ids = model.generate(
         ids,
         max_new_tokens=eff.get("max_new_tokens", 48),
-        mode=eff.get("mode", "greedy"),
-        temperature=eff.get("temperature", 1.0),
-        top_k=eff.get("top_k", 0),
         rng=RngState(eff.get("seed", 0)),
         eos_id=tok.specials.eos,
+        **_given(eff, "mode", "temperature", "top_k"),
     )
     print(prompt + tok.detokenize(out_ids[len(ids):]))
     return 0
@@ -341,7 +345,7 @@ def cmd_compare(eff: dict) -> int:
         examples = _load_examples(eff, tok, base.config.seq_len)
     report = evals.compare_base_vs_adapted(
         base, adapted, tok, questions, eval_examples=examples,
-        max_new_tokens=eff.get("max_new_tokens", 48),
+        **_given(eff, "max_new_tokens"),
     )
     if eff.get("out"):
         with open(eff["out"], "w", encoding="utf-8") as f:
@@ -383,9 +387,9 @@ def cmd_sweep(eff: dict) -> int:
 
     trials = trainer_mod.hyperparameter_search(
         space, run_trial,
-        strategy=eff.get("strategy", "grid"),
         budget=eff.get("budget") or None,
         seed=base_cfg.seed,
+        **_given(eff, "strategy"),
     )
     rows = [{"rank": i + 1, "trial": t.index, "overrides": t.overrides,
              "objective": t.objective} for i, t in enumerate(trials)]

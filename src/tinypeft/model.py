@@ -78,7 +78,7 @@ class Linear:
 
     def __call__(self, x: Tensor, training: bool = False, rng: RngState | None = None) -> Tensor:
         a = self.adapter
-        if a is None or a.merged:
+        if a is None:
             return T.linear(x, self.weight, self.bias)
         mask = T.dropout_mask(x.shape, a.dropout, rng) if training else None
         return T.linear(x, self.weight, self.bias, (a.A, a.B, a.scaling, mask))
@@ -118,7 +118,7 @@ class CausalLM:
         self.ln_f = ln_f
         self.base_names = frozenset(params)  # the names init_model made
         self.adapter_config = None  # the one adapter slot, set by peft.attach_*
-        self.quant_config = None  # set by peft.quantize_base
+        self.quant_config = None  # set by peft.quantize_base, cleared by merge_lora
 
     # -- parameter access ----------------------------------------------------
 

@@ -212,7 +212,6 @@ class AdamW:
             if self.weight_decay > 0:
                 np.multiply(p.data, lr * self.weight_decay, out=u)
                 p.data -= u
-            self._put_moments(p.name, m, v)
 
     def zero_grad(self):
         for p in self.params:

@@ -1,12 +1,12 @@
-"""Parameter-efficient fine-tuning: LoRA pairs, bottleneck adapters,
-merge/unmerge, QLoRA base quantization, and trainable accounting.
+"""Parameter-efficient fine-tuning: LoRA pairs, bottleneck adapters, the
+LoRA merge, QLoRA base quantization, and trainable accounting.
 
 Both adapter families are exact identities at initialization (LoRA because
 B = 0, bottleneck because the up-projection starts at 0), so a freshly
 adapted model reproduces the base bitwise in eval mode. A LoRA pair holds
 only its weights: the adapted ``model.Linear`` computes the delta inside the
-fused ``tensor.linear`` kernel, and the bottleneck's projections use the same
-kernel.
+fused ``tensor.linear`` kernel, as do the bottleneck's projections. A LoRA
+layer is attached or merged away: the merge leaves a plain f32 base.
 """
 
 from __future__ import annotations
@@ -49,14 +49,11 @@ class LoraAdapter:
     """Low-rank pair for one target linear: delta(x) = s * B(A(drop(x))),
     computed by ``tensor.linear`` when the layer is called."""
 
-    def __init__(self, target_name: str, A: Parameter, B: Parameter,
-                 scaling: float, dropout: float):
-        self.target_name = target_name
+    def __init__(self, A: Parameter, B: Parameter, scaling: float, dropout: float):
         self.A = A  # (r, d_in)
         self.B = B  # (d_out, r)
         self.scaling = np.float32(scaling)
         self.dropout = dropout
-        self.merged = False
 
     def delta_weight(self) -> np.ndarray:
         """Merged contribution in (d_in, d_out) layout: s * (B A)^T."""
@@ -80,7 +77,7 @@ def attach_lora(model: CausalLM, config: LoraConfig, rng: RngState) -> CausalLM:
         B = Parameter(np.zeros((lin.d_out, config.r), dtype=np.float32), f"{lin.name}.lora_B")
         model.add_parameter(A)
         model.add_parameter(B)
-        lin.adapter = LoraAdapter(lin.name, A, B, config.scaling, config.dropout)
+        lin.adapter = LoraAdapter(A, B, config.scaling, config.dropout)
     model.adapter_config = config
     return model
 
@@ -102,41 +99,21 @@ def lora_shapes(model: CausalLM, config: LoraConfig) -> dict[str, tuple[int, ...
     return out
 
 
-def merge_lora(model: CausalLM, drop_adapters: bool = True) -> CausalLM:
-    """Fold every adapter into its base weight: W += s * (B A)^T.
+def merge_lora(model: CausalLM) -> CausalLM:
+    """Fold every adapter into its base weight, W += s * (B A)^T, and drop it.
 
-    With drop_adapters the model returns to the plain base architecture;
-    otherwise adapters stay attached (inactive) so unmerge can undo it.
+    The merged weights are off the 4-bit grid, so a quantized base also drops
+    its ``qweight``s and ``quant_config``: the result is a plain f32 model.
     """
     if not isinstance(model.adapter_config, LoraConfig):
         raise StateError("model has no LoRA adapters to merge")
-    if all(lin.adapter.merged for lin in model.linears() if lin.adapter):
-        raise StateError("adapters already merged")
     for lin in model.linears():
-        if lin.adapter is None:
-            continue
-        lin.weight.data = lin.weight.data + lin.adapter.delta_weight()
-        lin.adapter.merged = True
-        if drop_adapters:
-            del model.params[lin.adapter.A.name]
-            del model.params[lin.adapter.B.name]
+        if lin.adapter is not None:
+            lin.weight.data = lin.weight.data + lin.adapter.delta_weight()
+            del model.params[lin.adapter.A.name], model.params[lin.adapter.B.name]
             lin.adapter = None
-    if drop_adapters:
-        model.adapter_config = None
-    return model
-
-
-def unmerge_lora(model: CausalLM) -> CausalLM:
-    """Subtract the folded contribution back out; adapters become live again."""
-    if not isinstance(model.adapter_config, LoraConfig):
-        raise StateError("model has no LoRA adapters")
-    if not all(lin.adapter.merged for lin in model.linears() if lin.adapter):
-        raise StateError("adapters are not merged")
-    for lin in model.linears():
-        if lin.adapter is None:
-            continue
-        lin.weight.data = lin.weight.data - lin.adapter.delta_weight()
-        lin.adapter.merged = False
+        lin.qweight = None
+    model.adapter_config = model.quant_config = None
     return model
 
 
@@ -214,9 +191,9 @@ def quantize_base(model: CausalLM, qconfig: QuantConfig) -> CausalLM:
     Each weight is replaced by its dequantized values, so training, eval and
     decoding run the one ``tensor.linear`` path on f32. The packed form stays
     on the layer as ``qweight``, but nothing reads it back: archives hold the
-    f32 weights, and the frozen-base audit compares their bytes. The config
-    is recorded on the model, so ``store.save_adapter`` writes it and
-    ``store.load_adapter`` can quantize a fresh base the same way.
+    f32 weights. The config is recorded on the model, so
+    ``store.save_adapter`` writes it and ``store.load_adapter`` can quantize
+    a fresh base the same way.
     """
     for lin in model.linears():
         q = quantize_blockwise(lin.weight.data, qconfig)

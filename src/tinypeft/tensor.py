@@ -327,26 +327,18 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 @functools.lru_cache(maxsize=None)
-def _causal_keep(s: int) -> np.ndarray:
-    """Read-only (s, s) lower-triangular keep mask, built once per length."""
-    keep = np.tril(np.ones((s, s), dtype=bool))
-    keep.flags.writeable = False
-    return keep
-
-
-@functools.lru_cache(maxsize=None)
 def _causal_bias(s: int) -> np.ndarray:
-    """Read-only (s, s) f32 score bias: 0 where ``_causal_keep`` keeps, -1e9
-    above the diagonal. Adding it leaves a kept score as it is (a -0.0 turns
-    +0.0, which the exp erases) and takes a masked one to -1e9 within
-    rounding, which exps to exactly 0 after the max-shift, as long as the
-    scores are far smaller than 1e9 in magnitude. Each length gets the
-    top-left block of the bias of the next power of two, so the lengths
-    share a few buffers instead of holding an f32 square each."""
+    """Read-only (s, s) f32 score bias, the one causal mask: 0 on and below
+    the diagonal, -1e9 above it, where the VJP zeroes the gradient. Adding
+    it leaves a kept score as it is (-0.0 turns +0.0, which the exp erases)
+    and takes a masked one to -1e9 within rounding, which exps to exactly 0
+    after the max-shift while the scores are far below 1e9 in magnitude.
+    Each length gets the top-left block of the bias of the next power of
+    two, so the lengths share a few buffers, not an f32 square each."""
     n = 1 << (s - 1).bit_length()
     if n != s:
         return _causal_bias(n)[:s, :s]
-    bias = np.where(_causal_keep(s), np.float32(0.0), _MASK_VALUE)
+    bias = np.where(np.tri(s, dtype=bool), np.float32(0.0), _MASK_VALUE)
     bias.flags.writeable = False
     return bias
 
@@ -384,19 +376,18 @@ def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
     hd = d3 // (3 * n_heads)
     q, k, v = np.ascontiguousarray(
         qkv.data.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4))  # (B, H, S, hd)
-    keep, bias = _causal_keep(S), _causal_bias(S)
+    bias = _causal_bias(S)
     if cache is not None and _grad_enabled:
         raise StateError("attention: a key/value cache needs no_grad(), it has no backward")
     if cache is not None:
         if cache:
             k = np.concatenate((cache[0], k), axis=2)
             v = np.concatenate((cache[1], v), axis=2)
-            keep, bias = _causal_keep(k.shape[2])[-S:], _causal_bias(k.shape[2])[-S:]
+            bias = _causal_bias(k.shape[2])[-S:]
         cache[:] = [k, v]
     n = S - from_row  # scored rows
     if from_row:
-        q = np.ascontiguousarray(q[:, :, from_row:])
-        keep, bias = keep[from_row:], bias[from_row:]
+        q, bias = np.ascontiguousarray(q[:, :, from_row:]), bias[from_row:]
     kt = np.ascontiguousarray(k.swapaxes(-1, -2))
     scale = np.float32(1.0 / np.sqrt(hd))
     # scale, mask, max-shift, exp and normalise inside the score buffer
@@ -415,7 +406,7 @@ def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
         ds = g_ctx @ v.swapaxes(-1, -2)
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
-        np.copyto(ds, np.float32(0.0), where=~keep)
+        np.copyto(ds, np.float32(0.0), where=bias < 0)
         ds *= scale
         dk = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
         gqkv = np.empty((B, S, 3, n_heads, hd), np.float32)

@@ -11,6 +11,7 @@ in the losses it logs.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import logging
@@ -63,6 +64,12 @@ class TrainConfig:
             raise ConfigError(f"unknown optim {self.optim!r}")
         if self.lr_scheduler_type not in ("cosine", "constant"):
             raise ConfigError(f"unknown scheduler {self.lr_scheduler_type!r}")
+
+
+# the TrainConfig fields a run's trajectory depends on; a resume must keep them
+TRAJECTORY_FIELDS = ("seed", "per_device_train_batch_size", "gradient_accumulation_steps",
+                     "max_steps", "epochs", "learning_rate", "warmup_ratio",
+                     "lr_scheduler_type", "max_grad_norm", "weight_decay")
 
 
 @dataclass
@@ -168,9 +175,7 @@ class Trainer:
                 os.path.join(config.output_dir, ".paging"), config.paging_budget
             )
         self.total_steps = self._total_steps()
-        self._frozen_snapshot = {
-            p.name: p.data.copy() for p in model.parameters() if not p.trainable
-        }
+        self._frozen = self._frozen_digests()
         self._perm = _epoch_permutation(config.seed, 0, len(dataset))
 
     def _total_steps(self) -> int:
@@ -286,11 +291,16 @@ class Trainer:
             "epoch": round(self.epoch + self.offset / max(1, len(self.dataset)), 2),
         }
 
+    def _frozen_digests(self) -> dict[str, str]:
+        """Name -> sha256 of every frozen parameter's bytes."""
+        return {p.name: hashlib.sha256(np.ascontiguousarray(p.data)).hexdigest()
+                for p in self.model.parameters() if not p.trainable}
+
     def audit_frozen(self):
         """Assert no frozen parameter byte changed since the run began."""
-        for name, snap in self._frozen_snapshot.items():
-            cur = self.model.params[name].data
-            if cur.tobytes() != snap.tobytes():
+        now = self._frozen_digests()
+        for name, digest in self._frozen.items():
+            if now.get(name) != digest:
                 raise StateError(f"frozen parameter {name!r} changed during training")
 
     # -- checkpointing -------------------------------------------------------
@@ -322,7 +332,10 @@ class Trainer:
         """Restore weights, moments, scheduler position, cursor and PRNG.
 
         The model must already carry the same adapter structure the
-        checkpoint was saved with.
+        checkpoint was saved with, and the config must agree with the saved
+        one on ``TRAJECTORY_FIELDS``; the others (output_dir, save_steps,
+        logging_steps, optim, paging_budget) leave the trajectory bitwise
+        unchanged and may differ.
         """
         tensors, meta = load_archive(path)
         if meta.get("kind") != "checkpoint":
@@ -350,6 +363,13 @@ class Trainer:
             raise DataError(f"{path}: malformed loss log in checkpoint: {e}") from e
         tensors = check_tensors(path, tensors, {k: v.shape for k, v in
                                                 self._state_tensors().items()})
+        saved = meta.get("train_config")
+        if not isinstance(saved, dict):
+            raise DataError(f"{path}: checkpoint field 'train_config' is missing or not an object")
+        for name in TRAJECTORY_FIELDS:
+            if saved.get(name) != getattr(self.config, name):
+                raise DataError(f"{path}: checkpoint train_config {name} is {saved.get(name)!r},"
+                                f" this run's is {getattr(self.config, name)!r}")
         self.optimizer.load_state_tensors(tensors, meta["optimizer_step_count"])
         for name, p in self.model.params.items():
             p.data = tensors[f"model.{name}"]
@@ -358,9 +378,7 @@ class Trainer:
         self.offset = meta["offset"]
         self.step_losses, self.window = step_losses, window
         self._perm = _epoch_permutation(self.config.seed, self.epoch, len(self.dataset))
-        self._frozen_snapshot = {
-            p.name: p.data.copy() for p in self.model.parameters() if not p.trainable
-        }
+        self._frozen = self._frozen_digests()
         if self.global_step >= self.total_steps:
             log.warning("resumed at step %d with budget %d: nothing to train",
                         self.global_step, self.total_steps)

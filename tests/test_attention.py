@@ -120,17 +120,21 @@ def test_masked_scores_pass_no_gradient():
 
 
 def test_mask_cache_is_read_only_and_reused():
-    keep = T._causal_keep(7)
-    assert keep is T._causal_keep(7)
-    assert not keep.flags.writeable
-    np.testing.assert_array_equal(keep, np.tril(np.ones((7, 7), dtype=bool)))
+    bias = T._causal_bias(8)
+    assert bias is T._causal_bias(8)
+    assert not bias.flags.writeable
+    want = np.where(np.tri(8, dtype=bool), np.float32(0.0), T._MASK_VALUE)
+    np.testing.assert_array_equal(bias, want)
     with pytest.raises(ValueError):
-        keep[0, 1] = True
-    hits = T._causal_keep.cache_info().hits
+        bias[0, 1] = 0.0
+    # a length between powers of two reads the top-left block of the next one
+    assert T._causal_bias(7).base is bias
+    np.testing.assert_array_equal(T._causal_bias(7), want[:7, :7])
+    hits = T._causal_bias.cache_info().hits
     x = Tensor(np.ones((1, 7, 6), dtype=np.float32))
     T.attention(x, 1)
     T.attention(x, 1)
-    assert T._causal_keep.cache_info().hits >= hits + 2
+    assert T._causal_bias.cache_info().hits >= hits + 2
 
 
 def test_attention_rejects_unsplittable_input():

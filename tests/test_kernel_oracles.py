@@ -49,12 +49,12 @@ def reference_attention(qkv, n_heads, cache=None, from_row=0):
     hd = d3 // (3 * n_heads)
     q, k, v = np.ascontiguousarray(
         qkv.data.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4))
-    keep = T._causal_keep(S)
+    keep = np.tri(S, dtype=bool)
     if cache is not None:
         if cache:
             k = np.concatenate((cache[0], k), axis=2)
             v = np.concatenate((cache[1], v), axis=2)
-            keep = T._causal_keep(k.shape[2])[-S:]
+            keep = np.tri(k.shape[2], dtype=bool)[-S:]
         cache[:] = [k, v]
     n = S - from_row
     if from_row:

@@ -25,7 +25,6 @@ from tinypeft.peft import (
     LoraConfig,
     attach_bottleneck,
     attach_lora,
-    merge_lora,
     quantize_base,
 )
 from tinypeft.quant import QuantConfig
@@ -33,7 +32,6 @@ from tinypeft.rng import RngState
 from tinypeft.tensor import Parameter, Tensor, backward
 from tinypeft.trainer import TrainConfig, Trainer, collate
 
-from conftest import lora_pairs
 from gradcheck import check_op, matmul, mul, reshape, tsum
 
 # -- the unfused graphs --------------------------------------------------------
@@ -47,8 +45,6 @@ def reference_dropout(a: Tensor, p: float, rng) -> Tensor:
 
 
 def reference_delta(adapter: LoraAdapter, x: Tensor, training=False, rng=None) -> Tensor:
-    if adapter.merged:
-        return Tensor(np.zeros(x.shape[:-1] + (adapter.B.shape[0],), dtype=np.float32))
     if training and adapter.dropout > 0.0:
         if rng is None:
             raise ConfigError("training-mode LoRA forward needs an rng for dropout")
@@ -129,7 +125,7 @@ def make_linear(seed: int, bias: bool, adapter: str, frozen: bool) -> Linear:
             lin.bias.freeze()
     if adapter != "none":
         p = 0.05 if adapter == "lora_dropout" else 0.0
-        lin.adapter = LoraAdapter("lin", param("A", R, D_IN), param("B", D_OUT, R), 1.5, p)
+        lin.adapter = LoraAdapter(param("A", R, D_IN), param("B", D_OUT, R), 1.5, p)
     return lin
 
 
@@ -188,21 +184,6 @@ def test_dropout_mask_is_drawn_once_per_adapted_call():
     assert rng.get_state() == want.get_state()
     with pytest.raises(ConfigError, match="rng"):
         lin(x, training=True)
-
-
-def test_merged_attached_adapter_equals_reference(monkeypatch):
-    model = init_model(CausalLMConfig(vocab_size=40, d_model=16, n_heads=2, n_layers=2,
-                                      seq_len=16), RngState(1))
-    attach_lora(model, LoraConfig(r=4, alpha=8.0, dropout=0.05), RngState(2))
-    for a in lora_pairs(model):
-        a.B.data = np.random.default_rng(3).standard_normal(a.B.shape).astype(np.float32)
-    merge_lora(model, drop_adapters=False)
-    ids = np.random.default_rng(4).integers(0, 40, size=(2, 9))
-    got = model.forward_logits(ids).data
-    monkeypatch.setattr(Linear, "__call__", reference_linear)
-    want = model.forward_logits(ids).data
-    # the reference adds a zero delta, which turns -0.0 into 0.0: compare values
-    np.testing.assert_array_equal(got, want)
 
 
 def test_linear_gradcheck():

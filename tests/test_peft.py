@@ -1,5 +1,5 @@
 """LoRA and bottleneck adapters: identity at init, the low-rank algebra,
-merge round trips, and trainable accounting."""
+the merge, and trainable accounting."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,10 @@ from tinypeft.peft import (
     merge_lora,
     quantize_base,
     trainable_summary,
-    unmerge_lora,
 )
 from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
+from tinypeft.store import load_adapter, load_model, save_adapter, save_model
 from tinypeft.tensor import backward
 
 from conftest import lora_pairs, micro_config, rand_ids
@@ -123,7 +123,7 @@ def test_config_validation():
         LoraConfig(dropout=1.0)
 
 
-# -- merge / unmerge ----------------------------------------------------------
+# -- merge --------------------------------------------------------------------
 
 
 def _trained_lora_model(seed=7):
@@ -147,26 +147,33 @@ def test_merge_matches_adapted_forward():
     assert err < 1e-5
 
 
-def test_merge_unmerge_roundtrip():
-    model = _trained_lora_model(11)
-    ids = rand_ids(np.random.default_rng(2), 2, 8, 32)
-    before = model.forward_logits(ids).data.copy()
-    merge_lora(model, drop_adapters=False)
-    unmerge_lora(model)
-    after = model.forward_logits(ids).data
-    np.testing.assert_allclose(after, before, atol=1e-5)
-
-
 def test_merge_guards():
     with pytest.raises(StateError):
         merge_lora(fresh())
     model = _trained_lora_model()
-    merge_lora(model, drop_adapters=False)
+    merge_lora(model)
     with pytest.raises(StateError):
         merge_lora(model)
-    unmerge_lora(model)
-    with pytest.raises(StateError):
-        unmerge_lora(model)
+
+
+def test_merged_qlora_model_is_a_plain_f32_base(tmp_path):
+    model = fresh()
+    quantize_base(model, QuantConfig(block_size=16))
+    attach_lora(model, LoraConfig(r=2, dropout=0.0), RngState(1))
+    for a in lora_pairs(model):
+        a.B.data = 0.1 * np.random.default_rng(2).standard_normal(a.B.shape).astype(np.float32)
+    merge_lora(model)
+    assert model.quant_config is None
+    assert all(lin.qweight is None for lin in model.linears())
+    # an adapter trained on the merged model reloads onto the saved merged model
+    save_model(model, str(tmp_path / "merged.pfwa"))
+    attach_lora(model, LoraConfig(r=2), RngState(3))
+    save_adapter(model, str(tmp_path / "adapter.pfwa"))
+    reloaded = load_adapter(load_model(str(tmp_path / "merged.pfwa")),
+                            str(tmp_path / "adapter.pfwa"))
+    assert reloaded.quant_config is None
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(reloaded.params[name].data, p.data)
 
 
 # -- accounting ---------------------------------------------------------------

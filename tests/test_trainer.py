@@ -4,6 +4,7 @@ paging transparency, and search determinism."""
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ import pytest
 from tinypeft import trainer as trainer_mod
 from tinypeft.bpe import train_bpe
 from tinypeft.corpus import QAPair, build_examples
-from tinypeft.errors import ConfigError, DataError, NumericError
+from tinypeft.errors import ConfigError, DataError, NumericError, StateError
 from tinypeft.model import init_model
-from tinypeft.peft import LoraConfig, attach_lora
+from tinypeft.peft import LoraConfig, attach_lora, quantize_base
+from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
 from tinypeft.store import load_archive, save_archive
 from tinypeft.trainer import (
@@ -324,13 +326,44 @@ def test_nonfinite_gradient_stops_the_step(tmp_path, tiny_data, tiny_tok, monkey
     assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == files
 
 
-def test_frozen_audit_passes_on_lora_run(tmp_path, tiny_data, tiny_tok):
+def lora_trainer(tmp_path, tiny_data, tiny_tok, run, quantized=False, **over):
     model = init_model(train_model_config(tiny_tok.vocab_size), RngState(0))
+    if quantized:
+        quantize_base(model, QuantConfig(block_size=16))
     attach_lora(model, LoraConfig(r=2, dropout=0.0), RngState(1))
-    cfg = TrainConfig(output_dir=str(tmp_path / "lora"), max_steps=4, save_steps=100)
-    tr = Trainer(model, tiny_data, cfg, tiny_tok.specials.pad)
+    cfg = TrainConfig(output_dir=str(tmp_path / run), **over)
+    return Trainer(model, tiny_data, cfg, tiny_tok.specials.pad)
+
+
+def test_frozen_audit_passes_on_lora_run(tmp_path, tiny_data, tiny_tok):
+    tr = lora_trainer(tmp_path, tiny_data, tiny_tok, "lora", max_steps=4, save_steps=100)
     tr.train()  # audit_frozen runs inside and must not raise
     tr.audit_frozen()
+
+
+@pytest.mark.parametrize("name", ["blocks.1.mlp.dense_4h_to_h.weight",
+                                  "blocks.0.attn.query_key_value.bias"])
+def test_frozen_audit_names_a_flipped_byte(tmp_path, tiny_data, tiny_tok, name):
+    tr = lora_trainer(tmp_path, tiny_data, tiny_tok, "lora", max_steps=2, save_steps=100)
+    tr.train()
+    p = tr.model.params[name]
+    assert not p.trainable
+    raw = p.data.view(np.uint8).reshape(-1)
+    raw[5] ^= 0x01
+    with pytest.raises(StateError, match=rf"frozen parameter '{re.escape(name)}' changed"):
+        tr.audit_frozen()
+    raw[5] ^= 0x01
+    tr.audit_frozen()
+
+
+def test_frozen_audit_passes_on_qlora_and_resumed_runs(tmp_path, tiny_data, tiny_tok):
+    opts = dict(max_steps=4, save_steps=2)
+    lora_trainer(tmp_path, tiny_data, tiny_tok, "qlora", quantized=True, **opts).train()
+    lora_trainer(tmp_path, tiny_data, tiny_tok, "first", **opts).train(stop_after=2)
+    resumed = lora_trainer(tmp_path, tiny_data, tiny_tok, "second", **opts)
+    resumed.resume(str(tmp_path / "first" / "checkpoint-2" / "state.pfwa"))
+    resumed.train()  # each train() ends with audit_frozen
+    assert resumed.global_step == 4
 
 
 def test_unwritable_output_dir_fails_early(tiny_data, tiny_tok):
@@ -412,6 +445,66 @@ def test_resume_rejects_misshaped_model_tensor_untouched(tmp_path, tiny_data, ti
         fresh.resume(bad)
     assert {n: p.data.tobytes() for n, p in fresh.model.params.items()} == before
     assert fresh.global_step == 0
+
+
+
+def trainer_state(tr):
+    """Everything resume may assign, as bytes and plain values."""
+    return ({n: p.data.tobytes() for n, p in tr.model.params.items()},
+            {n: a.tobytes() for n, a in tr.optimizer.state_tensors().items()},
+            tr.optimizer.step_count, tr.global_step, tr.epoch, tr.offset,
+            tr.rng.get_state(), list(tr.step_losses), tr.window)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 9), ("per_device_train_batch_size", 4), ("gradient_accumulation_steps", 1),
+    ("max_steps", 40), ("epochs", 2), ("learning_rate", 1.0), ("warmup_ratio", 0.5),
+    ("lr_scheduler_type", "constant"), ("max_grad_norm", 1.0), ("weight_decay", 0.1)])
+def test_resume_refuses_another_trajectory_untouched(tmp_path, tiny_data, tiny_tok,
+                                                     field, value):
+    assert field in trainer_mod.TRAJECTORY_FIELDS
+    opts = dict(max_steps=4, save_steps=2)
+    make_trainer(tmp_path, tiny_data, tiny_tok, run="src", **opts).train(stop_after=2)
+    ck = str(tmp_path / "src" / "checkpoint-2" / "state.pfwa")
+    # make_trainer's own seed argument seeds the model, not the config
+    model = init_model(train_model_config(tiny_tok.vocab_size), RngState(0))
+    cfg = TrainConfig(output_dir=str(tmp_path / "dst"), **{**opts, field: value})
+    other = Trainer(model, tiny_data, cfg, tiny_tok.specials.pad)
+    before = trainer_state(other)
+    with pytest.raises(DataError, match=rf"checkpoint-2/state\.pfwa: .*train_config {field} "):
+        other.resume(ck)
+    assert trainer_state(other) == before
+
+
+@pytest.mark.parametrize("saved", [None, [], "x"])
+def test_resume_needs_a_train_config_object(tmp_path, tiny_data, tiny_tok, saved):
+    make_trainer(tmp_path, tiny_data, tiny_tok, run="src", max_steps=2, save_steps=2).train()
+    ck = str(tmp_path / "src" / "checkpoint-2" / "state.pfwa")
+    tensors, meta = load_archive(ck)
+    meta.pop("train_config")
+    if saved is not None:
+        meta["train_config"] = saved
+    save_archive(ck, tensors, meta)
+    other = make_trainer(tmp_path, tiny_data, tiny_tok, run="dst", max_steps=2)
+    before = trainer_state(other)
+    with pytest.raises(DataError, match=r"state\.pfwa: checkpoint field 'train_config'"):
+        other.resume(ck)
+    assert trainer_state(other) == before
+
+
+def test_resume_may_change_the_fields_off_the_trajectory(tmp_path, tiny_data, tiny_tok):
+    opts = dict(max_steps=6, save_steps=2)
+    straight = make_trainer(tmp_path, tiny_data, tiny_tok, run="straight", **opts)
+    straight.train()
+    make_trainer(tmp_path, tiny_data, tiny_tok, run="first", **opts).train(stop_after=2)
+    second = make_trainer(tmp_path, tiny_data, tiny_tok, run="second", max_steps=6,
+                          save_steps=5, logging_steps=1, optim="paged_adamw_32bit",
+                          paging_budget=1)
+    second.resume(str(tmp_path / "first" / "checkpoint-2" / "state.pfwa"))
+    second.train()
+    assert second.step_losses == straight.step_losses
+    for n, p in straight.model.params.items():
+        assert p.data.tobytes() == second.model.params[n].data.tobytes()
 
 
 METRIC_FIELDS = {"step": int, "training_loss": float, "learning_rate": float,
