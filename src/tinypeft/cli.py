@@ -28,9 +28,7 @@ from .model import CausalLMConfig, init_model
 from .rng import RngState
 from .trainer import TrainConfig
 
-# Fields without a flag: the tokenizer sets vocab_size, and layer_norm_eps
-# keeps its default.
-_NO_FLAG = {"vocab_size", "layer_norm_eps"}
+_NO_FLAG = {"vocab_size"}  # the one field without a flag: the tokenizer sets it
 _RENAMED = {"r": "lora_rank", "alpha": "lora_alpha", "dropout": "lora_dropout"}
 # flag -> (config class, field name, field type), for every flag that sets a field
 FIELDS = {_RENAMED.get(name, name): (cls, name, hint)
@@ -157,8 +155,10 @@ def _load_corpus_texts(path: str) -> list[str]:
         raise DataError(f"{path}: invalid UTF-8 at byte offset {e.start}")
 
 
-def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, seq_len: int,
+def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMConfig,
                    mask_prompt: bool = True) -> list[corpus.TrainingExample]:
+    """The --data or --csv examples. One that does not fit the model (its
+    length, ids or labels) is a DataError naming the file, example and field."""
     if eff.get("data"):
         path = eff["data"]
         doc = _read_json(path, DataError)
@@ -172,15 +172,26 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, seq_len: int,
                     and all(type(t) is int for t in ids + labels)):
                 raise DataError(f"{path}: example {i} needs equal-length input_ids and labels lists of ints")
             examples.append(corpus.TrainingExample(ids, labels))
-        return examples
-    (csv_path,) = _require(eff, "csv")
-    pairs = [corpus.preprocess_pair(p, corpus.PreprocessConfig())
-             for p in corpus.load_qa_csv(csv_path)]
-    examples, _ = corpus.build_examples(
-        pairs, tokenizer, seq_len=seq_len, mask_prompt=mask_prompt
-    )
-    if not examples:
-        raise DataError(f"{csv_path}: no usable examples")
+    else:
+        (path,) = _require(eff, "csv")
+        pairs = [corpus.preprocess_pair(p, corpus.PreprocessConfig())
+                 for p in corpus.load_qa_csv(path)]
+        examples, _ = corpus.build_examples(
+            pairs, tokenizer, seq_len=config.seq_len, mask_prompt=mask_prompt
+        )
+        if not examples:
+            raise DataError(f"{path}: no usable examples")
+    V, n = config.vocab_size, config.seq_len
+    for i, e in enumerate(examples):
+        if len(e.input_ids) > n:
+            raise DataError(f"{path}: example {i}: input_ids has {len(e.input_ids)} tokens, "
+                            f"more than seq_len {n}")
+        # a label is IGNORE_LABEL (-1) or an id, so it lies in [-1, V)
+        for field, values, low in (("input_ids", e.input_ids, 0), ("labels", e.labels, -1)):
+            bad = [t for t in values if not low <= t < V]
+            if bad:
+                raise DataError(f"{path}: example {i}: {field} holds {bad[0]}, "
+                                f"outside [{low}, {V})")
     return examples
 
 
@@ -235,7 +246,7 @@ def cmd_pretrain(eff: dict) -> int:
     _echo_config(eff)
     mcfg = _config(CausalLMConfig, eff, vocab_size=tok.vocab_size)
     model = init_model(mcfg, RngState(cfg.seed))
-    examples = _load_examples(eff, tok, mcfg.seq_len, mask_prompt=False)
+    examples = _load_examples(eff, tok, mcfg, mask_prompt=False)
     tr = trainer_mod.Trainer(model, examples, cfg, tok.specials.pad)
     summary = tr.train()
     out = os.path.join(cfg.output_dir, "model.pfwa")
@@ -262,7 +273,7 @@ def cmd_finetune(eff: dict) -> int:
     elif method == "adapter":
         peft.attach_bottleneck(model, _config(peft.BottleneckAdapterConfig, eff), rng)
 
-    examples = _load_examples(eff, tok, model.config.seq_len)
+    examples = _load_examples(eff, tok, model.config)
     tr = trainer_mod.Trainer(model, examples, cfg, tok.specials.pad)
     summary = tr.train()
     summary["trainable"] = peft.trainable_summary(model)
@@ -309,7 +320,7 @@ def cmd_generate(eff: dict) -> int:
     ids = [tok.specials.bos] + tok.tokenize(prompt)
     out_ids = model.generate(
         ids,
-        max_new_tokens=eff.get("max_new_tokens", 48),
+        max_new_tokens=eff.get("max_new_tokens", evals.MAX_NEW_TOKENS),
         rng=RngState(eff.get("seed", 0)),
         eos_id=tok.specials.eos,
         **_given(eff, "mode", "temperature", "top_k"),
@@ -322,7 +333,7 @@ def cmd_eval(eff: dict) -> int:
     (tok_path,) = _require(eff, "tokenizer")
     tok = bpe.TokenizerModel.load(tok_path)
     model = _load_any_model(eff)
-    examples = _load_examples(eff, tok, model.config.seq_len)
+    examples = _load_examples(eff, tok, model.config)
     report = evals.eval_report(model, tok, examples)
     text = report.to_json()
     if eff.get("out"):
@@ -342,7 +353,7 @@ def cmd_compare(eff: dict) -> int:
         raise ConfigError("need at least one --question")
     examples = None
     if eff.get("csv") or eff.get("data"):
-        examples = _load_examples(eff, tok, base.config.seq_len)
+        examples = _load_examples(eff, tok, base.config)
     report = evals.compare_base_vs_adapted(
         base, adapted, tok, questions, eval_examples=examples,
         **_given(eff, "max_new_tokens"),
@@ -371,7 +382,7 @@ def cmd_sweep(eff: dict) -> int:
     _echo_config(eff)
     tok = bpe.TokenizerModel.load(tok_path)
     base_cfg = _config(TrainConfig, eff)
-    examples = _load_examples(eff, tok, store.load_model(base_path).config.seq_len)
+    examples = _load_examples(eff, tok, store.load_model(base_path).config)
     holdout = max(1, len(examples) // 10)
     train_set, eval_set = examples[:-holdout], examples[-holdout:]
 

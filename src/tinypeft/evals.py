@@ -24,6 +24,7 @@ from .errors import ConfigError, DataError, ShapeError
 from .model import CausalLM
 from .trainer import collate
 
+MAX_NEW_TOKENS = 48  # the decode length of ``generate`` and ``compare`` by default
 METRIC_NOTES = {
     "sentence_generation_accuracy": "operationalized as exact match after normalization",
     "financial_prediction_accuracy": "operationalized as likelihood classification accuracy",
@@ -266,8 +267,7 @@ def compare_base_vs_adapted(
     tokenizer: TokenizerModel,
     questions: list[str],
     eval_examples: list[TrainingExample] | None = None,
-    max_new_tokens: int = 48,
-    template: str = DEFAULT_INFER_TEMPLATE,
+    max_new_tokens: int = MAX_NEW_TOKENS,
 ) -> str:
     """Side-by-side generations plus per-model perplexity, labeled the way
     the original walkthrough prints them. ``adapted`` is ``base`` with an
@@ -275,7 +275,7 @@ def compare_base_vs_adapted(
     sp = tokenizer.specials
     lines: list[str] = []
     for q in questions:
-        prompt = template.format(question=q)
+        prompt = DEFAULT_INFER_TEMPLATE.format(question=q)
         prompt_ids = [sp.bos] + tokenizer.tokenize(prompt)
         for label, mdl in (("Pre-trained Original Model Response:", base),
                            ("Finetuning PEFT Model Response:", adapted)):

@@ -8,7 +8,8 @@ autodiff kernel, ``tensor.attention``; every linear layer, LoRA pair
 included, is one ``tensor.linear`` node. Positions are learned absolute
 embeddings; the output head is tied to the token embedding, a
 ``tensor.linear`` node on its transpose, and ``lm_loss`` hands its logits
-straight to the next-token ``cross_entropy``.
+straight to the next-token ``cross_entropy``. Every layer norm takes the one
+epsilon ``LN_EPS``; archives that record it as a config field still load.
 
 The same forward serves training, eval and decoding, and it computes only
 the rows its caller reads: with ``from_row`` every block still encodes all
@@ -36,6 +37,7 @@ from .rng import RngState
 from .tensor import Parameter, Tensor
 
 INIT_STD = 0.02
+LN_EPS = 1e-5  # every layer norm's epsilon
 
 
 @dataclass
@@ -45,7 +47,6 @@ class CausalLMConfig:
     n_heads: int = 4
     n_layers: int = 2
     seq_len: int = 128
-    layer_norm_eps: float = 1e-5
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -85,14 +86,13 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, name: str, gain: Parameter, bias: Parameter, eps: float):
+    def __init__(self, name: str, gain: Parameter, bias: Parameter):
         self.name = name
         self.gain = gain
         self.bias = bias
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias, LN_EPS)
 
 
 class Block:
@@ -126,30 +126,17 @@ class CausalLM:
         return list(self.params.values())
 
     def trainable_parameters(self) -> list[Parameter]:
-        return [p for p in self.params.values() if p.trainable]
+        return [p for p in self.params.values() if p.requires_grad]
 
     def add_parameter(self, p: Parameter):
         if p.name in self.params:
             raise ConfigError(f"duplicate parameter name {p.name!r}")
         self.params[p.name] = p
 
-    def modules(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "tok_embeddings": self.params["tok_embeddings.weight"],
-            "pos_embeddings": self.params["pos_embeddings.weight"],
-            "ln_f": self.ln_f,
-        }
-        for i, b in enumerate(self.blocks):
-            out[f"blocks.{i}.ln1"] = b.ln1
-            out[f"blocks.{i}.attn.query_key_value"] = b.attn_qkv
-            out[f"blocks.{i}.attn.dense"] = b.attn_dense
-            out[f"blocks.{i}.ln2"] = b.ln2
-            out[f"blocks.{i}.mlp.dense_h_to_4h"] = b.mlp_up
-            out[f"blocks.{i}.mlp.dense_4h_to_h"] = b.mlp_down
-        return out
-
     def linears(self) -> list[Linear]:
-        return [m for m in self.modules().values() if isinstance(m, Linear)]
+        """Every linear, block by block: qkv, attention dense, MLP up, MLP down."""
+        return [lin for b in self.blocks
+                for lin in (b.attn_qkv, b.attn_dense, b.mlp_up, b.mlp_down)]
 
     def freeze_all(self):
         for p in self.params.values():
@@ -329,7 +316,7 @@ def init_model(config: CausalLMConfig, rng: RngState) -> CausalLM:
     for i in range(cfg.n_layers):
         pre = f"blocks.{i}"
         ln1 = LayerNorm(f"{pre}.ln1", ones(f"{pre}.ln1.gain", (d,)),
-                        zeros(f"{pre}.ln1.bias", (d,)), cfg.layer_norm_eps)
+                        zeros(f"{pre}.ln1.bias", (d,)))
         qkv = Linear(f"{pre}.attn.query_key_value",
                      weight(f"{pre}.attn.query_key_value.weight", (d, 3 * d)),
                      zeros(f"{pre}.attn.query_key_value.bias", (3 * d,)))
@@ -337,7 +324,7 @@ def init_model(config: CausalLMConfig, rng: RngState) -> CausalLM:
                        weight(f"{pre}.attn.dense.weight", (d, d)),
                        zeros(f"{pre}.attn.dense.bias", (d,)))
         ln2 = LayerNorm(f"{pre}.ln2", ones(f"{pre}.ln2.gain", (d,)),
-                        zeros(f"{pre}.ln2.bias", (d,)), cfg.layer_norm_eps)
+                        zeros(f"{pre}.ln2.bias", (d,)))
         up = Linear(f"{pre}.mlp.dense_h_to_4h",
                     weight(f"{pre}.mlp.dense_h_to_4h.weight", (d, dh)),
                     zeros(f"{pre}.mlp.dense_h_to_4h.bias", (dh,)))
@@ -346,8 +333,7 @@ def init_model(config: CausalLMConfig, rng: RngState) -> CausalLM:
                       zeros(f"{pre}.mlp.dense_4h_to_h.bias", (d,)))
         blocks.append(Block(ln1, qkv, dense, ln2, up, down))
 
-    ln_f = LayerNorm("ln_f", ones("ln_f.gain", (d,)), zeros("ln_f.bias", (d,)),
-                     cfg.layer_norm_eps)
+    ln_f = LayerNorm("ln_f", ones("ln_f.gain", (d,)), zeros("ln_f.bias", (d,)))
     return CausalLM(cfg, params, blocks, ln_f)
 
 

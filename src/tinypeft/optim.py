@@ -141,7 +141,7 @@ class AdamW:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        self.params = [p for p in params if p.trainable]
+        self.params = [p for p in params if p.requires_grad]
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate parameter names in optimizer")

@@ -103,7 +103,8 @@ def merge_lora(model: CausalLM) -> CausalLM:
     """Fold every adapter into its base weight, W += s * (B A)^T, and drop it.
 
     The merged weights are off the 4-bit grid, so a quantized base also drops
-    its ``qweight``s and ``quant_config``: the result is a plain f32 model.
+    its ``qweight``s and ``quant_config``: the result is a plain f32 model,
+    every parameter trainable, as ``store.load_model`` gives it back.
     """
     if not isinstance(model.adapter_config, LoraConfig):
         raise StateError("model has no LoRA adapters to merge")
@@ -113,6 +114,8 @@ def merge_lora(model: CausalLM) -> CausalLM:
             del model.params[lin.adapter.A.name], model.params[lin.adapter.B.name]
             lin.adapter = None
         lin.qweight = None
+    for p in model.params.values():
+        p.requires_grad = True
     model.adapter_config = model.quant_config = None
     return model
 
@@ -210,7 +213,7 @@ def quantize_base(model: CausalLM, qconfig: QuantConfig) -> CausalLM:
 
 
 def trainable_summary(model: CausalLM) -> dict:
-    trainable = sum(p.numel for p in model.params.values() if p.trainable)
+    trainable = sum(p.numel for p in model.trainable_parameters())
     total = sum(p.numel for p in model.params.values())
     return {
         "trainable_count": trainable,

@@ -1,6 +1,8 @@
 """4-bit blockwise weight quantization with an optional second quantization
 pass over the per-block scales.
 
+The codebooks sit in one table built at import, ``CODEBOOKS``: codebook id
+-> 16 ascending f32 levels, read-only and shared by every quantized tensor.
 The nf4 codebook is built from evenly spaced standard-normal quantiles:
 8 strictly negative points from probabilities [delta, 0.5) and 8 points
 from [0.5, 1-delta] (zero plus 7 positive), normalized so the endpoints
@@ -14,7 +16,7 @@ uniform4 codebook is 16 evenly spaced levels in [-1, 1] for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -24,29 +26,7 @@ from .errors import ConfigError, DataError, NumericError
 _TAIL_DELTA = 0.5 * (1.0 / 32.0 + 1.0 / 30.0)
 
 
-@dataclass
-class QuantConfig:
-    block_size: int = 64
-    codebook: str = "nf4"  # nf4 | uniform4
-    double_quant: bool = True
-    dq_group: int = 256
-
-    def __post_init__(self):
-        if self.block_size < 2:
-            raise ConfigError(f"block_size must be >= 2, got {self.block_size}")
-        if self.dq_group < 2:
-            raise ConfigError(f"dq_group must be >= 2, got {self.dq_group}")
-        if self.codebook not in ("nf4", "uniform4"):
-            raise ConfigError(f"unknown codebook {self.codebook!r}")
-
-
-@dataclass
-class Codebook:
-    codebook_id: str
-    values: np.ndarray  # 16 f32 levels, ascending
-
-
-def build_nf4_codebook() -> Codebook:
+def build_nf4_codebook() -> np.ndarray:
     """16 normal-quantile levels in [-1, 1] with an exact zero at index 8."""
     p_neg = np.linspace(_TAIL_DELTA, 0.5, 9)[:-1]
     p_pos = np.linspace(0.5, 1.0 - _TAIL_DELTA, 8)
@@ -56,19 +36,29 @@ def build_nf4_codebook() -> Codebook:
     # inv_cdf(0.5) is 0 and the tails are symmetric; pin against f64 rounding
     vals[8] = 0.0
     vals[0], vals[15] = -1.0, 1.0
-    return Codebook("nf4", vals)
+    return vals
 
 
-def build_uniform4_codebook() -> Codebook:
-    return Codebook("uniform4", np.linspace(-1.0, 1.0, 16, dtype=np.float32))
+CODEBOOKS = {"nf4": build_nf4_codebook(),
+             "uniform4": np.linspace(-1.0, 1.0, 16, dtype=np.float32)}
+for _levels in CODEBOOKS.values():
+    _levels.flags.writeable = False
 
 
-def get_codebook(codebook_id: str) -> Codebook:
-    if codebook_id == "nf4":
-        return build_nf4_codebook()
-    if codebook_id == "uniform4":
-        return build_uniform4_codebook()
-    raise ConfigError(f"unknown codebook {codebook_id!r}")
+@dataclass
+class QuantConfig:
+    block_size: int = 64
+    codebook: str = "nf4"  # a key of CODEBOOKS
+    double_quant: bool = True
+    dq_group: int = 256
+
+    def __post_init__(self):
+        if self.block_size < 2:
+            raise ConfigError(f"block_size must be >= 2, got {self.block_size}")
+        if self.dq_group < 2:
+            raise ConfigError(f"dq_group must be >= 2, got {self.dq_group}")
+        if self.codebook not in CODEBOOKS:
+            raise ConfigError(f"unknown codebook {self.codebook!r}")
 
 
 @dataclass
@@ -84,7 +74,6 @@ class QuantizedTensor:
     group_scales: np.ndarray | None = None  # f32 per dq group
     group_offsets: np.ndarray | None = None  # f32 per dq group
     dq_group: int = 0
-    _codebook: Codebook = field(default=None, repr=False, compare=False)
 
     @property
     def numel(self) -> int:
@@ -97,11 +86,6 @@ class QuantizedTensor:
     @property
     def double_quant(self) -> bool:
         return self.scale_codes is not None
-
-    def codebook(self) -> Codebook:
-        if self._codebook is None:
-            self._codebook = get_codebook(self.codebook_id)
-        return self._codebook
 
     def block_scales(self) -> np.ndarray:
         """Per-block f32 scales, reconstructed from 8-bit codes if needed."""
@@ -121,7 +105,7 @@ def quantize_blockwise(w: np.ndarray, config: QuantConfig) -> QuantizedTensor:
     if not np.all(np.isfinite(w)):
         bad = int(np.argmax(~np.isfinite(w.ravel())))
         raise NumericError(f"non-finite weight at flat index {bad}")
-    book = get_codebook(config.codebook)
+    book = CODEBOOKS[config.codebook]
     flat = w.ravel()
     numel = flat.size
     bs = config.block_size
@@ -133,7 +117,7 @@ def quantize_blockwise(w: np.ndarray, config: QuantConfig) -> QuantizedTensor:
     scales[scales == 0.0] = 1.0
     normalized = blocks / scales[:, None]
     # argmin returns the first (lower) index on exact ties
-    idx = np.abs(normalized[:, :, None] - book.values[None, None, :]).argmin(axis=2)
+    idx = np.abs(normalized[:, :, None] - book[None, None, :]).argmin(axis=2)
     idx = idx.ravel()[:numel].astype(np.uint8)
     if numel % 2:
         idx = np.append(idx, np.uint8(0))
@@ -189,7 +173,7 @@ def dequantize_blockwise(q: QuantizedTensor) -> np.ndarray:
     idx[1::2] = q.packed >> 4
     # pad the last block to full width so every block scales in one multiply
     levels = np.zeros(n_scales * q.block_size, dtype=np.float32)
-    levels[:numel] = q.codebook().values[idx[:numel]]
+    levels[:numel] = CODEBOOKS[q.codebook_id][idx[:numel]]
     out = levels.reshape(n_scales, q.block_size) * scales[:, None]
     return out.reshape(-1)[:numel].astype(np.float32, copy=False).reshape(q.original_shape)
 

@@ -26,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigError, DataError, StateError
-from .model import CausalLM, CausalLMConfig, init_model
+from .model import LN_EPS, CausalLM, CausalLMConfig, init_model
 from .peft import (
     BottleneckAdapterConfig,
     LoraConfig,
@@ -42,10 +42,11 @@ from .rng import RngState
 MAGIC = b"PFWA"
 VERSION = 1
 
-# Config fields that accepted exactly one value, by meta key: archives
+# Config fields that only ever held one value, by meta key: archives
 # written before they were removed carry them, at that value.
 _RETIRED = {
-    "model_config": {"mlp_ratio": 4, "positional": "learned_absolute"},
+    "model_config": {"mlp_ratio": 4, "positional": "learned_absolute",
+                     "layer_norm_eps": LN_EPS},
     "lora_config": {"bias_mode": "none", "task_type": "causal_lm"},
     "bottleneck_config": {"activation": "gelu"},
 }
@@ -63,16 +64,8 @@ def save_archive(path: str, tensors: dict[str, np.ndarray], meta: dict | None = 
     payload = bytearray()
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
-        if arr.dtype == np.float32:
-            dtype = "f32"
-        elif arr.dtype == np.uint8:
-            dtype = "u8"
-        elif arr.dtype in (np.int64, np.dtype("int64")):
-            dtype = "i64"
-        else:
-            arr = arr.astype(np.float32)
-            dtype = "f32"
-        raw = arr.tobytes()
+        dtype = next((k for k, t in _DTYPES.items() if arr.dtype == t), "f32")  # others as f32
+        raw = arr.astype(_DTYPES[dtype], copy=False).tobytes()
         entries.append({
             "name": name, "shape": list(arr.shape), "dtype": dtype,
             "offset": len(payload), "length": len(raw),

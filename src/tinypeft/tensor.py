@@ -10,6 +10,8 @@ two tensors, for the residuals), ``narrow``, ``transpose``, ``layer_norm``,
 ``linear``, ``attention``, ``gelu`` and ``cross_entropy``. The generic ops
 they replaced (``matmul``, ``mul``, ``reshape``, ``softmax``) live in
 ``tests/gradcheck.py``, as the graphs the kernels are checked against.
+A ``Parameter`` is a named leaf; its ``requires_grad`` is the one record of
+whether it trains, and ``freeze`` clears it.
 
 ``transpose`` returns a numpy view of its input; ``narrow`` and
 ``embedding`` copy. A view shares memory with its parent. That is safe
@@ -111,20 +113,19 @@ class Tensor:
 class Parameter(Tensor):
     """A named model weight; frozen parameters never get gradient buffers."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, trainable: bool = True):
-        super().__init__(data, requires_grad=trainable)
+    def __init__(self, data, name: str):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.trainable = trainable
 
     def freeze(self):
-        self.trainable = False
         self.requires_grad = False
         self.grad = None
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
+        return (f"Parameter({self.name!r}, shape={self.data.shape}, "
+                f"requires_grad={self.requires_grad})")
 
 
 _grad_enabled = True

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import TrainingExample
+from .corpus import IGNORE_LABEL, TrainingExample
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import CausalLM
 from .optim import AdamW, clip_global_norm, global_grad_norm
@@ -126,11 +126,11 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return RngState((seed * 1_000_003 + epoch) & 0x7FFFFFFFFFFFFFFF).permutation(n)
 
 
-def collate(examples: list[TrainingExample], pad_id: int, ignore: int = -1):
+def collate(examples: list[TrainingExample], pad_id: int):
     """Right-pad a micro-batch to its longest sequence."""
     width = max(e.length for e in examples)
     ids = np.full((len(examples), width), pad_id, dtype=np.int64)
-    labels = np.full((len(examples), width), ignore, dtype=np.int64)
+    labels = np.full((len(examples), width), IGNORE_LABEL, dtype=np.int64)
     for i, e in enumerate(examples):
         ids[i, : e.length] = e.input_ids
         labels[i, : e.length] = e.labels
@@ -294,7 +294,7 @@ class Trainer:
     def _frozen_digests(self) -> dict[str, str]:
         """Name -> sha256 of every frozen parameter's bytes."""
         return {p.name: hashlib.sha256(np.ascontiguousarray(p.data)).hexdigest()
-                for p in self.model.parameters() if not p.trainable}
+                for p in self.model.parameters() if not p.requires_grad}
 
     def audit_frozen(self):
         """Assert no frozen parameter byte changed since the run began."""

@@ -16,7 +16,7 @@ import pytest
 
 from tinypeft import tensor as T
 from tinypeft.evals import compare_base_vs_adapted, perplexity
-from tinypeft.model import CausalLMConfig, init_model, parameter_count
+from tinypeft.model import LN_EPS, CausalLMConfig, init_model, parameter_count
 from tinypeft.optim import AdamW
 from tinypeft.peft import (
     FIG12_TARGET_MODULES,
@@ -118,7 +118,7 @@ def _reference_lm_loss_f64(model, ids: np.ndarray) -> float:
         mu = x.mean(-1, keepdims=True)
         xc = x - mu
         var = (xc * xc).mean(-1, keepdims=True)
-        return xc / np.sqrt(var + cfg.layer_norm_eps) * g + b
+        return xc / np.sqrt(var + LN_EPS) * g + b
 
     x = p["tok_embeddings.weight"][ids] + p["pos_embeddings.weight"][:S]
     keep = np.tril(np.ones((S, S), dtype=bool))
@@ -240,13 +240,13 @@ def test_criterion_07_checkpoint_determinism(tmp_path, desk_config, examples, to
 
 def test_criterion_08_nf4_quantization(desk_config):
     book = build_nf4_codebook()
-    ok = book.values[0] == -1.0 and book.values[15] == 1.0 and book.values[8] == 0.0
+    ok = book[0] == -1.0 and book[15] == 1.0 and book[8] == 0.0
 
     rng = np.random.default_rng(8)
     w = rng.normal(0.0, 0.02, size=100_000).astype(np.float32)
     q = quantize_blockwise(w, QuantConfig(block_size=64, double_quant=False))
     scales = np.repeat(q.scales, 64)[: w.size]
-    bound = scales * (np.diff(book.values).max() / 2.0) + 1e-7
+    bound = scales * (np.diff(book).max() / 2.0) + 1e-7
     ok = ok and bool(np.all(np.abs(dequantize_blockwise(q) - w) <= bound))
 
     dq = quantize_blockwise(w, QuantConfig())  # defaults: 64 / dq 256

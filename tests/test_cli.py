@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from tinypeft import cli, peft, store
+from tinypeft.bpe import TokenizerModel
 from tinypeft.cli import main
-from tinypeft.model import CausalLMConfig
+from tinypeft.model import CausalLMConfig, init_model
 from tinypeft.peft import BottleneckAdapterConfig, LoraConfig
 from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
@@ -414,6 +415,46 @@ def test_malformed_data_file_is_data_error(workdir, tmp_path, capsys, text):
                  "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:data:") and str(data) in err
+
+
+@pytest.fixture(scope="module")
+def short_base(workdir):
+    """An untrained base with the workdir tokenizer's vocabulary and seq_len 32."""
+    vocab = TokenizerModel.load(workdir["tok"]).vocab_size
+    path = str(workdir["dir"] / "short.pfwa")
+    store.save_model(init_model(CausalLMConfig(vocab_size=vocab, d_model=8, n_heads=2,
+                                               n_layers=1, seq_len=32), RngState(0)), path)
+    return path
+
+
+# one malformed --data input per row: (field named, the bad example)
+BAD_EXAMPLES = {
+    "label_too_large": ("labels", {"input_ids": [5, 6, 7], "labels": [5, 6, 99999]}),
+    "label_negative": ("labels", {"input_ids": [5, 6, 7], "labels": [-1, -5, 7]}),
+    "id_too_large": ("input_ids", {"input_ids": [5, 99999, 7], "labels": [5, 6, 7]}),
+    "too_long": ("input_ids", {"input_ids": [5] * 40, "labels": [5] * 40}),
+}
+
+
+@pytest.mark.parametrize("command", ["finetune", "eval"])
+@pytest.mark.parametrize("row", sorted(BAD_EXAMPLES))
+def test_data_outside_the_model_is_a_data_error(workdir, short_base, tmp_path, capsys,
+                                                 command, row):
+    """Every --data example must fit the model: ids in [0, V), labels there or
+    -1, at most seq_len tokens. A misfit exits 2 naming the file, the example
+    and the field, before a trainer starts its metrics log."""
+    field, bad = BAD_EXAMPLES[row]
+    data = tmp_path / "data.json"
+    good = {"input_ids": [5, 6, 7], "labels": [-1, 6, 7]}
+    data.write_text(json.dumps({"examples": [good, bad]}))
+    out = tmp_path / "run"
+    argv = (["finetune", "--base", short_base, "--output_dir", str(out), "--max_steps", "1"]
+            if command == "finetune" else ["eval", "--model", short_base])
+    assert main(argv + ["--tokenizer", workdir["tok"], "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:data:") and "Traceback" not in err
+    assert f"{data}: example 1: {field}" in err, err
+    assert not (out / "metrics.jsonl").exists()
 
 
 @pytest.mark.parametrize("argv, named", [

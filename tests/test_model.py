@@ -82,7 +82,7 @@ def test_backward_touches_every_trainable(micro_model):
     loss = micro_model.lm_loss(ids, ids)
     T.backward(loss)
     missing = [p.name for p in micro_model.params.values()
-               if p.trainable and p.grad is None]
+               if p.requires_grad and p.grad is None]
     assert missing == []
     # positions past the batch max length never appear, so pos rows beyond
     # seq 10 stay zero
@@ -147,3 +147,14 @@ def test_tied_head_shares_embedding(micro_model):
     tok.data[0] -= 1.0
     logits2 = micro_model.forward_logits(ids).data
     assert not np.array_equal(logits, logits2)  # head moved with the embedding
+
+
+def test_linears_walk_blocks_in_layer_order(micro_model):
+    # attach_lora draws its A matrices in this order, so it fixes every
+    # LoRA init; init_model creates the weights in the same order
+    want = [f"blocks.{i}.{s}" for i in range(2) for s in
+            ("attn.query_key_value", "attn.dense", "mlp.dense_h_to_4h", "mlp.dense_4h_to_h")]
+    assert [lin.name for lin in micro_model.linears()] == want
+    weights = [n[:-len(".weight")] for n in micro_model.params
+               if n.endswith(".weight") and n.startswith("blocks.")]
+    assert weights == want

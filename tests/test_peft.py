@@ -4,6 +4,7 @@ the merge, and trainable accounting."""
 import numpy as np
 import pytest
 
+from tinypeft.corpus import TrainingExample
 from tinypeft.errors import ConfigError, StateError
 from tinypeft.model import init_model, parameter_count
 from tinypeft.peft import (
@@ -22,6 +23,7 @@ from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
 from tinypeft.store import load_adapter, load_model, save_adapter, save_model
 from tinypeft.tensor import backward
+from tinypeft.trainer import TrainConfig, Trainer
 
 from conftest import lora_pairs, micro_config, rand_ids
 
@@ -67,7 +69,7 @@ def test_lora_forward_matches_matrix_oracle():
     model = fresh()
     attach_lora(model, LoraConfig(r=3, alpha=6.0, dropout=0.0,
                                   target_modules=["attn.dense"]), RngState(4))
-    lin = model.modules()["blocks.0.attn.dense"]
+    lin = model.blocks[0].attn_dense
     a = lin.adapter
     a.B.data = np.random.default_rng(1).standard_normal(a.B.shape).astype(np.float32)
     x = np.random.default_rng(2).standard_normal((5, 8)).astype(np.float32)
@@ -81,7 +83,7 @@ def test_lora_forward_matches_matrix_oracle():
 def test_delta_weight_rank_bound():
     model = fresh()
     attach_lora(model, LoraConfig(r=2, target_modules=["dense_h_to_4h"]), RngState(5))
-    lin = model.modules()["blocks.0.mlp.dense_h_to_4h"]
+    lin = model.blocks[0].mlp_up
     lin.adapter.B.data = np.random.default_rng(3).standard_normal(
         lin.adapter.B.shape).astype(np.float32)
     dw = lin.adapter.delta_weight()
@@ -96,7 +98,7 @@ def test_scaling_linear_in_alpha():
         model = fresh(9)
         attach_lora(model, LoraConfig(r=4, alpha=alpha, dropout=0.0,
                                       target_modules=["attn.dense"]), RngState(6))
-        lin = model.modules()["blocks.0.attn.dense"]
+        lin = model.blocks[0].attn_dense
         lin.adapter.B.data = np.ones(lin.adapter.B.shape, np.float32)
         x = np.ones((2, 8), np.float32)
         lin.weight.data = np.zeros_like(lin.weight.data)  # base bias is 0: lin(x) is the delta
@@ -176,6 +178,32 @@ def test_merged_qlora_model_is_a_plain_f32_base(tmp_path):
         np.testing.assert_array_equal(reloaded.params[name].data, p.data)
 
 
+@pytest.mark.parametrize("quantized", [False, True], ids=["lora", "qlora"])
+def test_merged_model_trains_like_its_reload(tmp_path, quantized):
+    """A merge hands back what ``load_model`` of the saved merge gives: every
+    parameter trainable, and one Trainer step lands on the same weights."""
+    model = fresh()
+    if quantized:
+        quantize_base(model, QuantConfig(block_size=16))
+    attach_lora(model, LoraConfig(r=2), RngState(1))
+    merge_lora(model)
+    save_model(model, str(tmp_path / "merged.pfwa"))
+    reloaded = load_model(str(tmp_path / "merged.pfwa"))
+
+    def trainable(m):
+        return [p.name for p in m.trainable_parameters()]
+
+    assert trainable(model) == trainable(reloaded) == list(reloaded.params)
+    examples = [TrainingExample(ids, ids) for ids in
+                np.random.default_rng(0).integers(0, 32, (4, 10)).tolist()]
+    for i, m in enumerate((model, reloaded)):
+        cfg = TrainConfig(output_dir=str(tmp_path / f"run{i}"), max_steps=1,
+                          gradient_accumulation_steps=1, seed=5)
+        assert np.isfinite(Trainer(m, examples, cfg, pad_id=0).train_step())
+    for name, p in reloaded.params.items():
+        np.testing.assert_array_equal(model.params[name].data, p.data)
+
+
 # -- accounting ---------------------------------------------------------------
 
 
@@ -205,7 +233,7 @@ def test_frozen_base_after_attach():
     model = fresh()
     attach_lora(model, LoraConfig(r=2), RngState(0))
     for p in model.params.values():
-        assert p.trainable == (".lora_" in p.name)
+        assert p.requires_grad == (".lora_" in p.name)
 
 
 # -- bottleneck adapters ------------------------------------------------------
@@ -253,7 +281,7 @@ def test_quantize_base_freezes_and_keeps_packed():
     quantize_base(model, QuantConfig(block_size=16))
     for lin in model.linears():
         assert lin.qweight is not None
-        assert not lin.weight.trainable
+        assert not lin.weight.requires_grad
     attach_lora(model, LoraConfig(r=2), RngState(0))
     ids = rand_ids(np.random.default_rng(6), 2, 6, 32)
     backward(model.lm_loss(ids, ids))

@@ -15,11 +15,10 @@ from tinypeft.model import CausalLMConfig, init_model
 from tinypeft.peft import quantize_base
 from tinypeft.quant import (
     _TAIL_DELTA,
+    CODEBOOKS,
     QuantConfig,
     build_nf4_codebook,
-    build_uniform4_codebook,
     dequantize_blockwise,
-    get_codebook,
     memory_footprint_bits,
     quantize_blockwise,
 )
@@ -29,7 +28,7 @@ from tinypeft.tensor import Tensor
 
 def half_gap(q) -> float:
     """Half the widest gap between adjacent levels: the rounding bound."""
-    return float(np.diff(q.codebook().values).max()) / 2.0
+    return float(np.diff(CODEBOOKS[q.codebook_id]).max()) / 2.0
 
 
 def normal_quantile_oracle(p: float) -> float:
@@ -51,7 +50,7 @@ def test_codebook_matches_bisection_oracle():
     ])
     raw = np.array([normal_quantile_oracle(p) for p in probs])
     want = raw / np.abs(raw).max()
-    got = build_nf4_codebook().values
+    got = build_nf4_codebook()
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -62,13 +61,13 @@ def test_codebook_bitwise_equals_ndtri_build():
     ]))
     want = (raw / np.abs(raw).max()).astype(np.float32)
     want[8], want[0], want[15] = 0.0, -1.0, 1.0
-    got = build_nf4_codebook().values
+    got = build_nf4_codebook()
     assert got.dtype == np.float32
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_codebook_endpoints_and_zero_exact():
-    vals = build_nf4_codebook().values
+    vals = build_nf4_codebook()
     assert vals[0] == -1.0 and vals[15] == 1.0 and vals[8] == 0.0
     assert np.all(np.diff(vals) > 0)  # strictly ascending
     assert len(vals) == 16
@@ -76,20 +75,31 @@ def test_codebook_endpoints_and_zero_exact():
 
 
 def test_codebook_denser_near_zero():
-    vals = build_nf4_codebook().values
+    vals = build_nf4_codebook()
     gaps = np.diff(vals)
     # normal quantiles cluster around 0, so the central gaps are smallest
     assert gaps[7] < gaps[0] and gaps[8] < gaps[-1]
 
 
 def test_uniform_codebook():
-    vals = build_uniform4_codebook().values
+    vals = CODEBOOKS["uniform4"]
     np.testing.assert_allclose(np.diff(vals), 2.0 / 15.0, rtol=1e-6)
 
 
-def test_get_codebook_rejects_unknown():
-    with pytest.raises(ConfigError):
-        get_codebook("int4")
+def test_quant_config_rejects_an_unknown_codebook():
+    with pytest.raises(ConfigError, match="int4"):
+        QuantConfig(codebook="int4")
+
+
+def test_codebook_table_is_read_only_and_holds_the_nf4_build():
+    assert sorted(CODEBOOKS) == ["nf4", "uniform4"]
+    assert np.array_equal(CODEBOOKS["nf4"].view(np.uint32),
+                          build_nf4_codebook().view(np.uint32))
+    for levels in CODEBOOKS.values():
+        assert levels.dtype == np.float32 and levels.shape == (16,)
+        assert not levels.flags.writeable
+        with pytest.raises(ValueError):
+            levels[0] = 0.0
 
 
 # -- quantize / dequantize ----------------------------------------------------
@@ -141,7 +151,7 @@ def reference_dequantize(q) -> np.ndarray:
     idx = np.empty(len(q.packed) * 2, dtype=np.uint8)
     idx[0::2] = q.packed & 0x0F
     idx[1::2] = q.packed >> 4
-    levels = q.codebook().values[idx[:numel]]
+    levels = CODEBOOKS[q.codebook_id][idx[:numel]]
     scales = q.block_scales()
     out = np.empty(numel, dtype=np.float32)
     bs = q.block_size

@@ -298,7 +298,7 @@ def _state(target) -> dict:
     """Everything a failed load must leave as it was."""
     tr = target if isinstance(target, Trainer) else None
     model = tr.model if tr else target
-    state = {n: (p.data.tobytes(), p.trainable) for n, p in model.params.items()}
+    state = {n: (p.data.tobytes(), p.requires_grad) for n, p in model.params.items()}
     state["slots"] = (model.adapter_config, model.quant_config,
                       [lin.qweight is None for lin in model.linears()])
     if tr:
@@ -461,7 +461,7 @@ def test_qlora_adapter_reloads_onto_its_f32_base(tmp_path):
     assert restored.quant_config == QuantConfig(block_size=16)
     for name, p in trained.params.items():
         assert restored.params[name].data.tobytes() == p.data.tobytes(), name
-        assert restored.params[name].trainable == p.trainable, name
+        assert restored.params[name].requires_grad == p.requires_grad, name
     ids = rand_ids(np.random.default_rng(5), 2, 8, 32)
     np.testing.assert_array_equal(restored.forward_logits(ids).data,
                                   trained.forward_logits(ids).data)
@@ -504,11 +504,11 @@ def test_mistyped_adapter_config_is_data_error_and_leaves_the_base_untouched(
     save_archive(bad, tensors, meta)
 
     base = init_model(micro_config(), RngState(16))
-    before = {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()}
+    before = {n: (p.data.tobytes(), p.requires_grad) for n, p in base.params.items()}
     with pytest.raises(DataError, match=rf"'{key}\.{field}' must be"):
         load_adapter(base, bad)
     assert base.adapter_config is None
-    assert {n: (p.data.tobytes(), p.trainable) for n, p in base.params.items()} == before
+    assert {n: (p.data.tobytes(), p.requires_grad) for n, p in base.params.items()} == before
     load_adapter(base, good)  # the intact archive still loads onto it
 
     base_path = str(tmp_path / "base.pfwa")
@@ -535,12 +535,12 @@ def test_qlora_fingerprint_mismatch_leaves_the_base_unchanged(tmp_path):
     adapter_path = str(tmp_path / "adapter.pfwa")
     save_adapter(_qlora_trained(15), adapter_path)
     other = init_model(micro_config(), RngState(99))
-    before = {n: (p.data.tobytes(), p.trainable) for n, p in other.params.items()}
+    before = {n: (p.data.tobytes(), p.requires_grad) for n, p in other.params.items()}
     with pytest.raises(DataError, match="different base"):
         load_adapter(other, adapter_path)
     assert other.adapter_config is None and other.quant_config is None
     assert all(lin.qweight is None for lin in other.linears())
-    assert {n: (p.data.tobytes(), p.trainable) for n, p in other.params.items()} == before
+    assert {n: (p.data.tobytes(), p.requires_grad) for n, p in other.params.items()} == before
 
 
 # -- archives that carry retired config fields ----------------------------------
@@ -549,7 +549,8 @@ V1 = os.path.join(os.path.dirname(__file__), "data", "v1_archives")
 # the fields that accepted one value, at that value, as the archives in V1
 # carry them
 RETIRED = {
-    "model_config": {"mlp_ratio": 4, "positional": "learned_absolute"},
+    "model_config": {"mlp_ratio": 4, "positional": "learned_absolute",
+                     "layer_norm_eps": 1e-5},
     "lora_config": {"bias_mode": "none", "task_type": "causal_lm"},
     "bottleneck_config": {"activation": "gelu"},
 }
@@ -581,6 +582,7 @@ def test_archives_written_with_the_retired_fields_load():
 @pytest.mark.parametrize("key, field, value, kind", [
     ("model_config", "mlp_ratio", 2, "model"),
     ("model_config", "positional", "rope", "model"),
+    ("model_config", "layer_norm_eps", 1e-6, "model"),
     ("lora_config", "bias_mode", "all", "lora"),
     ("lora_config", "task_type", "seq_cls", "lora"),
     ("bottleneck_config", "activation", "relu", "bottleneck"),
@@ -599,3 +601,15 @@ def test_retired_field_at_another_value_is_data_error(tmp_path, capsys, key, fie
                  "--out", str(tmp_path / "o.pfwa")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:data:") and field in err
+    assert not os.path.exists(tmp_path / "o.pfwa")
+
+
+def test_base_fingerprint_is_pinned():
+    """The fingerprint hashes the retired fields at their values, so it
+    survives their removal: these digests were taken before ``layer_norm_eps``
+    left ``CausalLMConfig``, and every adapter written since still matches."""
+    model = init_model(micro_config(), RngState(6))
+    assert base_fingerprint(model) == (
+        "e6df65fab21231d100ff78b02b012c3b36009e6baceca427f95bf7dbf0094e11")
+    assert base_fingerprint(model, QuantConfig(block_size=16, dq_group=4)) == (
+        "e07ec49b4c3bd37f2480151be023a4cac5bad533755a8d4ef2ff402da6a00758")

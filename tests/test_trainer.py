@@ -347,7 +347,7 @@ def test_frozen_audit_names_a_flipped_byte(tmp_path, tiny_data, tiny_tok, name):
     tr = lora_trainer(tmp_path, tiny_data, tiny_tok, "lora", max_steps=2, save_steps=100)
     tr.train()
     p = tr.model.params[name]
-    assert not p.trainable
+    assert not p.requires_grad
     raw = p.data.view(np.uint8).reshape(-1)
     raw[5] ^= 0x01
     with pytest.raises(StateError, match=rf"frozen parameter '{re.escape(name)}' changed"):
