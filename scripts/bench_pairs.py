@@ -2,25 +2,26 @@
 alternating pairs, and write BENCH_<workload>.json at the repository root.
 
     python3 scripts/bench_pairs.py --workload finetune --parent HEAD~1
-    python3 scripts/bench_pairs.py --workload generate-eval --parent main --pairs 10
+    python3 scripts/bench_pairs.py --workload generate-eval --parent main
     python3 scripts/bench_pairs.py --workload finetune    # a single-tree baseline
 
 The parent is unpacked with ``git archive <rev> | tar -x`` into a temporary
 directory, so no worktree is made, and the working tree's files (tracked,
 and untracked but not ignored) are copied into a sibling directory of the
-same path length. A tree run in place reads a different ``peak_rss_mb``:
-the same sources read 64.3 MB in place and 65.4 MB from a copy (finetune,
-2-vCPU host), because the heap layout follows the paths.
+same path length. The same sources read a different ``peak_rss_mb`` run in
+place and from a copy (64.3 and 65.4 MB, finetune, 2-vCPU host), so both
+sides run from copies.
 
-Each pair runs ``bench/run.py --workload W --seed S --seconds N`` once in
-each tree, with that tree's own benchmark and sources; even pairs run the
-parent first and odd pairs the working tree first, so slow drift of the
-host falls on both sides alike. Without ``--parent`` every run is of the
-working tree, and the file records those runs as a baseline.
+Each of the PAIRS pairs runs ``bench/run.py --workload W``, with the
+benchmark's own seed and run length, once in each tree, with that tree's own
+benchmark and sources; even pairs run the parent first and odd pairs the
+working tree first, so slow drift of the host falls on both sides alike.
+Without ``--parent`` every run is of the working tree, and the file records
+those runs as a baseline.
 
 The file holds both revisions, the host's processor count and the BLAS
-thread count; each run's metrics, loss digests, ``correct`` and ``failed``;
-each side's median, quartiles and p90 per end-to-end metric of
+thread count; each run's seed, metrics, loss digests, ``correct`` and
+``failed``; each side's median, quartiles and p90 per end-to-end metric of
 BENCHMARK.json; and per metric the pairs the change won, its median shift
 in the metric's worse direction, and a verdict against the metric's bound.
 """
@@ -36,6 +37,7 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
 
 
 def stats(values: list[float]) -> dict:
@@ -81,17 +83,16 @@ def summarize(parent_runs: list[dict] | None, change_runs: list[dict],
     return out
 
 
-def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: str, workload: str) -> dict:
     """One benchmark run in ``tree``: its result line plus the details the
     pairs are checked on."""
     proc = subprocess.run(
-        [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", workload],
         cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
     details_line, result_line = proc.stdout.strip().splitlines()[-2:]
     details, result = json.loads(details_line), json.loads(result_line)
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+    return {"seed": details["seed"], "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "loss_digests": {k: d["loss_digest"] for k, d in details["loss_digests"].items()},
             "blas_threads": details["environment"]["blas_threads"]}
@@ -121,9 +122,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--parent", help="revision to compare with; omit for a baseline")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=45.0)
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         end_to_end = json.load(f)["end_to_end"]
@@ -138,11 +136,11 @@ def main(argv=None) -> int:
             parent_rev = git("rev-parse", args.parent)
             trees["parent"] = os.path.join(tmp, "parent")
             export(parent_rev, trees["parent"])
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             order = [s for s in order if s in trees]
             for side in order:
-                run = run_bench(trees[side], args.workload, args.seed, args.seconds)
+                run = run_bench(trees[side], args.workload)
                 run["pair"], run["first"] = i, side == order[0]
                 runs[side].append(run)
                 print(f"pair {i} {side}: correct {run['correct']} failed {run['failed']}",
@@ -150,7 +148,7 @@ def main(argv=None) -> int:
 
     every = runs["parent"] + runs["change"]
     doc = {
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "workload": args.workload,
         "parent": {"rev": parent_rev} if args.parent else None, "change": change_rev,
         "nproc": os.cpu_count(), "blas_threads": sorted({r["blas_threads"] for r in every}),
         "all_correct": all(r["correct"] and r["failed"] == 0 for r in every),

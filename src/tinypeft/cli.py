@@ -157,10 +157,11 @@ def _load_corpus_texts(path: str) -> list[str]:
 
 def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMConfig,
                    mask_prompt: bool = True) -> list[corpus.TrainingExample]:
-    """The --data or --csv examples. One that does not fit the model (its
-    length, ids or labels) is a DataError naming the file, example and field."""
+    """The --data or --csv examples (a --csv one counted after build_examples
+    skips unusable rows). One that does not fit the model (its length, ids or
+    labels) is a DataError naming the file, example and field."""
     if eff.get("data"):
-        path = eff["data"]
+        path, unit = eff["data"], "example"
         doc = _read_json(path, DataError)
         if not isinstance(doc, dict) or not isinstance(doc.get("examples"), list):
             raise DataError(f"{path}: needs an 'examples' list")
@@ -173,25 +174,25 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMCon
                 raise DataError(f"{path}: example {i} needs equal-length input_ids and labels lists of ints")
             examples.append(corpus.TrainingExample(ids, labels))
     else:
-        (path,) = _require(eff, "csv")
+        (path,), unit = _require(eff, "csv"), "built example"
         pairs = [corpus.preprocess_pair(p, corpus.PreprocessConfig())
                  for p in corpus.load_qa_csv(path)]
-        examples, _ = corpus.build_examples(
-            pairs, tokenizer, seq_len=config.seq_len, mask_prompt=mask_prompt
-        )
+        examples, _ = corpus.build_examples(pairs, tokenizer, seq_len=config.seq_len,
+                                            mask_prompt=mask_prompt)
         if not examples:
             raise DataError(f"{path}: no usable examples")
     V, n = config.vocab_size, config.seq_len
     for i, e in enumerate(examples):
         if len(e.input_ids) > n:
-            raise DataError(f"{path}: example {i}: input_ids has {len(e.input_ids)} tokens, "
+            raise DataError(f"{path}: {unit} {i}: input_ids has {len(e.input_ids)} tokens, "
                             f"more than seq_len {n}")
-        # a label is IGNORE_LABEL (-1) or an id, so it lies in [-1, V)
-        for field, values, low in (("input_ids", e.input_ids, 0), ("labels", e.labels, -1)):
-            bad = [t for t in values if not low <= t < V]
+        for field, values, spare in (("input_ids", e.input_ids, None),
+                                     ("labels", e.labels, corpus.IGNORE_LABEL)):
+            bad = [t for t in values if t != spare and not 0 <= t < V]
             if bad:
-                raise DataError(f"{path}: example {i}: {field} holds {bad[0]}, "
-                                f"outside [{low}, {V})")
+                also = "" if spare is None else f" and not {spare}"
+                raise DataError(f"{path}: {unit} {i}: {field} holds {bad[0]}, "
+                                f"outside [0, {V}){also}")
     return examples
 
 

@@ -419,41 +419,55 @@ def test_malformed_data_file_is_data_error(workdir, tmp_path, capsys, text):
 
 @pytest.fixture(scope="module")
 def short_base(workdir):
-    """An untrained base with the workdir tokenizer's vocabulary and seq_len 32."""
-    vocab = TokenizerModel.load(workdir["tok"]).vocab_size
+    """An untrained base of 300 tokens, fewer than the workdir tokenizer's 400,
+    and seq_len 64, which the default template's prompt fits."""
     path = str(workdir["dir"] / "short.pfwa")
-    store.save_model(init_model(CausalLMConfig(vocab_size=vocab, d_model=8, n_heads=2,
-                                               n_layers=1, seq_len=32), RngState(0)), path)
+    store.save_model(init_model(CausalLMConfig(vocab_size=300, d_model=8, n_heads=2,
+                                               n_layers=1, seq_len=64), RngState(0)), path)
     return path
 
 
-# one malformed --data input per row: (field named, the bad example)
-BAD_EXAMPLES = {
-    "label_too_large": ("labels", {"input_ids": [5, 6, 7], "labels": [5, 6, 99999]}),
-    "label_negative": ("labels", {"input_ids": [5, 6, 7], "labels": [-1, -5, 7]}),
-    "id_too_large": ("input_ids", {"input_ids": [5, 99999, 7], "labels": [5, 6, 7]}),
-    "too_long": ("input_ids", {"input_ids": [5] * 40, "labels": [5] * 40}),
+def _data(bad: dict) -> str:
+    good = {"input_ids": [5, 6, 7], "labels": [-1, 6, 7]}
+    return json.dumps({"examples": [good, bad]})
+
+
+# one input per row that does not fit the short base: (file name, its text,
+# the example and field the error names)
+BAD_INPUTS = {
+    "label_too_large": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [5, 6, 99999]}),
+                        "example 1: labels"),
+    "label_negative": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [-1, -5, 7]}),
+                       "example 1: labels"),
+    "id_too_large": ("data.json", _data({"input_ids": [5, 99999, 7], "labels": [5, 6, 7]}),
+                     "example 1: input_ids"),
+    "too_long": ("data.json", _data({"input_ids": [5] * 70, "labels": [5] * 70}),
+                 "example 1: input_ids"),
+    # the tokenizer's merges reach past the model's 300 ids; the empty answer
+    # of row 2 is skipped, so row 3 is the first example built
+    "csv_id_too_large": ("data.csv", "question,answer\nWhy?,\nWhat moved KOSPI?,KOSPI rose.\n",
+                         "built example 0: input_ids"),
 }
 
 
 @pytest.mark.parametrize("command", ["finetune", "eval"])
-@pytest.mark.parametrize("row", sorted(BAD_EXAMPLES))
+@pytest.mark.parametrize("row", sorted(BAD_INPUTS))
 def test_data_outside_the_model_is_a_data_error(workdir, short_base, tmp_path, capsys,
                                                  command, row):
-    """Every --data example must fit the model: ids in [0, V), labels there or
-    -1, at most seq_len tokens. A misfit exits 2 naming the file, the example
-    and the field, before a trainer starts its metrics log."""
-    field, bad = BAD_EXAMPLES[row]
-    data = tmp_path / "data.json"
-    good = {"input_ids": [5, 6, 7], "labels": [-1, 6, 7]}
-    data.write_text(json.dumps({"examples": [good, bad]}))
+    """Every --data or --csv example must fit the model: ids in [0, V), labels
+    there or -1, at most seq_len tokens. A misfit exits 2 naming the file, the
+    example and the field, before a trainer starts its metrics log."""
+    name, text, named = BAD_INPUTS[row]
+    data = tmp_path / name
+    data.write_text(text)
     out = tmp_path / "run"
     argv = (["finetune", "--base", short_base, "--output_dir", str(out), "--max_steps", "1"]
             if command == "finetune" else ["eval", "--model", short_base])
-    assert main(argv + ["--tokenizer", workdir["tok"], "--data", str(data)]) == 2
+    source = "--csv" if name.endswith(".csv") else "--data"
+    assert main(argv + ["--tokenizer", workdir["tok"], source, str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:data:") and "Traceback" not in err
-    assert f"{data}: example 1: {field}" in err, err
+    assert f"{data}: {named}" in err, err
     assert not (out / "metrics.jsonl").exists()
 
 
