@@ -159,7 +159,8 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMCon
                    mask_prompt: bool = True) -> list[corpus.TrainingExample]:
     """The --data or --csv examples (a --csv one counted after build_examples
     skips unusable rows). One that does not fit the model (its length, ids or
-    labels) is a DataError naming the file, example and field."""
+    labels) or scores no token is a DataError naming the file, example and
+    field."""
     if eff.get("data"):
         path, unit = eff["data"], "example"
         doc = _read_json(path, DataError)
@@ -193,6 +194,9 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMCon
                 also = "" if spare is None else f" and not {spare}"
                 raise DataError(f"{path}: {unit} {i}: {field} holds {bad[0]}, "
                                 f"outside [0, {V}){also}")
+        if all(t == corpus.IGNORE_LABEL for t in e.labels[1:]):
+            raise DataError(f"{path}: {unit} {i}: labels score no token: every label "
+                            f"after the first is {corpus.IGNORE_LABEL}")
     return examples
 
 

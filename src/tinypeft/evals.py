@@ -5,7 +5,8 @@ base-vs-adapted comparison report.
 Generation-quality criteria without a formula are operationalized as exact
 match after normalization (generation accuracy) and likelihood
 classification (prediction accuracy); both mappings are stated in the
-report header.
+report header. ``perplexity`` and ``classify_by_likelihood`` fold an attached
+LoRA adapter once per call, keeping no state (``CausalLM.folded``).
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .bpe import TokenizerModel
-from .corpus import DEFAULT_INFER_TEMPLATE, TrainingExample, normalize_text
+from .corpus import DEFAULT_INFER_TEMPLATE, IGNORE_LABEL, TrainingExample, normalize_text
 from .errors import ConfigError, DataError, ShapeError
 from .model import CausalLM
 from .trainer import collate
@@ -58,10 +58,10 @@ def perplexity(model: CausalLM, examples: list[TrainingExample], pad_id: int) ->
         raise DataError("perplexity needs a non-empty eval set")
     total_nll = 0.0
     total_tok = 0
-    with T.no_grad():
+    with model.folded():
         for ex in examples:
             ids, labels = collate([ex], pad_id)
-            n = int((labels[:, 1:] != -1).sum())
+            n = int((labels[:, 1:] != IGNORE_LABEL).sum())
             if n == 0:
                 continue
             loss = model.lm_loss(ids, labels)
@@ -133,7 +133,7 @@ def classify_by_likelihood(model: CausalLM, tokenizer: TokenizerModel,
             raise DataError(f"prompt + label exceeds context ({len(head) + len(lab_ids)} tokens)")
         labels.append((label, lab_ids))
     best_label, best_score = None, None
-    with T.no_grad():
+    with model.folded():
         cache = [[] for _ in model.blocks]
         first = _log_softmax(model.forward_logits(np.asarray([head]), cache=cache,
                                                   from_row=len(head) - 1).data[0, -1])

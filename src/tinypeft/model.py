@@ -21,11 +21,13 @@ and the loss, in training and in perplexity alike. ``generate`` is KV-cached
 and reads only the last row: it encodes the prompt once, then one position
 per new token. When the running sequence slides past the seq_len - 1 window,
 every absolute position shifts, so the cache is dropped and each step
-re-encodes the window.
+re-encodes the window. ``generate`` and the evals fold the LoRA pairs into
+their weights once per call and keep no state (``CausalLM.folded``).
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +86,11 @@ class Linear:
         mask = T.dropout_mask(x.shape, a.dropout, rng) if training else None
         return T.linear(x, self.weight, self.bias, (a.A, a.B, a.scaling, mask))
 
+    def fold(self):
+        """Fold the LoRA pair into a new weight array, W + s (B A)^T, and detach it."""
+        self.weight.data = self.weight.data + self.adapter.delta_weight()
+        self.adapter = None
+
 
 class LayerNorm:
     def __init__(self, name: str, gain: Parameter, bias: Parameter):
@@ -141,6 +148,23 @@ class CausalLM:
     def freeze_all(self):
         for p in self.params.values():
             p.freeze()
+
+    @contextlib.contextmanager
+    def folded(self):
+        """Run the body under no_grad with every LoRA pair folded into its
+        weight (``Linear.fold``, as in ``peft.merge_lora``): a forward is the
+        merge's bit for bit and skips the LoRA branch. Any exit puts back the
+        original weight arrays and adapters, so no folded state outlives it."""
+        saved = [(lin, lin.weight.data, lin.adapter) for lin in self.linears()
+                 if lin.adapter is not None]
+        try:
+            with T.no_grad():
+                for lin, _, _ in saved:
+                    lin.fold()
+                yield self
+        finally:
+            for lin, weight, adapter in saved:
+                lin.weight.data, lin.adapter = weight, adapter
 
     # -- forward -------------------------------------------------------------
 
@@ -244,7 +268,7 @@ class CausalLM:
         from then on each step re-encodes the whole window without a cache.
         Only the last position's logits are read, so every forward here asks
         for that row alone (``from_row`` = S - 1): the final block's tail,
-        ``ln_f`` and the head run on one row.
+        ``ln_f`` and the head run on one row. The call runs ``folded``.
         """
         if not prompt_ids:
             raise DataError("empty prompt")
@@ -262,29 +286,29 @@ class CausalLM:
         window = self.config.seq_len - 1
         cache = [[] for _ in self.blocks]
         cached = 0  # leading tokens of out held in the cache
-        for _ in range(max_new_tokens):
-            if len(out) <= window:
-                ctx, step_cache, cached = out[cached:], cache, len(out)
-            else:
-                ctx, step_cache = out[-window:], None
-            with T.no_grad():
+        with self.folded():
+            for _ in range(max_new_tokens):
+                if len(out) <= window:
+                    ctx, step_cache, cached = out[cached:], cache, len(out)
+                else:
+                    ctx, step_cache = out[-window:], None
                 logits = self.forward_logits(np.asarray([ctx]), cache=step_cache,
                                              from_row=len(ctx) - 1)
-            row = logits.data[0, -1].astype(np.float64)
-            if mode == "greedy":
-                nxt = int(row.argmax())
-            else:
-                z = row / temperature
-                if top_k and top_k < len(z):
-                    cutoff = np.sort(z)[-top_k]
-                    z = np.where(z >= cutoff, z, -np.inf)
-                z -= z.max()
-                probs = np.exp(z)
-                probs /= probs.sum()
-                nxt = rng.choice_weighted(probs.astype(np.float32))
-            out.append(nxt)
-            if eos_id is not None and nxt == eos_id:
-                break
+                row = logits.data[0, -1].astype(np.float64)
+                if mode == "greedy":
+                    nxt = int(row.argmax())
+                else:
+                    z = row / temperature
+                    if top_k and top_k < len(z):
+                        cutoff = np.sort(z)[-top_k]
+                        z = np.where(z >= cutoff, z, -np.inf)
+                    z -= z.max()
+                    probs = np.exp(z)
+                    probs /= probs.sum()
+                    nxt = rng.choice_weighted(probs.astype(np.float32))
+                out.append(nxt)
+                if eos_id is not None and nxt == eos_id:
+                    break
         return out
 
 

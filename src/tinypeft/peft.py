@@ -6,7 +6,8 @@ B = 0, bottleneck because the up-projection starts at 0), so a freshly
 adapted model reproduces the base bitwise in eval mode. A LoRA pair holds
 only its weights: the adapted ``model.Linear`` computes the delta inside the
 fused ``tensor.linear`` kernel, as do the bottleneck's projections. A LoRA
-layer is attached or merged away: the merge leaves a plain f32 base.
+layer is attached or merged away: the merge leaves a plain f32 base. Inference
+applies the same fold once per call and keeps no state (``CausalLM.folded``).
 """
 
 from __future__ import annotations
@@ -110,9 +111,8 @@ def merge_lora(model: CausalLM) -> CausalLM:
         raise StateError("model has no LoRA adapters to merge")
     for lin in model.linears():
         if lin.adapter is not None:
-            lin.weight.data = lin.weight.data + lin.adapter.delta_weight()
             del model.params[lin.adapter.A.name], model.params[lin.adapter.B.name]
-            lin.adapter = None
+            lin.fold()
         lin.qweight = None
     for p in model.params.values():
         p.requires_grad = True

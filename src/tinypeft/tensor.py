@@ -330,7 +330,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 @functools.lru_cache(maxsize=None)
 def _causal_bias(s: int) -> np.ndarray:
     """Read-only (s, s) f32 score bias, the one causal mask: 0 on and below
-    the diagonal, -1e9 above it, where the VJP zeroes the gradient. Adding
+    the diagonal, -1e9 above it, where probs and so the VJP's ds are 0. Adding
     it leaves a kept score as it is (-0.0 turns +0.0, which the exp erases)
     and takes a masked one to -1e9 within rounding, which exps to exactly 0
     after the max-shift while the scores are far below 1e9 in magnitude.
@@ -403,11 +403,12 @@ def attention(qkv: Tensor, n_heads: int, cache: list | None = None,
     def backward(g):
         g_ctx = np.ascontiguousarray(g.reshape(B, n, n_heads, hd).transpose(0, 2, 1, 3))
         dv = probs.swapaxes(-1, -2) @ g_ctx
-        # ds = probs * (dp - rowsum(dp * probs)), masked to 0, times scale
+        # ds = probs * (dp - rowsum(dp * probs)) * scale. probs is exactly +0
+        # above the diagonal, so ds is +-0 there: terms that leave every
+        # nonzero sum in the dq and dk products as it is, so no mask pass
         ds = g_ctx @ v.swapaxes(-1, -2)
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
-        np.copyto(ds, np.float32(0.0), where=bias < 0)
         ds *= scale
         dk = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
         gqkv = np.empty((B, S, 3, n_heads, hd), np.float32)

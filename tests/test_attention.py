@@ -90,6 +90,35 @@ def test_kernel_bitwise_equals_reference(B, S):
         assert got_grad.tobytes() == want_grad.tobytes()
 
 
+def test_minus_zero_scores_above_the_diagonal_need_no_mask():
+    """The VJP leaves ds = probs * (dp - rowsum) unmasked: probs is +0 above
+    the diagonal, so ds is +-0 there. Here every such entry is -0, because
+    values fall with the key's position and the upstream gradient is
+    positive, so dp above the diagonal is below the row's probability-
+    weighted mean. The reference masks them to +0; the gradients must still
+    agree bit for bit."""
+    B, S, d, H = 2, 12, 16, 2
+    hd = d // H
+    rng = np.random.default_rng(4)
+    qkv = rng.standard_normal((B, S, 3 * d)).astype(np.float32)
+    qkv[:, :, 2 * d:] = -np.float32(0.1) * np.arange(1, S + 1, dtype=np.float32)[:, None]
+    upstream = rng.uniform(0.5, 1.5, (B, S, d)).astype(np.float32)
+    q, k, v = qkv.astype(np.float64).reshape(B, S, 3, H, hd).transpose(2, 0, 3, 1, 4)
+    g = upstream.astype(np.float64).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    above = ~np.tri(S, dtype=bool)
+    z = np.where(above, -np.inf, q @ k.swapaxes(-1, -2) / math.sqrt(hd))
+    probs = np.exp(z - z.max(-1, keepdims=True))
+    probs /= probs.sum(-1, keepdims=True)
+    dp = g @ v.swapaxes(-1, -2)
+    assert np.all((dp - (dp * probs).sum(-1, keepdims=True))[..., above] < 0)
+    for from_row in (0, S // 2, S - 2):
+        want_out, want_grad = forward_backward(reference_attention, qkv, upstream, H,
+                                               from_row)
+        got_out, got_grad = forward_backward(T.attention, qkv, upstream, H, from_row)
+        assert got_out.tobytes() == want_out.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+
 def test_attention_gradcheck():
     x = np.random.default_rng(1).standard_normal((2, 5, 12)).astype(np.float32)
     check_op(lambda a: T.attention(a, 2), [x])

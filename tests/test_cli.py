@@ -443,6 +443,11 @@ BAD_INPUTS = {
                      "example 1: input_ids"),
     "too_long": ("data.json", _data({"input_ids": [5] * 70, "labels": [5] * 70}),
                  "example 1: input_ids"),
+    # labels[0] is never a target, so neither example scores a token
+    "all_labels_masked": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [-1, -1, -1]}),
+                          "example 1: labels"),
+    "only_first_label": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [5, -1, -1]}),
+                         "example 1: labels"),
     # the tokenizer's merges reach past the model's 300 ids; the empty answer
     # of row 2 is skipped, so row 3 is the first example built
     "csv_id_too_large": ("data.csv", "question,answer\nWhy?,\nWhat moved KOSPI?,KOSPI rose.\n",
@@ -455,8 +460,9 @@ BAD_INPUTS = {
 def test_data_outside_the_model_is_a_data_error(workdir, short_base, tmp_path, capsys,
                                                  command, row):
     """Every --data or --csv example must fit the model: ids in [0, V), labels
-    there or -1, at most seq_len tokens. A misfit exits 2 naming the file, the
-    example and the field, before a trainer starts its metrics log."""
+    there or -1, at most seq_len tokens, and a label other than -1 after the
+    first. A misfit exits 2 naming the file, the example and the field, before
+    a trainer starts its metrics log."""
     name, text, named = BAD_INPUTS[row]
     data = tmp_path / name
     data.write_text(text)
