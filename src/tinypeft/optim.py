@@ -7,7 +7,8 @@ arrays the optimizer owns: the moments, the parameter and two scratch
 buffers per parameter. It reads the gradient and never writes it, and the
 arrays ``state_tensors`` returns change with the next step. Paging keeps the
 least recently used pages in one preallocated memory-mapped slab per run, at
-a fixed offset per parameter: an eviction is a slice copy, not a file write.
+a fixed offset per parameter: an eviction is a slice copy, not a file write,
+and ``flush`` hands out an evicted page as views of its slab slot, not copies.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ class PageTable:
         if name in self.resident:
             self.resident.move_to_end(name)
             return self.resident[name]
-        m, v = self._read(name)
+        m, v = (a.copy() for a in self._slot(name))
         self.resident[name] = (m, v)
         self._evict_over_budget()
         return m, v
 
-    def _read(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+    def _slot(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         a, b, c, shape = self._slots[name]
-        return self._slab[a:b].reshape(shape).copy(), self._slab[b:c].reshape(shape).copy()
+        return self._slab[a:b].reshape(shape), self._slab[b:c].reshape(shape)
 
     def _evict_over_budget(self):
         while len(self.resident) > self.budget:
@@ -124,9 +125,10 @@ class PageTable:
             self.evictions += 1
 
     def flush(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Every page of this table: the resident ones plus copies of the
-        slab slots (used for checkpointing)."""
-        return {name: self.resident[name] if name in self.resident else self._read(name)
+        """Every page of this table: the resident ones plus views of the slab
+        slots of the evicted ones, which that page's next eviction overwrites
+        (used for checkpointing)."""
+        return {name: self.resident[name] if name in self.resident else self._slot(name)
                 for name in self._slots}
 
 

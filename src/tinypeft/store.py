@@ -9,7 +9,10 @@ The manifest holds {tensors: [{name, shape, dtype, offset, length}], meta}
 with tensors sorted by name and offsets assigned in that order, so a
 save/load/save cycle is byte-identical. The checksum is the first 8 bytes
 of SHA-256 over everything before it and is verified before any tensor is
-materialized. Writes go to a temp file renamed into place.
+materialized. A save streams: the header and manifest, then each tensor's
+bytes straight from its array, go into a temp file renamed into place, and
+the checksum is updated with the same bytes as they are written, so no copy
+of the archive is ever held in memory.
 """
 
 from __future__ import annotations
@@ -54,36 +57,39 @@ _RETIRED = {
 _DTYPES = {"f32": np.float32, "u8": np.uint8, "i64": np.int64}
 
 
-def _checksum(data: bytes) -> bytes:
+def _checksum(data) -> bytes:
     return hashlib.sha256(data).digest()[:8]
 
 
 def save_archive(path: str, tensors: dict[str, np.ndarray], meta: dict | None = None):
     """Write tensors + JSON metadata atomically."""
-    entries = []
-    payload = bytearray()
+    entries, arrays, offset = [], [], 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
         dtype = next((k for k, t in _DTYPES.items() if arr.dtype == t), "f32")  # others as f32
-        raw = arr.astype(_DTYPES[dtype], copy=False).tobytes()
+        arr = arr.astype(_DTYPES[dtype], copy=False)
         entries.append({
             "name": name, "shape": list(arr.shape), "dtype": dtype,
-            "offset": len(payload), "length": len(raw),
+            "offset": offset, "length": arr.nbytes,
         })
-        payload.extend(raw)
+        arrays.append(arr)
+        offset += arr.nbytes
     manifest = json.dumps(
         {"tensors": entries, "meta": meta or {}},
         sort_keys=True, separators=(",", ":"), ensure_ascii=False,
     ).encode("utf-8")
-    body = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(manifest))
-    body += manifest + bytes(payload)
-    body += _checksum(body)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(body)
+            h = hashlib.sha256()
+            # uint8 views: memoryview(arr).cast("B") rejects zero-size shapes
+            for chunk in (MAGIC + struct.pack("<IQ", VERSION, len(manifest)), manifest,
+                          *(arr.reshape(-1).view(np.uint8) for arr in arrays)):
+                f.write(chunk)
+                h.update(chunk)
+            f.write(h.digest()[:8])
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -96,7 +102,7 @@ def load_archive(path: str) -> tuple[dict[str, np.ndarray], dict]:
         body = f.read()
     if len(body) < 24 or body[:4] != MAGIC:
         raise DataError(f"{path}: not a PFWA archive")
-    if _checksum(body[:-8]) != body[-8:]:
+    if _checksum(memoryview(body)[:-8]) != body[-8:]:
         raise DataError(f"{path}: checksum mismatch, archive is corrupted")
     (version,) = struct.unpack_from("<I", body, 4)
     if version != VERSION:
@@ -195,7 +201,7 @@ def base_fingerprint(model: CausalLM, quant: QuantConfig | None = None) -> str:
         if name in quantized:
             data = dequantize_blockwise(quantize_blockwise(data, quant))
         h.update(name.encode())
-        h.update(np.ascontiguousarray(data).tobytes())
+        h.update(np.ascontiguousarray(data))
     return h.hexdigest()
 
 

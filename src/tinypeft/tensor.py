@@ -227,21 +227,22 @@ def _erf(u: np.ndarray) -> np.ndarray:
     to a second erfc rational there, but from 8 on erfc < 2^-54, so its
     1 - erfc is exactly 1, which is also what the first rational gives at 8.
     """
-    x = u.astype(np.float64)
+    x = u.astype(np.float64, order="C")  # so reshape(-1) below is a view
     z = x * x
     tail = None
     if not z.max(initial=0.0) <= 1.0:  # also taken for a nan
-        tail = z > 1.0
-        z[tail] = 0.0  # keeps the unused |x| <= 1 rational finite
+        tail = np.flatnonzero(z > 1.0)
+        xt = x.reshape(-1)[tail]
+        z.reshape(-1)[tail] = 0.0  # keeps the unused |x| <= 1 rational finite
     p = _horner(z, z * _ERF_T[0] + _ERF_T[1], _ERF_T[2:])
     p *= x
-    p /= _horner(z, z + _ERF_U[0], _ERF_U[1:])
+    # x is not read again: U(x^2) goes into its buffer
+    p /= _horner(z, np.add(z, _ERF_U[0], out=x), _ERF_U[1:])
     if tail is not None:
-        xt = x[tail]
         a = np.minimum(np.abs(xt), 8.0)
         erfc = np.exp(-a * a) * _horner(a, a * _ERFC_P[0] + _ERFC_P[1], _ERFC_P[2:])
         erfc /= _horner(a, a + _ERFC_Q[0], _ERFC_Q[1:])
-        p[tail] = np.copysign(1.0 - erfc, xt)
+        p.reshape(-1)[tail] = np.copysign(1.0 - erfc, xt)
     return p.astype(np.float32)
 
 

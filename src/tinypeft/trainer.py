@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import os
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -83,6 +84,7 @@ class MetricsRecord:
     clip_factor: float  # the factor clipping applied at this step (1.0: none)
     step_ms: float  # mean wall time of the window's train_step calls
     tokens_per_s: float  # the window's non-pad input tokens over that time
+    minor_faults: int  # the process's minor page faults during those calls
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -92,8 +94,8 @@ class MetricsRecord:
 class LogWindow:
     """What the steps since the last metrics record add up to. Its losses and
     evictions are trainer state: a checkpoint saves them, so a resumed run
-    logs what a straight run logs. The timing is not: a checkpoint is a
-    function of (seed, config, dataset), so the timed fields restart at
+    logs what a straight run logs. The timing and faults are not: a checkpoint
+    is a function of (seed, config, dataset), so the timed fields restart at
     resume and cover the steps this process ran."""
 
     losses: list = field(default_factory=list)
@@ -101,6 +103,7 @@ class LogWindow:
     timed: int = 0  # steps timed in this process
     seconds: float = 0.0  # their wall time
     tokens: int = 0  # their non-pad input tokens
+    faults: int = 0  # minor page faults during them
 
 
 def lr_at_step(config: TrainConfig, s: int, total_steps: int | None = None) -> float:
@@ -202,6 +205,7 @@ class Trainer:
 
     def train_step(self) -> float:
         t0 = time.perf_counter()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         evictions = self.optimizer.evictions
         cfg = self.config
         acc = cfg.gradient_accumulation_steps
@@ -237,6 +241,7 @@ class Trainer:
         w.evictions += self.optimizer.evictions - evictions
         w.timed += 1
         w.seconds += time.perf_counter() - t0
+        w.faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         return loss_total
 
     def train(self, stop_after: int | None = None) -> dict:
@@ -272,6 +277,7 @@ class Trainer:
                     clip_factor=self.clip[1],
                     step_ms=w.seconds * 1000 / w.timed,
                     tokens_per_s=w.tokens / w.seconds if w.seconds > 0 else 0.0,
+                    minor_faults=w.faults,
                 )
                 self.window = LogWindow()
                 if not self.metrics or self.metrics[-1].step != s:

@@ -2,9 +2,11 @@
 round trips with fingerprint checking."""
 
 import functools
+import hashlib
 import json
 import os
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -613,3 +615,59 @@ def test_base_fingerprint_is_pinned():
         "e6df65fab21231d100ff78b02b012c3b36009e6baceca427f95bf7dbf0094e11")
     assert base_fingerprint(model, QuantConfig(block_size=16, dq_group=4)) == (
         "e07ec49b4c3bd37f2480151be023a4cac5bad533755a8d4ef2ff402da6a00758")
+
+
+# -- streamed saves --------------------------------------------------------------
+
+
+def edge_tensors() -> dict[str, np.ndarray]:
+    """Inputs ``save_archive`` must flatten or convert: an empty and a 0-d
+    tensor, a transposed view, and dtypes it stores as f32."""
+    return {
+        "empty": np.zeros((0, 3), np.float32),
+        "transposed": (np.arange(12, dtype=np.float32).reshape(3, 4) / 7).T,
+        "f64": np.linspace(-2, 2, 5),
+        "i32": np.arange(-3, 3, dtype=np.int32),
+        "bool": np.array([[True, False], [False, True]]),
+        "big_endian": np.arange(4, dtype=">f4") * 1.5,
+        "i64": np.arange(-2, 4, dtype=np.int64).reshape(2, 3),
+        "u8": np.arange(250, 256, dtype=np.uint8),
+        "scalar": np.array(0.25, np.float32),
+    }
+
+
+def test_streamed_save_writes_the_pinned_bytes(tmp_path):
+    """The digest was taken when the archive was built in one buffer and
+    written at once; the streamed save writes the same bytes."""
+    path = tmp_path / "edge.pfwa"
+    tensors = edge_tensors()
+    save_archive(str(path), tensors, {"kind": "edge", "note": "ü"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4d5e31ab8d297d731bd08403b88b01c2d0e8a98bfa2f93973d16e01fe17ee359")
+    back, meta = load_archive(str(path))
+    assert meta == {"kind": "edge", "note": "ü"}
+    for name, arr in tensors.items():
+        want = arr if arr.dtype in (np.int64, np.uint8) else arr.astype(np.float32)
+        assert back[name].dtype == want.dtype
+        np.testing.assert_array_equal(back[name], np.atleast_1d(want))
+
+
+def test_save_archive_holds_no_copy_of_the_archive(tmp_path):
+    """A save of 4 MiB of tensors allocates at most 5% of the archive on top
+    of the tensors; it used to hold three copies of it."""
+    tensors = {"w": np.arange(2**20, dtype=np.float32), "ids": np.arange(1000),
+               "q": np.zeros(5000, np.uint8), "empty": np.zeros((0, 4), np.float32)}
+    path = str(tmp_path / "big.pfwa")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_archive(path, tensors, {"kind": "big"})
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert size > 4 * 2**20
+    assert peak <= 0.05 * size
+    back, _ = load_archive(path)
+    for name, arr in tensors.items():
+        assert back[name].tobytes() == arr.tobytes()

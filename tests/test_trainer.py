@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,53 @@ def test_paged_run_bitwise_equals_unpaged(tmp_path, tiny_data, tiny_tok):
     assert paged.optimizer.evictions > 0
     for n, p in plain.model.params.items():
         np.testing.assert_array_equal(p.data, paged.model.params[n].data)
+
+
+def test_paged_checkpoint_bitwise_equals_unpaged(tmp_path, tiny_data, tiny_tok):
+    """A paged run's checkpoint, whose evicted moments come straight from
+    the slab, holds the unpaged run's tensors bit for bit."""
+    def checkpoint(run, **over):
+        tr = make_trainer(tmp_path, tiny_data, tiny_tok, run=run, max_steps=4,
+                          save_steps=2, **over)
+        tr.train()
+        return tr, load_archive(str(tmp_path / run / "checkpoint-4" / "state.pfwa"))[0]
+
+    _, plain = checkpoint("plain")
+    paged_tr, paged = checkpoint("paged", optim="paged_adamw_32bit", paging_budget=1)
+    assert paged_tr.optimizer.evictions > 0
+    assert {n: a.tobytes() for n, a in paged.items()} == {
+        n: a.tobytes() for n, a in plain.items()}
+
+
+def test_paged_checkpoint_copies_no_evicted_page(tmp_path, tiny_data, tiny_tok):
+    """With all pages but one evicted, saving a checkpoint allocates less than
+    one evicted page, the token embedding's moments: the save streams every
+    tensor, moments included, from its own buffer. (Most of what it does
+    allocate is the JSON encoding of the manifest.)"""
+    cfg = train_model_config(tiny_tok.vocab_size)
+    cfg.d_model, cfg.n_heads, cfg.n_layers = 128, 4, 1
+    model = init_model(cfg, RngState(0))
+    tr = Trainer(model, tiny_data, TrainConfig(output_dir=str(tmp_path / "run"), max_steps=2,
+                                               save_steps=100, optim="paged_adamw_32bit",
+                                               paging_budget=1), tiny_tok.specials.pad)
+    tr.train()
+    pages = tr.optimizer._pages
+    emb = "tok_embeddings.weight"
+    assert emb in model.params and emb not in pages.resident
+    page_bytes = 2 * model.params[emb].data.nbytes
+    assert page_bytes > 250_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr.save_checkpoint()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < page_bytes
+    tensors, _ = load_archive(str(tmp_path / "run" / "checkpoint-2" / "state.pfwa"))
+    m, v = pages.flush()[emb]
+    assert tensors[f"optim.m.{emb}"].tobytes() == m.tobytes()
+    assert tensors[f"optim.v.{emb}"].tobytes() == v.tobytes()
 
 
 def test_paged_split_resume_bitwise_equals_straight_paged(tmp_path, tiny_data, tiny_tok):
@@ -509,9 +557,10 @@ def test_resume_may_change_the_fields_off_the_trajectory(tmp_path, tiny_data, ti
 
 METRIC_FIELDS = {"step": int, "training_loss": float, "learning_rate": float,
                  "wall_ms": int, "paging_evictions": int, "grad_norm": float,
-                 "clip_factor": float, "step_ms": float, "tokens_per_s": float}
-# wall-clock fields, which differ between any two runs
-TIMING_FIELDS = {"wall_ms", "step_ms", "tokens_per_s"}
+                 "clip_factor": float, "step_ms": float, "tokens_per_s": float,
+                 "minor_faults": int}
+# wall-clock fields and the fault count, which differ between any two runs
+TIMING_FIELDS = {"wall_ms", "step_ms", "tokens_per_s", "minor_faults"}
 
 
 def read_metrics(run_dir):
@@ -657,7 +706,7 @@ def test_a_window_across_a_resume_is_timed_in_this_process(tmp_path, tiny_data, 
     resumed = make_trainer(tmp_path, tiny_data, tiny_tok, run="resumed", **opts)
     resumed.resume(str(tmp_path / "first" / "checkpoint-6" / "state.pfwa"))
     w = resumed.window
-    assert (len(w.losses), w.timed, w.seconds, w.tokens) == (2, 0, 0.0, 0)
+    assert (len(w.losses), w.timed, w.seconds, w.tokens, w.faults) == (2, 0, 0.0, 0, 0)
     counted = []
     lm_loss = resumed.model.lm_loss
 
