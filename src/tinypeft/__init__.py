@@ -34,7 +34,6 @@ from .quant import (
     QuantizedTensor,
     build_nf4_codebook,
     dequantize_blockwise,
-    memory_footprint_bits,
     quantize_blockwise,
 )
 from .rng import RngState
@@ -50,7 +49,7 @@ __all__ = [
     "attach_lora", "attach_bottleneck", "merge_lora",
     "quantize_base", "trainable_summary",
     "QuantConfig", "QuantizedTensor", "build_nf4_codebook",
-    "quantize_blockwise", "dequantize_blockwise", "memory_footprint_bits",
+    "quantize_blockwise", "dequantize_blockwise",
     "RngState",
     "TrainConfig", "Trainer", "hyperparameter_search", "lr_at_step",
 ]

@@ -4,8 +4,11 @@ Ids 0..255 are the raw bytes, so every UTF-8 string round-trips exactly.
 Specials (BOS/EOS/PAD) and user-supplied domain terms sit above the byte
 range; merges fill the remaining vocabulary. Merge selection is
 deterministic: highest pair count, ties broken by the lexicographically
-smaller left token bytes, then right, then the pair that occurs first in
-the corpus.
+smaller left token bytes, then right. No two distinct pairs have equal
+bytes, because no two merges make equal bytes: a merge's span keeps its
+outer token boundaries from the start of training, so a left-to-right
+pass tokenizes it as it would tokenize its bytes alone, and bytes that an
+earlier merge made into one token would be that one token here too.
 
 Training never rescans the corpus. The corpus is one flat id array in
 which a separator stands for each line break and each domain term, so no
@@ -298,30 +301,18 @@ def train_bpe(
             del count[pair]
             where.pop(pair, None)  # the pair being merged was popped already
 
-    def first_at(pair: tuple[int, int]) -> int:
-        a, b = pair
-        return min(p for p in where[pair] if seq[p] == a and seq[nxt[p]] == b)
-
     def pop_best() -> tuple[int, int] | None:
-        """The pair with the smallest (-count, left bytes, right bytes); equal
-        keys (distinct ids with equal bytes) go to the earliest occurrence."""
-        found: list[tuple] = []
-        while heap and (not found or heap[0][:3] == found[0][:3]):
+        """The pair with the smallest (-count, left bytes, right bytes), if it
+        repeats."""
+        while heap:
             entry = heapq.heappop(heap)
             pair = entry[3:]
             c = count.get(pair, 0)
             if c == -entry[0]:
-                if all(e[3:] != pair for e in found):
-                    found.append(entry)
-            elif 0 < c < -entry[0]:
+                return pair if c >= 2 else None
+            if 0 < c < -entry[0]:
                 heapq.heappush(heap, (-c, *entry[1:]))
-        if not found:
-            return None
-        best = found[0] if len(found) == 1 else min(found, key=lambda e: first_at(e[3:]))
-        for entry in found:
-            if entry is not best:
-                heapq.heappush(heap, entry)
-        return best[3:] if -best[0] >= 2 else None
+        return None
 
     while next_id < target_vocab:
         pair = pop_best()

@@ -11,7 +11,8 @@ option), and an unknown key or a wrong type is a config error; an
 explicit flag always overrides its config-file counterpart. The effective
 configuration of any command with an --output_dir is echoed to
 <output_dir>/config.echo.json. Exit codes: 0 ok, 1 usage/config, 2
-data/format, 3 runtime.
+data/format, 3 runtime, and 141 (as if killed by SIGPIPE) when the reader
+of stdout has gone.
 """
 
 from __future__ import annotations
@@ -222,10 +223,9 @@ def cmd_prepare_data(eff: dict) -> int:
     seq_len = _config(CausalLMConfig, eff, vocab_size=tok.vocab_size).seq_len
     pcfg = _config(corpus.PreprocessConfig, eff)
     pairs = [corpus.preprocess_pair(p, pcfg) for p in corpus.load_qa_csv(csv_path)]
-    if pcfg.augment_shuffle and pcfg.augment_p > 0:
-        rng = RngState(eff.get("seed", 0))
-        pairs = [corpus.QAPair(p.question, corpus.augment_shuffle(p.answer, rng, pcfg.augment_p))
-                 for p in pairs]
+    rng = RngState(eff.get("seed", 0))  # draws nothing at augment_p 0
+    pairs = [corpus.QAPair(p.question, corpus.augment_shuffle(p.answer, rng, pcfg.augment_p))
+             for p in pairs]
     examples, n_trunc = corpus.build_examples(
         pairs, tok, seq_len=seq_len, mask_prompt=not eff.get("no_mask_prompt", False),
         **_given(eff, "template"),
@@ -495,7 +495,16 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](_effective(args))
+        code = COMMANDS[args.command](_effective(args))
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader has gone: not an error. stdout now writes to devnull,
+        # so the flush at shutdown finds no pipe to complain about
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as e:
         print(f"error:config: {e}", file=sys.stderr)
         return 1

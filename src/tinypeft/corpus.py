@@ -42,7 +42,6 @@ class QAPair:
 @dataclass
 class PreprocessConfig:
     redact_patterns: list[str] = field(default_factory=list)
-    augment_shuffle: bool = False
     augment_p: float = 0.0
     profile: str = "lm"  # lm | analysis
 

@@ -360,21 +360,3 @@ def init_model(config: CausalLMConfig, rng: RngState) -> CausalLM:
     ln_f = LayerNorm("ln_f", ones("ln_f.gain", (d,)), zeros("ln_f.bias", (d,)))
     return CausalLM(cfg, params, blocks, ln_f)
 
-
-def parameter_count(config: CausalLMConfig) -> int:
-    """Closed-form total parameter count (tied head counted once)."""
-    d, dh = config.d_model, 4 * config.d_model
-    per_block = (
-        2 * d  # ln1
-        + d * 3 * d + 3 * d  # qkv
-        + d * d + d  # attn dense
-        + 2 * d  # ln2
-        + d * dh + dh  # mlp up
-        + dh * d + d  # mlp down
-    )
-    return (
-        config.vocab_size * d
-        + config.seq_len * d
-        + config.n_layers * per_block
-        + 2 * d  # ln_f
-    )

@@ -115,10 +115,13 @@ def quantize_blockwise(w: np.ndarray, config: QuantConfig) -> QuantizedTensor:
     blocks = padded.reshape(n_blocks, bs)
     scales = np.abs(blocks).max(axis=1)
     scales[scales == 0.0] = 1.0
-    normalized = blocks / scales[:, None]
-    # argmin returns the first (lower) index on exact ties
-    idx = np.abs(normalized[:, :, None] - book[None, None, :]).argmin(axis=2)
-    idx = idx.ravel()[:numel].astype(np.uint8)
+    blocks /= scales[:, None]  # padded now holds the scaled values
+    # the levels around each value: any other level is a level gap farther
+    # away, far beyond f32 rounding, so the nearer of the two is the nearest,
+    # and a tie keeps the lower, as an argmin over all levels does
+    hi = np.minimum(np.searchsorted(book, padded), len(book) - 1).astype(np.uint8)
+    lo = np.maximum(hi, 1) - 1
+    idx = np.where(np.abs(padded - book[lo]) <= np.abs(padded - book[hi]), lo, hi)[:numel]
     if numel % 2:
         idx = np.append(idx, np.uint8(0))
     packed = (idx[0::2] | (idx[1::2] << 4)).astype(np.uint8)
@@ -177,10 +180,3 @@ def dequantize_blockwise(q: QuantizedTensor) -> np.ndarray:
     out = levels.reshape(n_scales, q.block_size) * scales[:, None]
     return out.reshape(-1)[:numel].astype(np.float32, copy=False).reshape(q.original_shape)
 
-
-def memory_footprint_bits(q: QuantizedTensor) -> float:
-    """Exact bits of payload per stored weight."""
-    bs = q.block_size
-    if q.double_quant:
-        return 4.0 + 8.0 / bs + 64.0 / (bs * q.dq_group)
-    return 4.0 + 32.0 / bs

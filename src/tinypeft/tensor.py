@@ -96,9 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # -- graph plumbing ------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray, owned: bool = False):
@@ -122,10 +119,6 @@ class Parameter(Tensor):
     def freeze(self):
         self.requires_grad = False
         self.grad = None
-
-    def __repr__(self):
-        return (f"Parameter({self.name!r}, shape={self.data.shape}, "
-                f"requires_grad={self.requires_grad})")
 
 
 _grad_enabled = True

@@ -55,6 +55,32 @@ def micro_model():
     return init_model(micro_config(), RngState(3))
 
 
+def parameter_count(config: CausalLMConfig) -> int:
+    """Closed-form total parameter count (tied head counted once)."""
+    d, dh = config.d_model, 4 * config.d_model
+    per_block = (
+        2 * d  # ln1
+        + d * 3 * d + 3 * d  # qkv
+        + d * d + d  # attn dense
+        + 2 * d  # ln2
+        + d * dh + dh  # mlp up
+        + dh * d + d  # mlp down
+    )
+    return (
+        config.vocab_size * d
+        + config.seq_len * d
+        + config.n_layers * per_block
+        + 2 * d  # ln_f
+    )
+
+
+def payload_bits_per_weight(q) -> float:
+    """Bits a QuantizedTensor stores per weight: its packed codes and every
+    scale array it holds."""
+    held = [q.packed, q.scales, q.scale_codes, q.group_scales, q.group_offsets]
+    return 8 * sum(a.nbytes for a in held if a is not None) / q.numel
+
+
 def rand_ids(rng: np.random.Generator, batch: int, seq: int, vocab: int):
     return rng.integers(0, vocab, size=(batch, seq), dtype=np.int64)
 

@@ -16,7 +16,7 @@ import pytest
 
 from tinypeft import tensor as T
 from tinypeft.evals import compare_base_vs_adapted, perplexity
-from tinypeft.model import LN_EPS, CausalLMConfig, init_model, parameter_count
+from tinypeft.model import LN_EPS, CausalLMConfig, init_model
 from tinypeft.optim import AdamW
 from tinypeft.peft import (
     FIG12_TARGET_MODULES,
@@ -27,12 +27,12 @@ from tinypeft.peft import (
     trainable_summary,
 )
 from tinypeft.quant import QuantConfig, build_nf4_codebook, dequantize_blockwise, \
-    memory_footprint_bits, quantize_blockwise
+    quantize_blockwise
 from tinypeft.rng import RngState
 from tinypeft.store import load_adapter, load_model, save_adapter, save_model
 from tinypeft.trainer import TrainConfig, Trainer, hyperparameter_search, lr_at_step
 
-from conftest import micro_config, rand_ids
+from conftest import micro_config, parameter_count, payload_bits_per_weight, rand_ids
 from gradcheck import numeric_grad, relative_grad_error
 
 
@@ -249,8 +249,8 @@ def test_criterion_08_nf4_quantization(desk_config):
     bound = scales * (np.diff(book).max() / 2.0) + 1e-7
     ok = ok and bool(np.all(np.abs(dequantize_blockwise(q) - w) <= bound))
 
-    dq = quantize_blockwise(w, QuantConfig())  # defaults: 64 / dq 256
-    ok = ok and memory_footprint_bits(dq) == 4.0 + 8.0 / 64.0 + 64.0 / 16384.0
+    dq = quantize_blockwise(w[:64 * 256 * 6], QuantConfig())  # defaults: 64 / dq 256
+    ok = ok and payload_bits_per_weight(dq) == 4.0 + 8.0 / 64.0 + 64.0 / 16384.0
 
     # the path that runs: a quantized base holds the dequantized weights, and
     # its linears are tensor.linear on them

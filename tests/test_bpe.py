@@ -285,6 +285,17 @@ def test_runs_of_one_pair_match_the_reference(line, extra):
     assert tok.tokenize(line + "ba" + line) == reference_tokenize(tok, line + "ba" + line)
 
 
+@settings(max_examples=200, deadline=None)
+@given(corpora())
+def test_no_two_merges_make_equal_bytes(case):
+    # pairs are ordered by their bytes alone, a total order only while every
+    # merged token's bytes are its own (the argument in tinypeft.bpe's docstring)
+    lines, target, terms, _ = case
+    tok = train_bpe(lines, target, terms)
+    made = [tok.vocab[new] for _, _, new in tok.merges]
+    assert len(set(made)) == len(made)
+
+
 def test_bundled_tokenizer_is_pinned(tok):
     """sha256 of train_bpe(<bundled CSV texts>, 512, ["KOSPI"]).to_json(), as
     written by the rescanning trainer; CI checks the CLI's file against it."""

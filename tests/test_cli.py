@@ -4,12 +4,15 @@ tokenize -> pretrain -> finetune -> merge -> generate chain on tiny settings."""
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import tinypeft
 from tinypeft import cli, peft, store
 from tinypeft.bpe import TokenizerModel
 from tinypeft.cli import main
@@ -48,6 +51,23 @@ def test_prepare_data_output(workdir):
     assert len(doc["examples"]) >= 135
     e = doc["examples"][0]
     assert len(e["input_ids"]) == len(e["labels"])
+
+
+def test_prepare_data_shuffles_exactly_when_augment_p_is_positive(workdir, tmp_path, capsys):
+    def prepare(*flags) -> list:
+        out = str(tmp_path / "data.json")
+        assert main(["prepare-data", "--csv", workdir["csv"], "--tokenizer", workdir["tok"],
+                     "--out", out, "--seed", "3", *flags]) == 0
+        return json.loads(open(out).read())["examples"]
+
+    plain = prepare()
+    assert prepare("--augment_p", "0") == plain
+    shuffled = prepare("--augment_p", "1")
+    assert shuffled != plain and len(shuffled) == len(plain)
+    # only answer words move, so every prompt keeps its tokens
+    assert all(s["input_ids"][:8] == p["input_ids"][:8] for s, p in zip(shuffled, plain))
+    assert main(["prepare-data", "--augment_shuffle"]) == 1
+    assert "--augment_shuffle" in capsys.readouterr().err
 
 
 def test_finetune_lora_and_merge_generate_equivalence(workdir):
@@ -494,6 +514,27 @@ def test_help_exits_zero(capsys):
         main(["finetune", "--help"])
     assert e.value.code == 0
     assert "--lora_rank" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["eval", "generate"])
+def test_a_closed_stdout_pipe_exits_quietly(workdir, command):
+    """A reader that stops early, as in ``tinypeft eval ... | head -1``, is not
+    an error: the command exits 141, as if killed by SIGPIPE, and writes
+    nothing to stderr, at interpreter shutdown included."""
+    flags = (["--csv", workdir["csv"]] if command == "eval"
+             else ["--question", "What is an Index?", "--max_new_tokens", "4"])
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tinypeft.__file__))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the command starts: its first write finds no reader
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "tinypeft.cli", command, "--model",
+                                 workdir["base"], "--tokenizer", workdir["tok"], *flags],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("command, doc, named", [

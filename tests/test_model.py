@@ -6,10 +6,10 @@ import pytest
 
 from tinypeft import tensor as T
 from tinypeft.errors import ConfigError, DataError
-from tinypeft.model import CausalLM, CausalLMConfig, init_model, parameter_count
+from tinypeft.model import CausalLM, CausalLMConfig, init_model
 from tinypeft.rng import RngState
 
-from conftest import micro_config, rand_ids
+from conftest import micro_config, parameter_count, rand_ids
 
 
 def test_parameter_count_matches_materialized_model():

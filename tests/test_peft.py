@@ -6,7 +6,7 @@ import pytest
 
 from tinypeft.corpus import TrainingExample
 from tinypeft.errors import ConfigError, StateError
-from tinypeft.model import init_model, parameter_count
+from tinypeft.model import init_model
 from tinypeft.peft import (
     FIG12_TARGET_MODULES,
     BottleneckAdapterConfig,
@@ -25,7 +25,7 @@ from tinypeft.store import load_adapter, load_model, save_adapter, save_model
 from tinypeft.tensor import backward
 from tinypeft.trainer import TrainConfig, Trainer
 
-from conftest import lora_pairs, micro_config, rand_ids
+from conftest import lora_pairs, micro_config, parameter_count, rand_ids
 
 
 def fresh(seed=0):

@@ -2,7 +2,9 @@
 the build on scipy's ndtri; blockwise round-trip bounds, packing layout, and
 double quantization."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +21,12 @@ from tinypeft.quant import (
     QuantConfig,
     build_nf4_codebook,
     dequantize_blockwise,
-    memory_footprint_bits,
     quantize_blockwise,
 )
 from tinypeft.rng import RngState
 from tinypeft.tensor import Tensor
+
+from conftest import payload_bits_per_weight
 
 
 def half_gap(q) -> float:
@@ -179,6 +182,85 @@ def test_dequantize_bitwise_equals_blockwise_loop(shape, block_size, double_quan
     assert got.tobytes() == want.tobytes()
 
 
+def argmin_codes(w: np.ndarray, config: QuantConfig) -> np.ndarray:
+    """The original code search: every value's distance to all 16 levels, and
+    argmin's first index on a tie. Returns the unpacked codes."""
+    bs = config.block_size
+    padded = np.zeros(-(-w.size // bs) * bs, np.float32)
+    padded[:w.size] = w.ravel()
+    blocks = padded.reshape(-1, bs)
+    scales = np.abs(blocks).max(axis=1)
+    scales[scales == 0.0] = 1.0
+    normalized = blocks / scales[:, None]
+    book = CODEBOOKS[config.codebook]
+    return np.abs(normalized[:, :, None] - book).argmin(axis=2).ravel()[:w.size]
+
+
+def edge_weights(codebook: str) -> np.ndarray:
+    """Every level, the f32 midpoint of each adjacent pair and one ulp either
+    side of it, in blocks of 61 whose absmax is 1 (so scaling is exact), then
+    an all-zero block, the same values scaled by 0.375, and an odd tail."""
+    book = CODEBOOKS[codebook]
+    mids = ((book[:-1].astype(np.float64) + book[1:]) / 2).astype(np.float32)
+    core = np.concatenate([book, mids, np.nextafter(mids, np.float32(-2)),
+                           np.nextafter(mids, np.float32(2))])
+    return np.concatenate([core, np.zeros_like(core), core * np.float32(0.375), core[:6]])
+
+
+def unpack(q) -> np.ndarray:
+    return np.stack([q.packed & 0x0F, q.packed >> 4], axis=1).ravel()[:q.numel]
+
+
+PINNED_CODES = {
+    ("nf4", False): "4905431328057b507fa11f0291a3666876537104b322a3ec9c281f62eb03e1f5",
+    ("nf4", True): "2fcab3f3da472f507275f62651e10c5ecf26e809b7d12c50a29a509f1616b248",
+    ("uniform4", False): "e0e381bb8d1235d2050425ff0aff6eeeb30f068c8b955593a424de811af70882",
+    ("uniform4", True): "f86f821a0fde612dc8f230c7e1b0cebf1880eeab70fb0f5114698d85ba005e9e",
+}
+
+
+@pytest.mark.parametrize("codebook, double_quant", sorted(PINNED_CODES))
+def test_codes_at_levels_midpoints_and_ulps_are_pinned(codebook, double_quant):
+    w = edge_weights(codebook)
+    assert w.size == 189
+    cfg = QuantConfig(block_size=61, codebook=codebook, double_quant=double_quant, dq_group=2)
+    q = quantize_blockwise(w, cfg)
+    h = hashlib.sha256(q.packed.tobytes())
+    for a in (q.scales, q.scale_codes, q.group_scales, q.group_offsets):
+        if a is not None:
+            h.update(a.tobytes())
+    assert h.hexdigest() == PINNED_CODES[codebook, double_quant]
+    np.testing.assert_array_equal(unpack(q), argmin_codes(w, cfg))
+    # the midpoints include exact ties, which go to the lower level
+    book = CODEBOOKS[codebook]
+    mids = w[16:31]
+    tie = np.abs(mids - book[:-1]) == np.abs(mids - book[1:])
+    assert tie.any()
+    np.testing.assert_array_equal(unpack(q)[16:31][tie], np.arange(15)[tie])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 70), st.sampled_from(sorted(CODEBOOKS)),
+       st.integers(0, 2**32 - 1))
+def test_codes_equal_an_argmin_over_all_levels(n, block_size, codebook, seed):
+    rng = np.random.default_rng(seed)
+    w = (rng.normal(0, 1, size=n) * rng.choice([1e-30, 0.02, 1e30])).astype(np.float32)
+    cfg = QuantConfig(block_size=block_size, codebook=codebook, double_quant=False)
+    np.testing.assert_array_equal(unpack(quantize_blockwise(w, cfg)), argmin_codes(w, cfg))
+
+
+def test_quantize_allocates_no_per_level_temporaries():
+    # a (blocks, block_size, 16) distance cube took ~136 bytes per weight
+    w = np.random.default_rng(9).normal(0, 0.02, size=(512, 512)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        quantize_blockwise(w, QuantConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * w.size
+
+
 def test_all_zero_block_gets_unit_scale():
     q = quantize_blockwise(np.zeros(8, np.float32),
                            QuantConfig(block_size=4, double_quant=False))
@@ -240,9 +322,9 @@ def test_double_quant_roundtrip_still_tight():
 def test_footprint_formulas():
     w = np.zeros(64 * 512, np.float32)
     plain = quantize_blockwise(w, QuantConfig(block_size=64, double_quant=False))
-    assert memory_footprint_bits(plain) == 4.0 + 32.0 / 64.0  # 4.5
+    assert payload_bits_per_weight(plain) == 4.0 + 32.0 / 64.0  # 4.5
     dq = quantize_blockwise(w, QuantConfig(block_size=64, dq_group=256))
-    assert memory_footprint_bits(dq) == 4.0 + 8.0 / 64.0 + 64.0 / 16384.0
+    assert payload_bits_per_weight(dq) == 4.0 + 8.0 / 64.0 + 64.0 / 16384.0
 
 
 def test_nf4_beats_uniform_on_gaussian_weights():
