@@ -158,12 +158,11 @@ def _load_corpus_texts(path: str) -> list[str]:
 
 def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMConfig,
                    mask_prompt: bool = True) -> list[corpus.TrainingExample]:
-    """The --data or --csv examples (a --csv one counted after build_examples
-    skips unusable rows). One that does not fit the model (its length, ids or
-    labels) or scores no token is a DataError naming the file, example and
-    field."""
+    """The --data or --csv examples. One that does not fit the model (its
+    length, ids or labels) or scores no token is a DataError naming the file,
+    the field, and the example's index in --data or its row in --csv."""
     if eff.get("data"):
-        path, unit = eff["data"], "example"
+        path = eff["data"]
         doc = _read_json(path, DataError)
         if not isinstance(doc, dict) or not isinstance(doc.get("examples"), list):
             raise DataError(f"{path}: needs an 'examples' list")
@@ -176,7 +175,7 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMCon
                 raise DataError(f"{path}: example {i} needs equal-length input_ids and labels lists of ints")
             examples.append(corpus.TrainingExample(ids, labels))
     else:
-        (path,), unit = _require(eff, "csv"), "built example"
+        (path,) = _require(eff, "csv")
         pairs = [corpus.preprocess_pair(p, corpus.PreprocessConfig())
                  for p in corpus.load_qa_csv(path)]
         examples, _ = corpus.build_examples(pairs, tokenizer, seq_len=config.seq_len,
@@ -185,18 +184,19 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMCon
             raise DataError(f"{path}: no usable examples")
     V, n = config.vocab_size, config.seq_len
     for i, e in enumerate(examples):
+        where = f"{path}: example {i}" if e.row is None else f"{path}: row {e.row}"
         if len(e.input_ids) > n:
-            raise DataError(f"{path}: {unit} {i}: input_ids has {len(e.input_ids)} tokens, "
+            raise DataError(f"{where}: input_ids has {len(e.input_ids)} tokens, "
                             f"more than seq_len {n}")
         for field, values, spare in (("input_ids", e.input_ids, None),
                                      ("labels", e.labels, corpus.IGNORE_LABEL)):
             bad = [t for t in values if t != spare and not 0 <= t < V]
             if bad:
                 also = "" if spare is None else f" and not {spare}"
-                raise DataError(f"{path}: {unit} {i}: {field} holds {bad[0]}, "
+                raise DataError(f"{where}: {field} holds {bad[0]}, "
                                 f"outside [0, {V}){also}")
         if all(t == corpus.IGNORE_LABEL for t in e.labels[1:]):
-            raise DataError(f"{path}: {unit} {i}: labels score no token: every label "
+            raise DataError(f"{where}: labels score no token: every label "
                             f"after the first is {corpus.IGNORE_LABEL}")
     return examples
 
@@ -224,8 +224,8 @@ def cmd_prepare_data(eff: dict) -> int:
     pcfg = _config(corpus.PreprocessConfig, eff)
     pairs = [corpus.preprocess_pair(p, pcfg) for p in corpus.load_qa_csv(csv_path)]
     rng = RngState(eff.get("seed", 0))  # draws nothing at augment_p 0
-    pairs = [corpus.QAPair(p.question, corpus.augment_shuffle(p.answer, rng, pcfg.augment_p))
-             for p in pairs]
+    pairs = [corpus.QAPair(p.question, corpus.augment_shuffle(p.answer, rng, pcfg.augment_p),
+                           p.row) for p in pairs]
     examples, n_trunc = corpus.build_examples(
         pairs, tok, seq_len=seq_len, mask_prompt=not eff.get("no_mask_prompt", False),
         **_given(eff, "template"),

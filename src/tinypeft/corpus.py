@@ -37,6 +37,8 @@ _QA_CELL = re.compile(
 class QAPair:
     question: str
     answer: str
+    # its CSV row, counted as load_qa_csv does; where it came from, not what it says
+    row: int | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -56,6 +58,7 @@ class PreprocessConfig:
 class TrainingExample:
     input_ids: list[int]
     labels: list[int]  # IGNORE_LABEL on masked (prompt) positions
+    row: int | None = field(default=None, compare=False)  # its pair's CSV row
 
     @property
     def length(self) -> int:
@@ -91,9 +94,10 @@ def load_qa_csv(path: str) -> list[QAPair]:
             if not m:
                 raise DataError(f"{path} row {i}: cell does not match "
                                 f"'##Question: ...## Answer: ...' (starts {cell[:40]!r})")
-            pairs.append(QAPair(m.group("q"), m.group("a")))
+            pairs.append(QAPair(m.group("q"), m.group("a"), i))
         else:
-            pairs.append(QAPair((row.get(q_col) or "").strip(), (row.get(a_col) or "").strip()))
+            pairs.append(QAPair((row.get(q_col) or "").strip(),
+                                (row.get(a_col) or "").strip(), i))
     if not pairs:
         log.warning("%s: no data rows after header", path)
     return pairs
@@ -156,7 +160,7 @@ def preprocess_pair(pair: QAPair, cfg: PreprocessConfig) -> QAPair:
             t = redact(t, cfg.redact_patterns)
         return normalize_text(t, cfg.profile)
 
-    return QAPair(clean(pair.question), clean(pair.answer))
+    return QAPair(clean(pair.question), clean(pair.answer), pair.row)
 
 
 def augment_shuffle(text: str, rng: RngState, p: float) -> str:
@@ -194,7 +198,8 @@ def build_examples(
 
     Layout: BOS + prompt tokens + answer tokens + EOS, truncated from the
     right. With mask_prompt the prompt positions carry IGNORE_LABEL so loss
-    lands only on the answer (+ EOS).
+    lands only on the answer (+ EOS). A skipped pair is logged by its CSV row,
+    or by its index if it has none; an example keeps its pair's row.
     """
     if "{question}" not in template:
         raise ConfigError("template must contain {question}")
@@ -205,11 +210,12 @@ def build_examples(
     examples: list[TrainingExample] = []
     n_truncated = 0
     for i, pair in enumerate(pairs):
+        where = f"pair {i}" if pair.row is None else f"row {pair.row}"
         if not pair.answer.strip():
-            log.warning("row %d: empty answer after normalization, skipped", i + 1)
+            log.warning("%s: empty answer after normalization, skipped", where)
             continue
         if not pair.question.strip():
-            log.warning("row %d: empty question after normalization, skipped", i + 1)
+            log.warning("%s: empty question after normalization, skipped", where)
             continue
         prompt_ids = tokenizer.tokenize(head.format(question=pair.question))
         answer_ids = tokenizer.tokenize(pair.answer + tail)
@@ -219,8 +225,8 @@ def build_examples(
             ids = ids[:seq_len]
             n_truncated += 1
         if mask_prompt and len(ids) <= n_prompt:
-            log.warning("row %d: answer fully truncated, skipped", i + 1)
+            log.warning("%s: answer fully truncated, skipped", where)
             continue
         labels = [IGNORE_LABEL] * n_prompt + ids[n_prompt:] if mask_prompt else list(ids)
-        examples.append(TrainingExample(input_ids=ids, labels=labels))
+        examples.append(TrainingExample(ids, labels, pair.row))
     return examples, n_truncated

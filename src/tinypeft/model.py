@@ -51,6 +51,9 @@ class CausalLMConfig:
     seq_len: int = 128
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_heads", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -60,9 +63,10 @@ class CausalLMConfig:
 
 
 class Linear:
-    """y = x @ W (+ b) (+ LoRA delta). Carries optional LoRA adapter and
-    quantized storage; a call draws the adapter's dropout mask and runs the
-    fused ``tensor.linear`` kernel."""
+    """y = x @ W (+ b) (+ LoRA delta). Carries an optional LoRA adapter; a
+    call draws the adapter's dropout mask and runs the fused ``tensor.linear``
+    kernel. ``qweight`` is a packed 4-bit copy of the weight that nothing
+    reads: the layer computes on the f32 ``weight``."""
 
     def __init__(self, name: str, weight: Parameter, bias: Parameter | None):
         self.name = name
@@ -123,7 +127,7 @@ class CausalLM:
         self.params = params  # name -> Parameter, insertion-ordered
         self.blocks = blocks
         self.ln_f = ln_f
-        self.base_names = frozenset(params)  # the names init_model made
+        self.base_names = frozenset(params)  # the names model_shapes lays out
         self.adapter_config = None  # the one adapter slot, set by peft.attach_*
         self.quant_config = None  # set by peft.quantize_base, cleared by merge_lora
 
@@ -134,11 +138,6 @@ class CausalLM:
 
     def trainable_parameters(self) -> list[Parameter]:
         return [p for p in self.params.values() if p.requires_grad]
-
-    def add_parameter(self, p: Parameter):
-        if p.name in self.params:
-            raise ConfigError(f"duplicate parameter name {p.name!r}")
-        self.params[p.name] = p
 
     def linears(self) -> list[Linear]:
         """Every linear, block by block: qkv, attention dense, MLP up, MLP down."""
@@ -312,51 +311,46 @@ class CausalLM:
         return out
 
 
+# A block's sublayers in draw order, as Block takes them: a layer norm (None)
+# or a linear's (d_in, d_out) in multiples of d_model.
+_BLOCK = (("ln1", None), ("attn.query_key_value", (1, 3)), ("attn.dense", (1, 1)),
+          ("ln2", None), ("mlp.dense_h_to_4h", (1, 4)), ("mlp.dense_4h_to_h", (4, 1)))
+
+
+def model_shapes(config: CausalLMConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every base parameter, in the order init_model draws them."""
+    d = config.d_model
+    shapes = {"tok_embeddings.weight": (config.vocab_size, d),
+              "pos_embeddings.weight": (config.seq_len, d)}
+    layers = [(f"blocks.{i}.{sub}", dims) for i in range(config.n_layers) for sub, dims in _BLOCK]
+    for pre, dims in layers + [("ln_f", None)]:
+        if dims is None:
+            shapes |= {f"{pre}.gain": (d,), f"{pre}.bias": (d,)}
+        else:
+            shapes |= {f"{pre}.weight": (dims[0] * d, dims[1] * d), f"{pre}.bias": (dims[1] * d,)}
+    return shapes
+
+
+def build_model(config: CausalLMConfig, arrays: dict[str, np.ndarray]) -> CausalLM:
+    """A model that adopts ``arrays``, laid out exactly as ``model_shapes(config)``,
+    as its parameters, in that layout's order."""
+    params = {name: Parameter(arrays[name], name) for name in model_shapes(config)}
+
+    def layer(name, dims=None):
+        cls, kind = (LayerNorm, "gain") if dims is None else (Linear, "weight")
+        return cls(name, params[f"{name}.{kind}"], params[f"{name}.bias"])
+
+    blocks = [Block(*(layer(f"blocks.{i}.{sub}", dims) for sub, dims in _BLOCK))
+              for i in range(config.n_layers)]
+    return CausalLM(config, params, blocks, layer("ln_f"))
+
+
 def init_model(config: CausalLMConfig, rng: RngState) -> CausalLM:
     """Fresh model: weights N(0, 0.02^2), biases 0, norm gain 1."""
-    cfg = config
-    params: dict[str, Parameter] = {}
 
-    def weight(name: str, shape) -> Parameter:
-        p = Parameter(rng.gaussian(0.0, INIT_STD, shape), name)
-        params[name] = p
-        return p
+    def draw(name, shape):
+        if name.endswith(".weight"):
+            return rng.gaussian(0.0, INIT_STD, shape)
+        return (np.ones if name.endswith(".gain") else np.zeros)(shape, dtype=np.float32)
 
-    def zeros(name: str, shape) -> Parameter:
-        p = Parameter(np.zeros(shape, dtype=np.float32), name)
-        params[name] = p
-        return p
-
-    def ones(name: str, shape) -> Parameter:
-        p = Parameter(np.ones(shape, dtype=np.float32), name)
-        params[name] = p
-        return p
-
-    weight("tok_embeddings.weight", (cfg.vocab_size, cfg.d_model))
-    weight("pos_embeddings.weight", (cfg.seq_len, cfg.d_model))
-
-    blocks = []
-    d, dh = cfg.d_model, 4 * cfg.d_model
-    for i in range(cfg.n_layers):
-        pre = f"blocks.{i}"
-        ln1 = LayerNorm(f"{pre}.ln1", ones(f"{pre}.ln1.gain", (d,)),
-                        zeros(f"{pre}.ln1.bias", (d,)))
-        qkv = Linear(f"{pre}.attn.query_key_value",
-                     weight(f"{pre}.attn.query_key_value.weight", (d, 3 * d)),
-                     zeros(f"{pre}.attn.query_key_value.bias", (3 * d,)))
-        dense = Linear(f"{pre}.attn.dense",
-                       weight(f"{pre}.attn.dense.weight", (d, d)),
-                       zeros(f"{pre}.attn.dense.bias", (d,)))
-        ln2 = LayerNorm(f"{pre}.ln2", ones(f"{pre}.ln2.gain", (d,)),
-                        zeros(f"{pre}.ln2.bias", (d,)))
-        up = Linear(f"{pre}.mlp.dense_h_to_4h",
-                    weight(f"{pre}.mlp.dense_h_to_4h.weight", (d, dh)),
-                    zeros(f"{pre}.mlp.dense_h_to_4h.bias", (dh,)))
-        down = Linear(f"{pre}.mlp.dense_4h_to_h",
-                      weight(f"{pre}.mlp.dense_4h_to_h.weight", (dh, d)),
-                      zeros(f"{pre}.mlp.dense_4h_to_h.bias", (d,)))
-        blocks.append(Block(ln1, qkv, dense, ln2, up, down))
-
-    ln_f = LayerNorm("ln_f", ones("ln_f.gain", (d,)), zeros("ln_f.bias", (d,)))
-    return CausalLM(cfg, params, blocks, ln_f)
-
+    return build_model(config, {n: draw(n, s) for n, s in model_shapes(config).items()})

@@ -67,36 +67,42 @@ def attach_lora(model: CausalLM, config: LoraConfig, rng: RngState) -> CausalLM:
     A ~ N(0, 1/r), B = 0 so the adapted model is the base at init. A model
     carries one adapter: a taken slot raises before anything changes.
     """
-    if model.adapter_config is not None:
-        raise StateError(f"model already carries an adapter: {model.adapter_config}")
-    matched = _lora_targets(model, config)
-
-    model.freeze_all()
-    std = 1.0 / np.sqrt(config.r)
-    for lin in matched:
-        A = Parameter(rng.gaussian(0.0, std, (config.r, lin.d_in)), f"{lin.name}.lora_A")
-        B = Parameter(np.zeros((lin.d_out, config.r), dtype=np.float32), f"{lin.name}.lora_B")
-        model.add_parameter(A)
-        model.add_parameter(B)
-        lin.adapter = LoraAdapter(A, B, config.scaling, config.dropout)
-    model.adapter_config = config
+    p = _attach(model, config, lora_shapes(model, config), ".lora_A",
+                1.0 / np.sqrt(config.r), rng)
+    for lin in model.linears():
+        if f"{lin.name}.lora_A" in p:
+            lin.adapter = LoraAdapter(p[f"{lin.name}.lora_A"], p[f"{lin.name}.lora_B"],
+                                      config.scaling, config.dropout)
     return model
 
 
-def _lora_targets(model: CausalLM, config: LoraConfig) -> list:
-    linears = model.linears()
-    for suffix in config.target_modules:
-        if not any(l.name.endswith(suffix) for l in linears):
-            raise ConfigError(f"target module suffix {suffix!r} matches nothing")
-    return [l for l in linears if any(l.name.endswith(s) for s in config.target_modules)]
+def _attach(model: CausalLM, config, shapes: dict[str, tuple[int, ...]], drawn: str,
+            std: float, rng: RngState) -> dict[str, Parameter]:
+    """Freeze the base, then add a trainable parameter per name in ``shapes``,
+    in its order: N(0, std^2) where the name ends in ``drawn``, else zeros.
+    Returns the new parameters by name; the caller wires them in."""
+    if model.adapter_config is not None:
+        raise StateError(f"model already carries an adapter: {model.adapter_config}")
+    model.freeze_all()
+    added = {name: Parameter(rng.gaussian(0.0, std, shape) if name.endswith(drawn)
+                             else np.zeros(shape, dtype=np.float32), name)
+             for name, shape in shapes.items()}
+    model.params |= added
+    model.adapter_config = config
+    return added
 
 
 def lora_shapes(model: CausalLM, config: LoraConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter attach_lora would add, without adding it."""
+    linears = model.linears()
+    for suffix in config.target_modules:
+        if not any(l.name.endswith(suffix) for l in linears):
+            raise ConfigError(f"target module suffix {suffix!r} matches nothing")
     out: dict[str, tuple[int, ...]] = {}
-    for lin in _lora_targets(model, config):
-        out[f"{lin.name}.lora_A"] = (config.r, lin.d_in)
-        out[f"{lin.name}.lora_B"] = (lin.d_out, config.r)
+    for lin in linears:
+        if any(lin.name.endswith(s) for s in config.target_modules):
+            out[f"{lin.name}.lora_A"] = (config.r, lin.d_in)
+            out[f"{lin.name}.lora_B"] = (lin.d_out, config.r)
     return out
 
 
@@ -166,22 +172,12 @@ def attach_bottleneck(model: CausalLM, config: BottleneckAdapterConfig,
                       rng: RngState) -> CausalLM:
     """Insert serial adapters after the attention and MLP sublayers. A model
     carries one adapter: a taken slot raises before anything changes."""
-    if model.adapter_config is not None:
-        raise StateError(f"model already carries an adapter: {model.adapter_config}")
-    bottleneck_shapes(model, config)  # checks the width
-    d, b = model.config.d_model, config.bottleneck_dim
-    model.freeze_all()
+    p = _attach(model, config, bottleneck_shapes(model, config), ".down.weight", 0.02, rng)
     for i, blk in enumerate(model.blocks):
         for slot in ("attn_adapter", "mlp_adapter"):
             pre = f"blocks.{i}.{slot}"
-            down_w = Parameter(rng.gaussian(0.0, 0.02, (d, b)), f"{pre}.down.weight")
-            down_b = Parameter(np.zeros(b, dtype=np.float32), f"{pre}.down.bias")
-            up_w = Parameter(np.zeros((b, d), dtype=np.float32), f"{pre}.up.weight")
-            up_b = Parameter(np.zeros(d, dtype=np.float32), f"{pre}.up.bias")
-            for p in (down_w, down_b, up_w, up_b):
-                model.add_parameter(p)
-            setattr(blk, slot, BottleneckAdapter(down_w, down_b, up_w, up_b))
-    model.adapter_config = config
+            setattr(blk, slot, BottleneckAdapter(
+                *(p[f"{pre}.{n}"] for n in ("down.weight", "down.bias", "up.weight", "up.bias"))))
     return model
 
 

@@ -29,7 +29,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigError, DataError, StateError
-from .model import LN_EPS, CausalLM, CausalLMConfig, init_model
+from .model import LN_EPS, CausalLM, CausalLMConfig, build_model, model_shapes
 from .peft import (
     BottleneckAdapterConfig,
     LoraConfig,
@@ -254,18 +254,12 @@ def _config_field(path: str, meta: dict, key: str, cls):
 
 
 def load_model(path: str) -> CausalLM:
+    """The model a model archive holds, built straight from its tensors."""
     tensors, meta = load_archive(path)
     if meta.get("kind") != "model":
         raise DataError(f"{path}: archive is not a model (kind={meta.get('kind')!r})")
     config = _config_field(path, meta, "model_config", CausalLMConfig)
-    try:
-        model = init_model(config, RngState(0))
-    except (TypeError, ValueError) as e:
-        raise DataError(f"{path}: {e}")
-    shapes = {n: p.shape for n, p in model.params.items()}
-    for name, arr in check_tensors(path, tensors, shapes).items():
-        model.params[name].data = arr
-    return model
+    return build_model(config, check_tensors(path, tensors, model_shapes(config)))
 
 
 # peft_method -> (config class, its meta key, attach, the shapes attach adds)

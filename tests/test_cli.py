@@ -342,6 +342,29 @@ def test_zero_counts_are_config_errors(workdir, capsys, flag):
     assert err.startswith("error:config:") and flag in err
 
 
+@pytest.mark.parametrize("flag, value", [("n_heads", "0"), ("d_model", "-8"),
+                                         ("n_heads", "-4"), ("n_layers", "-1")])
+def test_model_sizes_below_one_are_config_errors(workdir, tmp_path, capsys, flag, value):
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--csv", workdir["csv"], "--tokenizer", workdir["tok"],
+                 "--output_dir", str(out), f"--{flag}", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and f"{flag} must be >= 1" in err, err
+    assert "Traceback" not in err and not (out / "model.pfwa").exists()
+
+
+def test_model_archive_with_zero_heads_is_data_error(workdir, tmp_path, capsys):
+    tensors, meta = load_archive(workdir["base"])
+    meta["model_config"]["n_heads"] = 0
+    bad = str(tmp_path / "zero_heads.pfwa")
+    store.save_archive(bad, tensors, meta)
+    assert main(["eval", "--model", bad, "--tokenizer", workdir["tok"],
+                 "--csv", workdir["csv"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:data: {bad}: meta field 'model_config'"), err
+    assert "n_heads must be >= 1" in err and "Traceback" not in err
+
+
 def test_bad_csv_is_data_error(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("foo\nbar\n")
@@ -469,9 +492,9 @@ BAD_INPUTS = {
     "only_first_label": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [5, -1, -1]}),
                          "example 1: labels"),
     # the tokenizer's merges reach past the model's 300 ids; the empty answer
-    # of row 2 is skipped, so row 3 is the first example built
+    # of row 2 is skipped, and the error names row 3, the first example built
     "csv_id_too_large": ("data.csv", "question,answer\nWhy?,\nWhat moved KOSPI?,KOSPI rose.\n",
-                         "built example 0: input_ids"),
+                         "row 3: input_ids"),
 }
 
 

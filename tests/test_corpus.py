@@ -13,11 +13,13 @@ from tinypeft.corpus import (
     DEFAULT_TRAIN_TEMPLATE,
     IGNORE_LABEL,
     REDACTED,
+    PreprocessConfig,
     QAPair,
     augment_shuffle,
     build_examples,
     load_qa_csv,
     normalize_text,
+    preprocess_pair,
     redact,
 )
 from tinypeft.errors import ConfigError, DataError
@@ -224,6 +226,21 @@ def test_fully_truncated_answer_skipped(small_tok):
 def test_empty_answer_skipped(small_tok):
     ex, _ = build_examples([QAPair("q?", "   ")], small_tok, seq_len=64)
     assert ex == []
+
+
+def test_skips_and_examples_name_their_csv_row(small_tok, tmp_path, caplog):
+    """A CSV pair keeps its row (the header is row 1) through preprocess_pair
+    and build_examples; a pair made in code is named by its index."""
+    p = tmp_path / "qa.csv"
+    p.write_text("question,answer\nWhy?,\nwhat is a stock?,a share.\n")
+    pairs = [preprocess_pair(q, PreprocessConfig()) for q in load_qa_csv(str(p))]
+    with caplog.at_level("WARNING"):
+        ex, _ = build_examples(pairs, small_tok, seq_len=128)
+        build_examples([QAPair("q?", "")], small_tok, seq_len=128)
+    assert [r.getMessage() for r in caplog.records] == [
+        "row 2: empty answer after normalization, skipped",
+        "pair 0: empty answer after normalization, skipped"]
+    assert [e.row for e in ex] == [3]
 
 
 def test_template_validation(small_tok):

@@ -32,6 +32,10 @@ def test_config_validation():
         CausalLMConfig(vocab_size=16, d_model=10, n_heads=4)  # d % heads != 0
     with pytest.raises(ConfigError):
         CausalLMConfig(vocab_size=16, seq_len=1)
+    for field in ("vocab_size", "d_model", "n_heads", "n_layers"):
+        for value in (0, -4):
+            with pytest.raises(ConfigError, match=f"{field} must be >= 1, got {value}"):
+                CausalLMConfig(**{"vocab_size": 16, field: value})
 
 
 def test_logits_shape(micro_model):

@@ -112,6 +112,33 @@ def test_model_roundtrip(tmp_path):
     )
 
 
+def test_load_model_draws_nothing_and_keeps_the_init_order(tmp_path, monkeypatch):
+    """A model archive is built straight from its tensors: loading draws no
+    weight, and the parameters come in init_model's order, not the archive's
+    sorted one, so a full finetune of a loaded base clips, steps and pages
+    its moments in the order a fresh model does, bit for bit."""
+    model = init_model(micro_config(), RngState(1))
+    path = str(tmp_path / "m.pfwa")
+    save_model(model, path)
+
+    def no_draws(*args):
+        raise AssertionError("load_model drew a random number")
+
+    with monkeypatch.context() as m:
+        m.setattr(RngState, "gaussian", no_draws)
+        back = load_model(path)
+    assert list(back.params) == list(model.params) != sorted(model.params)
+    runs = []
+    for run, start in (("fresh", model), ("loaded", back)):
+        cfg = TrainConfig(output_dir=str(tmp_path / run), max_steps=3, save_steps=100,
+                          per_device_train_batch_size=2, optim="paged_adamw_32bit",
+                          paging_budget=3, seed=2)
+        tr = Trainer(start, EXAMPLES, cfg, pad_id=0)
+        tr.train()
+        runs.append((tr.optimizer.evictions, [p.data.tobytes() for p in start.parameters()]))
+    assert runs[0] == runs[1]
+
+
 def test_model_kind_checked(tmp_path):
     path = str(tmp_path / "x.pfwa")
     save_archive(path, {"w": np.zeros(2, np.float32)}, {"kind": "other"})
