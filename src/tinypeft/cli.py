@@ -312,6 +312,18 @@ def _load_any_model(eff: dict):
     return model
 
 
+def _prompt_ids(tok_path: str, tok: bpe.TokenizerModel, prompt: str,
+                config: CausalLMConfig) -> list[int]:
+    """BOS and the prompt's tokens; an id the model has no embedding for is a
+    DataError naming the tokenizer."""
+    ids = [tok.specials.bos] + tok.tokenize(prompt)
+    for i in ids:
+        if i >= config.vocab_size:
+            raise DataError(f"{tok_path}: prompt token id {i} >= model vocab_size "
+                            f"{config.vocab_size}")
+    return ids
+
+
 def cmd_generate(eff: dict) -> int:
     (tok_path,) = _require(eff, "tokenizer")
     tok = bpe.TokenizerModel.load(tok_path)
@@ -322,7 +334,7 @@ def cmd_generate(eff: dict) -> int:
         prompt = eff["prompt"]
     else:
         raise ConfigError("need --prompt or --question")
-    ids = [tok.specials.bos] + tok.tokenize(prompt)
+    ids = _prompt_ids(tok_path, tok, prompt, model.config)
     out_ids = model.generate(
         ids,
         max_new_tokens=eff.get("max_new_tokens", evals.MAX_NEW_TOKENS),
@@ -359,6 +371,8 @@ def cmd_compare(eff: dict) -> int:
     examples = None
     if eff.get("csv") or eff.get("data"):
         examples = _load_examples(eff, tok, base.config)
+    for q in questions:
+        _prompt_ids(tok_path, tok, corpus.DEFAULT_INFER_TEMPLATE.format(question=q), base.config)
     report = evals.compare_base_vs_adapted(
         base, adapted, tok, questions, eval_examples=examples,
         **_given(eff, "max_new_tokens"),

@@ -18,11 +18,13 @@ residuals, ``ln_f`` and the tied head run on rows from_row..S-1 alone.
 ``lm_loss`` starts them at the first position with a label, so on
 prompt-masked fine-tuning data the prompt rows skip the tail of the network
 and the loss, in training and in perplexity alike. ``generate`` is KV-cached
-and reads only the last row: it encodes the prompt once, then one position
-per new token. When the running sequence slides past the seq_len - 1 window,
-every absolute position shifts, so the cache is dropped and each step
-re-encodes the window. ``generate`` and the evals fold the LoRA pairs into
-their weights once per call and keep no state (``CausalLM.folded``).
+and drafts ahead: it encodes the prompt once, then feeds each forward the
+newest token plus a draft copied from the context, and keeps the drafted
+tokens its own picks confirm. When the running sequence slides past the
+seq_len - 1 window, every absolute position shifts, so the cache is dropped
+and each step re-encodes the window for one token. ``generate`` and the
+evals fold the LoRA pairs into their weights once per call and keep no state
+(``CausalLM.folded``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .tensor import Parameter, Tensor
 
 INIT_STD = 0.02
 LN_EPS = 1e-5  # every layer norm's epsilon
+DRAFT_MAX = 16  # most drafted tokens one cached decoding forward verifies
 
 
 @dataclass
@@ -262,12 +265,15 @@ class CausalLM:
 
         The context is the most recent seq_len - 1 tokens. While the running
         sequence fits that window, the prompt is encoded once into a per-block
-        key/value cache and each step encodes only the newest token. Positions
-        are absolute, so once the window slides every cached key is stale:
-        from then on each step re-encodes the whole window without a cache.
-        Only the last position's logits are read, so every forward here asks
-        for that row alone (``from_row`` = S - 1): the final block's tail,
-        ``ln_f`` and the head run on one row. The call runs ``folded``.
+        key/value cache, and each later forward encodes the newest token plus
+        a ``_draft`` and returns the rows from the newest token on. Each row's
+        pick is a one-token step's (in temperature mode one draw); drafted
+        tokens are kept while the pick equals them, and the pick at the first
+        mismatch too, then the cache is cut back to them. A draft's cap is 1
+        after a miss and 2a + 1 after a kept tokens, within ``DRAFT_MAX``, the
+        window and the tokens left. Positions are absolute, so once the window
+        slides each step re-encodes it without a cache and reads its last row.
+        The call runs ``folded``.
         """
         if not prompt_ids:
             raise DataError("empty prompt")
@@ -282,33 +288,66 @@ class CausalLM:
         if max_new_tokens < 0:
             raise ConfigError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
         out = list(prompt_ids)
+        stop = len(out) + max_new_tokens
         window = self.config.seq_len - 1
         cache = [[] for _ in self.blocks]
-        cached = 0  # leading tokens of out held in the cache
+        cached, n_draft = 0, 1  # leading tokens of out held in the cache; next draft's cap
         with self.folded():
-            for _ in range(max_new_tokens):
+            while len(out) < stop:
                 if len(out) <= window:
-                    ctx, step_cache, cached = out[cached:], cache, len(out)
+                    n = min(n_draft, DRAFT_MAX, window - len(out), stop - len(out) - 1)
+                    draft = _draft(out, n) if n else []
+                    ctx, step_cache, first = out[cached:] + draft, cache, len(out) - 1 - cached
                 else:
-                    ctx, step_cache = out[-window:], None
+                    draft, ctx, step_cache, first = [], out[-window:], None, window - 1
                 logits = self.forward_logits(np.asarray([ctx]), cache=step_cache,
-                                             from_row=len(ctx) - 1)
-                row = logits.data[0, -1].astype(np.float64)
-                if mode == "greedy":
-                    nxt = int(row.argmax())
-                else:
-                    z = row / temperature
-                    if top_k and top_k < len(z):
-                        cutoff = np.sort(z)[-top_k]
-                        z = np.where(z >= cutoff, z, -np.inf)
-                    z -= z.max()
-                    probs = np.exp(z)
-                    probs /= probs.sum()
-                    nxt = rng.choice_weighted(probs.astype(np.float32))
-                out.append(nxt)
-                if eos_id is not None and nxt == eos_id:
-                    break
+                                             from_row=first)
+                accepted = 0
+                for row in logits.data[0].astype(np.float64):
+                    if mode == "greedy":
+                        nxt = int(row.argmax())
+                    else:
+                        z = row / temperature
+                        if top_k and top_k < len(z):
+                            cutoff = np.sort(z)[-top_k]
+                            z = np.where(z >= cutoff, z, -np.inf)
+                        z -= z.max()
+                        probs = np.exp(z)
+                        probs /= probs.sum()
+                        nxt = rng.choice_weighted(probs.astype(np.float32))
+                    out.append(nxt)
+                    if nxt == eos_id:
+                        return out
+                    if accepted == len(draft) or nxt != draft[accepted]:
+                        break
+                    accepted += 1
+                cached, n_draft = len(out) - 1, 2 * accepted + 1
+                if accepted < len(draft):  # drop the rejected drafts' keys and values
+                    for c in cache:
+                        c[0], c[1] = c[0][:, :, :cached], c[1][:, :, :cached]
         return out
+
+
+def _draft(seq: list[int], n: int) -> list[int]:
+    """n tokens to verify after seq: those that followed the latest earlier
+    occurrence of its last 3 tokens (else last 2, else last 1), copied
+    LZ-style, so a copy that reaches the end of seq reads on into the draft
+    and a repeating run extends. Empty when the last token is new."""
+    rev, latest = seq[::-1], {}  # matched length -> distance back
+    j = 0
+    while 3 not in latest:
+        try:
+            j = rev.index(rev[0], j + 1)
+        except ValueError:
+            break
+        k = 1
+        while k < 3 and j + k < len(rev) and rev[j + k] == rev[k]:
+            k += 1
+        latest.setdefault(k, j)
+    if not latest:
+        return []
+    j = latest[max(latest)]
+    return (seq[-j:] * (n // j + 1))[:n]
 
 
 # A block's sublayers in draw order, as Block takes them: a layer norm (None)

@@ -353,6 +353,12 @@ class Trainer:
             if not is_count(meta.get(name)):
                 raise DataError(f"{path}: checkpoint field {name!r} is "
                                 f"{meta.get(name)!r}, not a non-negative int")
+        # each step makes one optimizer update: another count would resume
+        # with another step's bias correction
+        if meta["optimizer_step_count"] != meta["global_step"]:
+            raise DataError(f"{path}: checkpoint field 'optimizer_step_count' is "
+                            f"{meta['optimizer_step_count']}, but 'global_step' is "
+                            f"{meta['global_step']}")
         rng = RngState()
         try:
             rng.set_state(meta.get("rng_state"))

@@ -16,6 +16,7 @@ import tinypeft
 from tinypeft import cli, peft, store
 from tinypeft.bpe import TokenizerModel
 from tinypeft.cli import main
+from tinypeft.corpus import DEFAULT_INFER_TEMPLATE
 from tinypeft.model import CausalLMConfig, init_model
 from tinypeft.peft import BottleneckAdapterConfig, LoraConfig, attach_lora
 from tinypeft.quant import QuantConfig
@@ -563,6 +564,29 @@ def test_compare_with_an_empty_data_file_is_a_data_error(workdir, short_base, tm
                  "--max_new_tokens", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error:data: {data}: no usable examples"), err
+
+
+@pytest.mark.parametrize("command", ["generate", "compare"])
+def test_prompt_ids_outside_the_model_name_the_tokenizer(workdir, short_base, tmp_path,
+                                                         capsys, command):
+    """The templated question tokenizes to merges past the short base's 300
+    ids: the error names the tokenizer and the id, not a flat position."""
+    if command == "generate":
+        argv = ["generate", "--model", short_base]
+    else:
+        model = attach_lora(load_model(short_base), LoraConfig(r=2), RngState(0))
+        adapter = str(tmp_path / "adapter.pfwa")
+        store.save_adapter(model, adapter)
+        argv = ["compare", "--base", short_base, "--adapter", adapter]
+    q = "What is an Index?"
+    tok = TokenizerModel.load(workdir["tok"])
+    bad = next(i for i in tok.tokenize(DEFAULT_INFER_TEMPLATE.format(question=q)) if i >= 300)
+    assert main(argv + ["--tokenizer", workdir["tok"], "--question", q,
+                        "--max_new_tokens", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error:data: {workdir['tok']}: prompt token id {bad} "
+                                   f">= model vocab_size 300"), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("argv, named", [

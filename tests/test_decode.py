@@ -1,15 +1,17 @@
-"""KV-cached decoding against the full-window loop it replaces.
+"""KV-cached, draft-and-verify decoding against the full-window loop it replaces.
 
 ``reference_generate`` is the decoding loop from before the cache: one full
-``forward_logits`` over the last seq_len - 1 tokens per new token. Cached
-and last-row (``from_row`` = S - 1) logits differ from it in the last bits
-(1-row products and shorter reductions round differently), so the oracle is
-identical tokens, plus a relative logit tolerance.
+``forward_logits`` over the last seq_len - 1 tokens per new token. Cached,
+drafted and last-row (``from_row`` = S - 1) logits differ from it in the last
+bits (1-row products and shorter reductions round differently), so the
+oracle is identical tokens and, in temperature mode, an identical rng
+stream, plus a relative logit tolerance.
 """
 
 import numpy as np
 import pytest
 
+from tinypeft import model as model_mod
 from tinypeft import tensor as T
 from tinypeft.errors import ConfigError, DataError, ShapeError, StateError
 from tinypeft.model import CausalLMConfig, init_model
@@ -210,19 +212,130 @@ def test_only_the_last_block_runs_on_one_row(kind, per_block, monkeypatch):
     assert rows == ([10] * per_block + [1] * per_block) * 2
 
 
-def test_prompt_is_encoded_once(monkeypatch):
-    model = build("base")
-    positions = []
+def record_forwards(model, monkeypatch) -> list:
+    """Patch model.forward_logits to record each call's cached positions
+    (None without a cache) and its ids."""
+    calls = []
     forward = model.forward_logits
 
-    def counting(ids, *args, **kwargs):
-        positions.append(np.asarray(ids).size)
-        return forward(ids, *args, **kwargs)
+    def recording(ids, *args, cache=None, **kwargs):
+        past = None if cache is None else cache[0][0].shape[2] if cache[0] else 0
+        calls.append((past, [int(t) for t in np.asarray(ids).ravel()]))
+        return forward(ids, *args, cache=cache, **kwargs)
 
-    monkeypatch.setattr(model, "forward_logits", counting)
-    model.generate(prompt(10), 16)
-    # prefill, 13 single steps up to the 23-token window, then 2 re-encodes
-    assert positions == [10] + [1] * 13 + [WINDOW] * 2
+    monkeypatch.setattr(model, "forward_logits", recording)
+    return calls
+
+
+# a prompt on which every kind of model below repeats itself, so drafts
+# copied from the context are accepted
+REPETITIVE = [7, 7, 7, 7]
+
+
+def test_prompt_is_encoded_once(monkeypatch):
+    """The prompt is fed once; every later cached forward feeds the one
+    emitted token not yet cached plus its draft; the window re-encodes feed
+    the last seq_len - 1 tokens; no forward passes the window."""
+    model = build("base")
+    for p in (prompt(10), [1, 2, 3] * 4, REPETITIVE):
+        ref = reference_generate(model, p, 16)
+        with monkeypatch.context() as m:
+            calls = record_forwards(model, m)
+            out = model.generate(p, 16)
+        assert out == ref
+        past, ids = calls[0]
+        assert past == 0 and ids[:len(p)] == p
+        assert ids[len(p):] == model_mod._draft(p, len(ids) - len(p))
+        for past, ids in calls[1:]:
+            if past is None:
+                assert len(ids) == WINDOW
+                continue
+            assert past >= len(p) and ids[0] == out[past]
+            assert ids[1:] == model_mod._draft(out[:past + 1], len(ids) - 1)
+            assert past + len(ids) <= WINDOW
+
+
+def test_without_drafts_one_token_per_forward(monkeypatch):
+    """With the draft helper returning nothing, decoding is the one-token
+    loop: prefill, 13 single steps up to the 23-token window, 2 re-encodes."""
+    model = build("base")
+    p = prompt(10)
+    ref = reference_generate(model, p, 16)
+    calls = record_forwards(model, monkeypatch)
+    monkeypatch.setattr(model_mod, "_draft", lambda seq, n: [])
+    assert model.generate(p, 16) == ref
+    assert [len(ids) for _, ids in calls] == [10] + [1] * 13 + [WINDOW] * 2
+
+
+@pytest.mark.parametrize("kind", ["base", "lora", "merged", "adapter", "qlora"])
+def test_repetitive_prompt_decodes_in_fewer_forwards_than_tokens(kind, monkeypatch):
+    model = build(kind)
+    ref = reference_generate(model, REPETITIVE, 16)
+    calls = record_forwards(model, monkeypatch)
+    assert model.generate(REPETITIVE, 16) == ref
+    assert len(calls) < 16
+
+
+@pytest.mark.parametrize("kind", ["base", "lora"])
+@pytest.mark.parametrize("top_k", [0, 5])
+def test_seeded_sampling_on_a_repetitive_prompt_matches_reference(kind, top_k, monkeypatch):
+    """One draw per emitted token: drafted rows past the first mismatch draw
+    nothing, so the stream ends where the one-token loop leaves it."""
+    model = build(kind)
+    kw = dict(mode="temperature", temperature=0.1, top_k=top_k)
+    rng, ref_rng = RngState(11), RngState(11)
+    ref = reference_generate(model, REPETITIVE, 16, rng=ref_rng, **kw)
+    calls = record_forwards(model, monkeypatch)
+    assert model.generate(REPETITIVE, 16, rng=rng, **kw) == ref
+    assert rng.get_state() == ref_rng.get_state()
+    assert len(calls) < 16
+
+
+def oracle_drafts(monkeypatch, continuation: list[int]):
+    """Make every draft the true continuation, as far as it goes."""
+    monkeypatch.setattr(model_mod, "_draft",
+                        lambda seq, n: continuation[len(seq):len(seq) + n])
+
+
+def test_eos_inside_an_accepted_draft_stops_decoding_there(monkeypatch):
+    """With every draft right, the forwards feed positions 0..4, 5..8 and
+    9..16; a token first emitted at position 10 or later is an EOS that the
+    third forward drafts, accepts and stops at."""
+    model = build("base")
+    p = prompt(4)
+    free = reference_generate(model, p, 16)
+    at = next(i for i in range(10, len(free)) if free[i] not in free[len(p):i])
+    oracle_drafts(monkeypatch, free)
+    calls = record_forwards(model, monkeypatch)
+    assert model.generate(p, 16, eos_id=free[at]) == free[:at + 1]
+    past, ids = calls[-1]
+    assert len(calls) == 3 and past < at < past + len(ids) - 1
+
+
+@pytest.mark.parametrize("budget", range(1, 17))
+def test_max_new_tokens_stops_exactly_at_the_budget(budget, monkeypatch):
+    """Drafts that would all be accepted still stop at max_new_tokens: the
+    draft is capped by the tokens left, and by the window."""
+    model = build("base")
+    p = prompt(4)
+    free = reference_generate(model, p, 16)
+    oracle_drafts(monkeypatch, free)
+    calls = record_forwards(model, monkeypatch)
+    assert model.generate(p, budget) == free[:len(p) + budget]
+    assert all(past is None or past + len(ids) <= WINDOW for past, ids in calls)
+
+
+@pytest.mark.parametrize("seq, n, draft", [
+    ([5, 6, 5, 6], 3, [5, 6, 5]),  # the copy reads on into the draft
+    ([4, 4], 5, [4] * 5),  # a repeating run extends
+    ([1, 2, 3, 9, 2, 3, 8, 1, 2, 3], 4, [9, 2, 3, 8]),  # last 3 before last 2
+    ([1, 2, 9, 1, 3, 2, 8, 3, 2], 2, [8, 3]),  # last 2 before last 1
+    ([3, 2, 7, 3, 2, 8, 3, 2], 3, [8, 3, 2]),  # the latest last 2
+    ([1, 5, 1, 6, 1], 3, [6, 1, 6]),  # the latest last 1
+    ([1, 2, 3], 4, []),  # the last token is new
+])
+def test_draft_copies_what_followed_the_latest_match(seq, n, draft):
+    assert model_mod._draft(seq, n) == draft
 
 
 def test_cached_attention_raises_while_tape_records():

@@ -540,6 +540,25 @@ def test_resume_needs_a_train_config_object(tmp_path, tiny_data, tiny_tok, saved
     assert trainer_state(other) == before
 
 
+def test_resume_refuses_an_optimizer_step_count_off_the_global_step(tmp_path, tiny_data,
+                                                                    tiny_tok):
+    """Each step makes one optimizer update, so a checkpoint whose counts
+    differ would resume with another step's bias correction: a DataError
+    (exit 2) that names the file and both values, with nothing assigned."""
+    make_trainer(tmp_path, tiny_data, tiny_tok, run="src", max_steps=2, save_steps=2).train()
+    ck = str(tmp_path / "src" / "checkpoint-2" / "state.pfwa")
+    tensors, meta = load_archive(ck)
+    assert meta["optimizer_step_count"] == meta["global_step"] == 2
+    meta["optimizer_step_count"] = 7
+    save_archive(ck, tensors, meta)
+    other = make_trainer(tmp_path, tiny_data, tiny_tok, run="dst", max_steps=4)
+    before = trainer_state(other)
+    with pytest.raises(DataError, match=r"checkpoint-2/state\.pfwa: checkpoint field "
+                                        r"'optimizer_step_count' is 7, but 'global_step' is 2"):
+        other.resume(ck)
+    assert trainer_state(other) == before
+
+
 def test_resume_may_change_the_fields_off_the_trajectory(tmp_path, tiny_data, tiny_tok):
     opts = dict(max_steps=6, save_steps=2)
     straight = make_trainer(tmp_path, tiny_data, tiny_tok, run="straight", **opts)
