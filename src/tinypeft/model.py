@@ -75,8 +75,8 @@ class Linear:
         self.name = name
         self.weight = weight
         self.bias = bias
-        self.adapter = None  # set by peft.attach_lora
-        self.qweight = None  # the packed 4-bit weight, set by peft.quantize_base
+        self.adapter = None  # set by peft.build_adapter
+        self.qweight = None  # the packed 4-bit weight, set by peft.adopt_quantized
 
     @property
     def d_in(self) -> int:
@@ -131,8 +131,8 @@ class CausalLM:
         self.blocks = blocks
         self.ln_f = ln_f
         self.base_names = frozenset(params)  # the names model_shapes lays out
-        self.adapter_config = None  # the one adapter slot, set by peft.attach_*
-        self.quant_config = None  # set by peft.quantize_base, cleared by merge_lora
+        self.adapter_config = None  # the one adapter slot, set by peft.build_adapter
+        self.quant_config = None  # set by peft.adopt_quantized, cleared by merge_lora
 
     # -- parameter access ----------------------------------------------------
 

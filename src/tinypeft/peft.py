@@ -1,13 +1,16 @@
 """Parameter-efficient fine-tuning: LoRA pairs, bottleneck adapters, the
 LoRA merge, QLoRA base quantization, and trainable accounting.
 
-Both adapter families are exact identities at initialization (LoRA because
-B = 0, bottleneck because the up-projection starts at 0), so a freshly
-adapted model reproduces the base bitwise in eval mode. A LoRA pair holds
-only its weights: the adapted ``model.Linear`` computes the delta inside the
-fused ``tensor.linear`` kernel, as do the bottleneck's projections. A LoRA
-layer is attached or merged away: the merge leaves a plain f32 base. Inference
-applies the same fold once per call and keeps no state (``CausalLM.folded``).
+An adapter is laid out by name (``lora_shapes``, ``bottleneck_shapes``) and
+built by ``build_adapter`` from one array per name: ``attach_*`` draw them,
+``store.load_adapter`` reads an archive's. Both families are exact identities
+at initialization (LoRA because B = 0, bottleneck because the up-projection
+starts at 0), so a freshly adapted model reproduces the base bitwise in eval
+mode. A LoRA pair holds only its weights: the adapted ``model.Linear``
+computes the delta inside the fused ``tensor.linear`` kernel, as do the
+bottleneck's projections. A LoRA layer is attached or merged away: the merge
+leaves a plain f32 base. Inference applies the same fold once per call and
+keeps no state (``CausalLM.folded``).
 """
 
 from __future__ import annotations
@@ -62,34 +65,42 @@ class LoraAdapter:
 
 
 def attach_lora(model: CausalLM, config: LoraConfig, rng: RngState) -> CausalLM:
-    """Freeze the base and add a trainable A/B pair to every matched linear.
-
-    A ~ N(0, 1/r), B = 0 so the adapted model is the base at init. A model
-    carries one adapter: a taken slot raises before anything changes.
-    """
-    p = _attach(model, config, lora_shapes(model, config), ".lora_A",
-                1.0 / np.sqrt(config.r), rng)
-    for lin in model.linears():
-        if f"{lin.name}.lora_A" in p:
-            lin.adapter = LoraAdapter(p[f"{lin.name}.lora_A"], p[f"{lin.name}.lora_B"],
-                                      config.scaling, config.dropout)
-    return model
+    """Freeze the base and add a trainable A/B pair to every matched linear:
+    A ~ N(0, 1/r), B = 0, so the adapted model is the base at init."""
+    return _attach(model, config, lora_shapes(model, config), ".lora_A",
+                   1.0 / np.sqrt(config.r), rng)
 
 
 def _attach(model: CausalLM, config, shapes: dict[str, tuple[int, ...]], drawn: str,
-            std: float, rng: RngState) -> dict[str, Parameter]:
-    """Freeze the base, then add a trainable parameter per name in ``shapes``,
-    in its order: N(0, std^2) where the name ends in ``drawn``, else zeros.
-    Returns the new parameters by name; the caller wires them in."""
+            std: float, rng: RngState) -> CausalLM:
+    """``build_adapter`` on N(0, std^2) draws where a name ends in ``drawn``, else zeros."""
+    return build_adapter(model, config, {n: rng.gaussian(0.0, std, s) if n.endswith(drawn)
+                                         else np.zeros(s, np.float32) for n, s in shapes.items()})
+
+
+def build_adapter(model: CausalLM, config, arrays: dict[str, np.ndarray]) -> CausalLM:
+    """Freeze the base and adopt ``arrays``, laid out exactly as ``config``'s
+    ``lora_shapes`` or ``bottleneck_shapes``, as the adapter's parameters in
+    that order, wired in by name. A taken adapter slot raises first."""
     if model.adapter_config is not None:
         raise StateError(f"model already carries an adapter: {model.adapter_config}")
+    lora = isinstance(config, LoraConfig)
+    shapes = (lora_shapes if lora else bottleneck_shapes)(model, config)
     model.freeze_all()
-    added = {name: Parameter(rng.gaussian(0.0, std, shape) if name.endswith(drawn)
-                             else np.zeros(shape, dtype=np.float32), name)
-             for name, shape in shapes.items()}
-    model.params |= added
+    p = {name: Parameter(arrays[name], name) for name in shapes}
+    model.params |= p
     model.adapter_config = config
-    return added
+    if lora:
+        for lin in model.linears():
+            if f"{lin.name}.lora_A" in p:
+                lin.adapter = LoraAdapter(p[f"{lin.name}.lora_A"], p[f"{lin.name}.lora_B"],
+                                          config.scaling, config.dropout)
+    else:  # the layout lists each bottleneck's parameters in BottleneckAdapter's order
+        for i, blk in enumerate(model.blocks):
+            for slot in ("attn_adapter", "mlp_adapter"):
+                own = [v for n, v in p.items() if n.startswith(f"blocks.{i}.{slot}.")]
+                setattr(blk, slot, BottleneckAdapter(*own))
+    return model
 
 
 def lora_shapes(model: CausalLM, config: LoraConfig) -> dict[str, tuple[int, ...]]:
@@ -170,34 +181,33 @@ def bottleneck_shapes(model: CausalLM,
 
 def attach_bottleneck(model: CausalLM, config: BottleneckAdapterConfig,
                       rng: RngState) -> CausalLM:
-    """Insert serial adapters after the attention and MLP sublayers. A model
-    carries one adapter: a taken slot raises before anything changes."""
-    p = _attach(model, config, bottleneck_shapes(model, config), ".down.weight", 0.02, rng)
-    for i, blk in enumerate(model.blocks):
-        for slot in ("attn_adapter", "mlp_adapter"):
-            pre = f"blocks.{i}.{slot}"
-            setattr(blk, slot, BottleneckAdapter(
-                *(p[f"{pre}.{n}"] for n in ("down.weight", "down.bias", "up.weight", "up.bias"))))
-    return model
+    """Freeze the base and insert serial adapters after the attention and MLP
+    sublayers: Down ~ N(0, 0.02^2), Up and both biases 0."""
+    return _attach(model, config, bottleneck_shapes(model, config), ".down.weight", 0.02, rng)
 
 
 # -- QLoRA base quantization -------------------------------------------------
 
 
 def quantize_base(model: CausalLM, qconfig: QuantConfig) -> CausalLM:
-    """Quantize every linear weight to 4 bits and freeze it.
+    """Quantize every linear weight to 4 bits and freeze it: ``quantize_linears``,
+    then ``adopt_quantized``. A QLoRA load checks the fingerprint in between."""
+    return adopt_quantized(model, qconfig, quantize_linears(model, qconfig))
 
-    Each weight is replaced by its dequantized values, so training, eval and
-    decoding run the one ``tensor.linear`` path on f32. The packed form stays
-    on the layer as ``qweight``, but nothing reads it back: archives hold the
-    f32 weights. The config is recorded on the model, so
-    ``store.save_adapter`` writes it and ``store.load_adapter`` can quantize
-    a fresh base the same way.
-    """
+
+def quantize_linears(model: CausalLM, qconfig: QuantConfig) -> dict[str, tuple]:
+    """Each linear weight's name -> its ``QuantizedTensor`` and the f32 values
+    that dequantizes to; the model is left as it is."""
+    packed = {l.weight.name: quantize_blockwise(l.weight.data, qconfig) for l in model.linears()}
+    return {name: (q, dequantize_blockwise(q)) for name, q in packed.items()}
+
+
+def adopt_quantized(model: CausalLM, qconfig: QuantConfig, quantized: dict) -> CausalLM:
+    """Freeze each linear weight at its f32 values from ``quantize_linears``; the
+    packed form stays on the layer as ``qweight``, which nothing reads. The
+    config is recorded, so ``store.save_adapter`` writes it."""
     for lin in model.linears():
-        q = quantize_blockwise(lin.weight.data, qconfig)
-        lin.qweight = q
-        lin.weight.data = dequantize_blockwise(q)
+        lin.qweight, lin.weight.data = quantized[lin.weight.name]
         lin.weight.freeze()
         if lin.bias is not None:
             lin.bias.freeze()

@@ -33,14 +33,13 @@ from .model import LN_EPS, CausalLM, CausalLMConfig, build_model, model_shapes
 from .peft import (
     BottleneckAdapterConfig,
     LoraConfig,
-    attach_bottleneck,
-    attach_lora,
+    adopt_quantized,
     bottleneck_shapes,
+    build_adapter,
     lora_shapes,
-    quantize_base,
+    quantize_linears,
 )
-from .quant import QuantConfig, dequantize_blockwise, quantize_blockwise
-from .rng import RngState
+from .quant import QuantConfig
 
 MAGIC = b"PFWA"
 VERSION = 1
@@ -184,24 +183,18 @@ def check_tensors(path: str, tensors: dict[str, np.ndarray],
 # -- model / adapter archives ------------------------------------------------
 
 
-def base_fingerprint(model: CausalLM, quant: QuantConfig | None = None) -> str:
-    """Hash of the base config plus all base weight bytes.
-
-    With ``quant`` it hashes the weights ``quantize_base(model, quant)``
-    would leave, and leaves the model as it is.
-    """
-    quantized = {lin.weight.name for lin in model.linears()} if quant else set()
+def base_fingerprint(model: CausalLM, weights: dict[str, np.ndarray] | None = None) -> str:
+    """Hash of the base config plus all base weight bytes. ``weights`` (name
+    -> array) are hashed in place of the model's arrays of those names."""
+    arrays = {name: model.params[name].data for name in model.base_names} | (weights or {})
     # the hashed config keeps the retired fields, so that adapters written
     # before their removal still match their base
     config = {**asdict(model.config), **_RETIRED["model_config"]}
     h = hashlib.sha256()
     h.update(json.dumps(config, sort_keys=True).encode())
-    for name in sorted(model.base_names):
-        data = model.params[name].data
-        if name in quantized:
-            data = dequantize_blockwise(quantize_blockwise(data, quant))
+    for name in sorted(arrays):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(data))
+        h.update(np.ascontiguousarray(arrays[name]))
     return h.hexdigest()
 
 
@@ -262,10 +255,10 @@ def load_model(path: str) -> CausalLM:
     return build_model(config, check_tensors(path, tensors, model_shapes(config)))
 
 
-# peft_method -> (config class, its meta key, attach, the shapes attach adds)
+# peft_method -> (config class, its meta key, the shapes the adapter adds)
 _METHODS = {
-    "lora": (LoraConfig, "lora_config", attach_lora, lora_shapes),
-    "adapter": (BottleneckAdapterConfig, "bottleneck_config", attach_bottleneck, bottleneck_shapes),
+    "lora": (LoraConfig, "lora_config", lora_shapes),
+    "adapter": (BottleneckAdapterConfig, "bottleneck_config", bottleneck_shapes),
 }
 
 
@@ -285,13 +278,14 @@ def save_adapter(model: CausalLM, path: str):
 
 
 def load_adapter(base: CausalLM, path: str) -> CausalLM:
-    """Reattach an adapter archive onto its base model.
+    """Build an adapter archive's adapter onto its base from the archive's
+    checked tensors (``peft.build_adapter``), drawing nothing.
 
-    An adapter trained on a quantized base carries its ``QuantConfig``: the
-    f32 base is quantized the same way before the adapter is attached. The
-    stored fingerprint must match the (quantized) base exactly and the
-    tensors must be the ones the adapter adds; nothing is mutated otherwise.
-    A base that already carries an adapter is refused before the read.
+    An adapter trained on a quantized base carries its ``QuantConfig``: each
+    f32 base weight is quantized once that way and the fingerprint is taken
+    on those weights. The stored fingerprint must match exactly and the
+    tensors must be the ones the adapter adds, else nothing is mutated. A
+    base that already carries an adapter is refused before the read.
     """
     if base.adapter_config is not None:
         raise StateError(f"{path}: the base already carries an adapter")
@@ -303,7 +297,8 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
         raise DataError(f"{path}: meta field 'base_fingerprint' is missing or not a string")
     qcfg = (_config_field(path, meta, "quant_config", QuantConfig)
             if "quant_config" in meta else None)
-    fp = base_fingerprint(base, qcfg)
+    quantized = quantize_linears(base, qcfg) if qcfg is not None else {}
+    fp = base_fingerprint(base, {name: w for name, (_, w) in quantized.items()})
     if stored != fp:
         raise DataError(
             f"{path}: adapter was trained on a different base "
@@ -312,7 +307,7 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
     method = meta.get("peft_method")
     if not (isinstance(method, str) and method in _METHODS):
         raise DataError(f"{path}: unknown peft_method {method!r}")
-    cls, key, attach, layout = _METHODS[method]
+    cls, key, layout = _METHODS[method]
     cfg = _config_field(path, meta, key, cls)
     try:
         shapes = layout(base, cfg)
@@ -320,8 +315,5 @@ def load_adapter(base: CausalLM, path: str) -> CausalLM:
         raise DataError(f"{path}: adapter config does not fit the base: {e}")
     tensors = check_tensors(path, tensors, shapes)
     if qcfg is not None:
-        quantize_base(base, qcfg)
-    attach(base, cfg, RngState(0))
-    for name, arr in tensors.items():
-        base.params[name].data = arr
-    return base
+        adopt_quantized(base, qcfg, quantized)
+    return build_adapter(base, cfg, tensors)

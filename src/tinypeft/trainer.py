@@ -322,7 +322,6 @@ class Trainer:
             "global_step": self.global_step,
             "epoch": self.epoch,
             "offset": self.offset,
-            "optimizer_step_count": self.optimizer.step_count,
             "rng_state": self.rng.get_state(),
             "train_config": asdict(self.config),
             "step_losses": self.step_losses,
@@ -349,16 +348,15 @@ class Trainer:
         if meta.get("kind") != "checkpoint":
             raise DataError(f"{path}: not a checkpoint (kind={meta.get('kind')!r})")
         # every field and tensor is checked before anything is assigned
-        for name in ("global_step", "epoch", "offset", "optimizer_step_count"):
+        for name in ("global_step", "epoch", "offset"):
             if not is_count(meta.get(name)):
                 raise DataError(f"{path}: checkpoint field {name!r} is "
                                 f"{meta.get(name)!r}, not a non-negative int")
-        # each step makes one optimizer update: another count would resume
-        # with another step's bias correction
-        if meta["optimizer_step_count"] != meta["global_step"]:
+        # one optimizer update per step: only older checkpoints record the count
+        count = meta.get("optimizer_step_count", meta["global_step"])
+        if count != meta["global_step"]:
             raise DataError(f"{path}: checkpoint field 'optimizer_step_count' is "
-                            f"{meta['optimizer_step_count']}, but 'global_step' is "
-                            f"{meta['global_step']}")
+                            f"{count}, but 'global_step' is {meta['global_step']}")
         rng = RngState()
         try:
             rng.set_state(meta.get("rng_state"))
@@ -384,7 +382,7 @@ class Trainer:
             if saved.get(name) != getattr(self.config, name):
                 raise DataError(f"{path}: checkpoint train_config {name} is {saved.get(name)!r},"
                                 f" this run's is {getattr(self.config, name)!r}")
-        self.optimizer.load_state_tensors(tensors, meta["optimizer_step_count"])
+        self.optimizer.load_state_tensors(tensors, meta["global_step"])
         for name, p in self.model.params.items():
             p.data = tensors[f"model.{name}"]
         self.rng = rng

@@ -86,7 +86,8 @@ def build(kind: str):
             merge_lora(model)
     elif kind == "adapter":
         attach_bottleneck(model, BottleneckAdapterConfig(bottleneck_dim=4), RngState(6))
-        _randomize([p for n, p in model.params.items() if n.endswith("up.weight")], 7)
+        _randomize([p for n, p in model.params.items()
+                    if n.endswith(("down.weight", "up.weight"))], 7)
     elif kind == "qlora":
         quantize_base(model, QuantConfig())
     return model
@@ -230,6 +231,23 @@ def record_forwards(model, monkeypatch) -> list:
 # a prompt on which every kind of model below repeats itself, so drafts
 # copied from the context are accepted
 REPETITIVE = [7, 7, 7, 7]
+
+
+# the oracle's prompts: two random ones of each length in PROMPTS, a cycle
+# and a run
+ORACLE_PROMPTS = ([prompt(n, seed=n) for n in PROMPTS] + [prompt(n, seed=n + 1) for n in PROMPTS]
+                  + [[1, 2, 3] * 4, REPETITIVE])
+
+
+@pytest.mark.parametrize("kind", ["lora", "merged", "adapter", "qlora"])
+def test_every_adapted_kind_decodes_unlike_the_base(kind):
+    """An adapted kind's rows check the adapter only if it changes what is
+    decoded: its greedy tokens differ from the base's on at least half the
+    oracle's prompts (a bottleneck with only its up-projections randomized
+    differed on 3 of the 8)."""
+    base, model = build("base"), build(kind)
+    differ = [model.generate(p, 16) != base.generate(p, 16) for p in ORACLE_PROMPTS]
+    assert 2 * sum(differ) >= len(ORACLE_PROMPTS)
 
 
 def test_prompt_is_encoded_once(monkeypatch):

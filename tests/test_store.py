@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tinypeft import peft, quant, store
 from tinypeft.cli import main
 from tinypeft.corpus import TrainingExample
 from tinypeft.errors import DataError, StateError
@@ -24,6 +25,7 @@ from tinypeft.peft import (
     attach_bottleneck,
     attach_lora,
     quantize_base,
+    quantize_linears,
 )
 from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
@@ -311,16 +313,20 @@ def _good_archive(tmp_path, kind: str) -> str:
     if kind in ("checkpoint", "paged"):
         _trainer(tmp_path, "src", 6, kind == "paged").train(stop_after=2)
         return str(tmp_path / "src" / "checkpoint-2" / "state.pfwa")
+    (save_model if kind == "model" else save_adapter)(_attached(kind), path)
+    return path
+
+
+def _attached(kind: str):
+    """The seed-6 base with a ``kind`` adapter attached ("model": none)."""
     if kind == "qlora":
-        trained = _qlora_trained(6)
-    else:
-        trained = init_model(micro_config(), RngState(6))
+        return _qlora_trained(6)
+    trained = init_model(micro_config(), RngState(6))
     if kind == "lora":
         attach_lora(trained, LoraConfig(r=2), RngState(7))
     elif kind == "adapter":
         attach_bottleneck(trained, BottleneckAdapterConfig(bottleneck_dim=2), RngState(7))
-    (save_model if kind == "model" else save_adapter)(trained, path)
-    return path
+    return trained
 
 
 def _state(target) -> dict:
@@ -496,6 +502,56 @@ def test_qlora_adapter_reloads_onto_its_f32_base(tmp_path):
                                   trained.forward_logits(ids).data)
 
 
+@pytest.mark.parametrize("kind", ["lora", "adapter", "qlora"])
+def test_a_loaded_adapter_is_the_attached_one_and_draws_nothing(tmp_path, monkeypatch, kind):
+    """load_adapter builds the adapter from the archive's tensors: it draws
+    nothing, and gives the attached model's parameters in the same order,
+    with the same bytes and trainable flags, its packed weights and its
+    logits."""
+    attached = _attached(kind)
+    path = str(tmp_path / "a.pfwa")
+    save_adapter(attached, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_adapter drew from an rng")
+
+    base = init_model(micro_config(), RngState(6))
+    monkeypatch.setattr(RngState, "gaussian", no_draw)
+    loaded = load_adapter(base, path)
+
+    def params(model):
+        return [(n, p.data.tobytes(), p.requires_grad) for n, p in model.params.items()]
+
+    assert params(loaded) == params(attached)
+    for a, b in zip(loaded.linears(), attached.linears()):
+        assert (a.qweight is None) == (b.qweight is None)
+        if a.qweight is not None:
+            assert a.qweight.packed.tobytes() == b.qweight.packed.tobytes()
+    ids = rand_ids(np.random.default_rng(5), 2, 8, 32)
+    np.testing.assert_array_equal(loaded.forward_logits(ids).data,
+                                  attached.forward_logits(ids).data)
+
+
+def test_a_qlora_load_quantizes_each_base_weight_once(tmp_path, monkeypatch):
+    """One quantize_blockwise call per linear (8 on a 2-block base): the
+    fingerprint is checked on the same results the base then adopts."""
+    path = _good_archive(tmp_path, "qlora")
+    calls = []
+    real = quant.quantize_blockwise
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    for module in (peft, quant, store):  # wherever the name is bound
+        if hasattr(module, "quantize_blockwise"):
+            monkeypatch.setattr(module, "quantize_blockwise", counted)
+    base = init_model(micro_config(), RngState(6))
+    load_adapter(base, path)
+    assert len(calls) == len(base.linears()) == 8
+    assert base.quant_config == QuantConfig(block_size=16)
+
+
 @pytest.mark.parametrize("field, value", [("block_size", 16.0), ("codebook", "fp4"),
                                           ("dq_group", "x")])
 def test_malformed_quant_config_is_data_error(tmp_path, capsys, field, value):
@@ -640,7 +696,8 @@ def test_base_fingerprint_is_pinned():
     model = init_model(micro_config(), RngState(6))
     assert base_fingerprint(model) == (
         "e6df65fab21231d100ff78b02b012c3b36009e6baceca427f95bf7dbf0094e11")
-    assert base_fingerprint(model, QuantConfig(block_size=16, dq_group=4)) == (
+    quantized = quantize_linears(model, QuantConfig(block_size=16, dq_group=4))
+    assert base_fingerprint(model, {n: w for n, (_, w) in quantized.items()}) == (
         "e07ec49b4c3bd37f2480151be023a4cac5bad533755a8d4ef2ff402da6a00758")
 
 

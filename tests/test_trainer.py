@@ -542,14 +542,16 @@ def test_resume_needs_a_train_config_object(tmp_path, tiny_data, tiny_tok, saved
 
 def test_resume_refuses_an_optimizer_step_count_off_the_global_step(tmp_path, tiny_data,
                                                                     tiny_tok):
-    """Each step makes one optimizer update, so a checkpoint whose counts
-    differ would resume with another step's bias correction: a DataError
-    (exit 2) that names the file and both values, with nothing assigned."""
+    """Each step makes one optimizer update, so a checkpoint records no step
+    count and resume takes global_step. An older checkpoint records the count:
+    one that differs would resume with another step's bias correction, a
+    DataError (exit 2) that names the file and both values, with nothing
+    assigned; an equal one resumes."""
     make_trainer(tmp_path, tiny_data, tiny_tok, run="src", max_steps=2, save_steps=2).train()
     ck = str(tmp_path / "src" / "checkpoint-2" / "state.pfwa")
     tensors, meta = load_archive(ck)
-    assert meta["optimizer_step_count"] == meta["global_step"] == 2
-    meta["optimizer_step_count"] = 7
+    assert "optimizer_step_count" not in meta and meta["global_step"] == 2
+    meta["optimizer_step_count"] = 7  # as an older checkpoint records it
     save_archive(ck, tensors, meta)
     other = make_trainer(tmp_path, tiny_data, tiny_tok, run="dst", max_steps=4)
     before = trainer_state(other)
@@ -557,6 +559,10 @@ def test_resume_refuses_an_optimizer_step_count_off_the_global_step(tmp_path, ti
                                         r"'optimizer_step_count' is 7, but 'global_step' is 2"):
         other.resume(ck)
     assert trainer_state(other) == before
+    meta["optimizer_step_count"] = 2
+    save_archive(ck, tensors, meta)
+    same = make_trainer(tmp_path, tiny_data, tiny_tok, run="same", max_steps=2)
+    assert same.resume(ck).optimizer.step_count == 2
 
 
 def test_resume_may_change_the_fields_off_the_trajectory(tmp_path, tiny_data, tiny_tok):
