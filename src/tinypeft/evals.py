@@ -6,7 +6,10 @@ Generation-quality criteria without a formula are operationalized as exact
 match after normalization (generation accuracy) and likelihood
 classification (prediction accuracy); both mappings are stated in the
 report header. ``perplexity`` and ``classify_by_likelihood`` fold an attached
-LoRA adapter once per call, keeping no state (``CausalLM.folded``).
+LoRA adapter once per call, keeping no state (``CausalLM.folded``), and encode
+what their sequences share once into a key/value cache: the prompt, or the
+eval set's template prefix, after which ``perplexity`` scores the examples
+``SCORE_ROWS`` rows per forward, within rounding of one forward each.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .bpe import TokenizerModel
 from .corpus import DEFAULT_INFER_TEMPLATE, IGNORE_LABEL, TrainingExample, normalize_text
 from .errors import ConfigError, DataError, ShapeError
@@ -25,6 +29,7 @@ from .model import CausalLM
 from .trainer import collate
 
 MAX_NEW_TOKENS = 48  # the decode length of ``generate`` and ``compare`` by default
+SCORE_ROWS = 2  # examples per perplexity forward, chosen by measurement (CHANGES.md)
 METRIC_NOTES = {
     "sentence_generation_accuracy": "operationalized as exact match after normalization",
     "financial_prediction_accuracy": "operationalized as likelihood classification accuracy",
@@ -53,22 +58,52 @@ class EvalReport:
 
 
 def perplexity(model: CausalLM, examples: list[TrainingExample], pad_id: int) -> float:
-    """exp(total NLL over unmasked tokens / unmasked token count)."""
+    """exp(total NLL over unmasked tokens / unmasked token count).
+
+    P is the longest run of leading ids that every scored example shares,
+    cut at the first scored position of any: on template-rendered data, the
+    template's head. It is encoded once into a key/value cache; the examples
+    then run in length order, ``SCORE_ROWS`` right-padded rows per forward,
+    each from a copy of that cache and from its rows' first scored position.
+    The result moves within rounding (~1e-7 relative) of one forward per
+    example. A P of BOS alone or nothing saves no work, and batched rows
+    alone run slower, so then each example runs alone without a cache and
+    scores as ``lm_loss`` scores it, bit for bit.
+    """
     if not examples:
         raise DataError("perplexity needs a non-empty eval set")
+    scored = []  # (first scored position, example)
+    for ex in examples:
+        keep = np.asarray(ex.labels[1:]) != IGNORE_LABEL
+        if keep.any():
+            scored.append((int(keep.argmax()), ex))
+    if not scored:
+        raise ShapeError("perplexity: zero unmasked tokens in eval set")
+    head = scored[0][1].input_ids
+    P = min(first for first, _ in scored)
+    for _, ex in scored:
+        P = next((i for i in range(P) if ex.input_ids[i] != head[i]), P)
+    rows = SCORE_ROWS
+    if P < 2:
+        P, rows = 0, 1
+    else:
+        scored.sort(key=lambda s: s[1].length)  # so that a batch pads little
     total_nll = 0.0
     total_tok = 0
     with model.folded():
-        for ex in examples:
-            ids, labels = collate([ex], pad_id)
-            n = int((labels[:, 1:] != IGNORE_LABEL).sum())
-            if n == 0:
-                continue
-            loss = model.lm_loss(ids, labels)
-            total_nll += loss.item() * n
+        prefix = [[] for _ in model.blocks]
+        if P:
+            model.forward_logits(np.asarray([head[:P]]), cache=prefix, from_row=P - 1)
+        for i in range(0, len(scored), rows):
+            batch = scored[i:i + rows]
+            ids, labels = collate([ex for _, ex in batch], pad_id)
+            start = min(first for first, _ in batch)
+            targets = labels[:, start + 1:]
+            n = int((targets != IGNORE_LABEL).sum())
+            cache = [[np.repeat(a, len(batch), axis=0) for a in c] for c in prefix] if P else None
+            logits = model.forward_logits(ids[:, P:], cache=cache, from_row=start - P)
+            total_nll += T.cross_entropy(logits, targets, IGNORE_LABEL).item() * n
             total_tok += n
-    if total_tok == 0:
-        raise ShapeError("perplexity: zero unmasked tokens in eval set")
     return float(math.exp(total_nll / total_tok))
 
 

@@ -17,7 +17,8 @@ positions' keys and values, but the last block's attention output, MLP and
 residuals, ``ln_f`` and the tied head run on rows from_row..S-1 alone.
 ``lm_loss`` starts them at the first position with a label, so on
 prompt-masked fine-tuning data the prompt rows skip the tail of the network
-and the loss, in training and in perplexity alike. ``generate`` is KV-cached
+and the loss in training; ``evals.perplexity`` starts each of its forwards at
+its rows' first scored position the same way. ``generate`` is KV-cached
 and drafts ahead: it encodes the prompt once, then feeds each forward the
 newest token plus a draft copied from the context, and keeps the drafted
 tokens its own picks confirm. When the running sequence slides past the
@@ -199,13 +200,15 @@ class CausalLM:
         if past + S > cfg.seq_len:
             raise DataError(f"sequence length {S} after {past} cached positions "
                             f"exceeds model seq_len {cfg.seq_len}")
-        if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-            bad = int(np.argmax((ids < 0) | (ids >= cfg.vocab_size)))
-            raise DataError(f"token id out of range at flat position {bad}")
 
         tok = self.params["tok_embeddings.weight"]
         pos = self.params["pos_embeddings.weight"]
-        x = T.add(T.embedding(tok, ids), T.embedding(pos, np.arange(past, past + S)))
+        try:  # the embedding's range check is the one pass over the ids
+            x = T.embedding(tok, ids)
+        except ShapeError:
+            bad = int(np.argmax((ids < 0) | (ids >= cfg.vocab_size)))
+            raise DataError(f"token id out of range at flat position {bad}") from None
+        x = T.add(x, T.embedding(pos, np.arange(past, past + S)))
 
         for i, b in enumerate(self.blocks):
             cut = from_row if i == len(self.blocks) - 1 else 0

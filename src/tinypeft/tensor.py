@@ -311,14 +311,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         bad = int(np.argmax((ids < 0) | (ids >= table.shape[0])))
         raise ShapeError(f"embedding: id out of range at flat position {bad}")
-    data = table.data[ids]
+    data = np.take(table.data, ids, axis=0)  # a copy, 0-d ids included
 
     def backward(g):
         gt = np.zeros(table.shape, np.float32)
         np.add.at(gt, ids.ravel(), g.reshape(-1, table.shape[1]))
         table._accumulate(gt, owned=True)
 
-    return _node(data.copy(), (table,), backward)
+    return _node(data, (table,), backward)
 
 
 @functools.lru_cache(maxsize=None)

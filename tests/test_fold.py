@@ -45,6 +45,7 @@ DECODES = [dict(mode="greedy"),
            dict(mode="temperature", temperature=0.9),
            dict(mode="temperature", temperature=0.9, top_k=5)]
 CLASSIFY_PROMPTS = ["market went ", "the market went up then ", "x"]
+HEAD = 4  # the ids every example of a templated perplexity set starts with
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +83,16 @@ def merge_of(model, kind: str):
     return twin if kind == "adapter" else merge_lora(twin)
 
 
-def examples(vocab: int) -> list[TrainingExample]:
+def examples(vocab: int, head: int = 0) -> list[TrainingExample]:
+    """Six examples of random ids. With ``head`` they all start with the same
+    ``head`` unscored ids, so ``perplexity`` encodes those once and batches
+    the rows; without, some are unmasked and it runs one per forward."""
     rng = np.random.default_rng(8)
+    shared = [int(t) for t in np.random.default_rng(9).integers(0, vocab, head)]
     out = []
     for n, masked in ((24, 6), (9, 0), (17, 16), (5, 2), (24, 0), (12, 11)):
         ids = [int(t) for t in rng.integers(0, vocab, n)]
+        ids[:head], masked = shared, max(masked, head)
         out.append(TrainingExample(ids, [IGNORE_LABEL] * masked + ids[masked:]))
     return out
 
@@ -111,14 +117,14 @@ def prompt(vocab: int, length: int) -> list[int]:
 def test_attached_inference_is_its_merge_bit_for_bit(tok, kind):
     model = build(tok, kind)
     twin = merge_of(model, kind)
-    exs = examples(tok.vocab_size)
     ids = np.asarray([prompt(tok.vocab_size, WINDOW + 1)])
     with model.folded():
         got = model.forward_logits(ids).data
     with T.no_grad():
         want = twin.forward_logits(ids).data
     assert got.tobytes() == want.tobytes()
-    assert perplexity(model, exs, PAD) == perplexity(twin, exs, PAD)
+    for exs in (examples(tok.vocab_size), examples(tok.vocab_size, HEAD)):
+        assert perplexity(model, exs, PAD) == perplexity(twin, exs, PAD)
     for labels in LABEL_SETS.values():
         for text in CLASSIFY_PROMPTS:
             assert (classify_by_likelihood(model, tok, text, labels)
@@ -138,7 +144,9 @@ def test_folded_inference_is_within_rounding_of_the_unfolded_path(tok, kind):
     got = perplexity(model, exs, PAD)
     assert got == pytest.approx(want, rel=1e-6)
     if kind == "adapter":
-        assert got == want  # nothing to fold
+        assert got == want  # nothing to fold, and one example per forward
+    exs = examples(tok.vocab_size, HEAD)
+    assert perplexity(model, exs, PAD) == pytest.approx(unfolded_perplexity(model, exs), rel=1e-6)
     for labels in LABEL_SETS.values():
         for text in CLASSIFY_PROMPTS:
             assert (classify_by_likelihood(model, tok, text, labels)

@@ -136,6 +136,27 @@ def test_generate_validation(micro_model):
         micro_model.generate([1], 4, mode="temperature", temperature=0.0)
 
 
+@pytest.mark.parametrize("bad, at", [(-1, 3), (32, 5)])
+def test_out_of_range_token_id_is_a_data_error(micro_model, bad, at):
+    """The embedding's range check, re-raised as a DataError that names the
+    flat position, with and without a key/value cache; a cached forward that
+    raises leaves the cache as it was."""
+    ids = np.arange(8).reshape(2, 4) % 32
+    ids.flat[at] = bad
+    want = f"^token id out of range at flat position {at}$"
+    with pytest.raises(DataError, match=want):
+        micro_model.forward_logits(ids)
+    with T.no_grad():
+        cache = [[] for _ in micro_model.blocks]
+        with pytest.raises(DataError, match=want):
+            micro_model.forward_logits(ids, cache=cache)
+        assert cache == [[] for _ in micro_model.blocks]
+        micro_model.forward_logits(np.zeros((2, 3), np.int64), cache=cache)
+        with pytest.raises(DataError, match=want):
+            micro_model.forward_logits(ids, cache=cache)
+        assert [c[0].shape[2] for c in cache] == [3] * len(micro_model.blocks)
+
+
 def test_generate_slides_window(micro_model):
     # prompt longer than the 15-token context still decodes
     prompt = list(np.random.default_rng(6).integers(0, 32, size=40))
