@@ -20,10 +20,18 @@ visits only its own positions, in ascending order, checking each one as it
 goes, which reproduces a left-to-right, non-overlapping pass (``aaaa`` gives
 two merges, ``aaa`` one), and adjusts the counts of the neighbouring pairs.
 
-Encoding keeps a heap of (rank, position) over a linked list of the
-segment's ids and merges the lowest rank first, leftmost first among equal
-ranks. That is the result of applying each merge to the whole segment in
-rank order, because a merge's new id only appears in later merges; ``load``
+Encoding cuts the text between domain terms into parts and encodes each
+distinct part once. A merge (l, r) joins only the last byte of ``l`` to the
+first byte of ``r``, so a byte pair x, y that no merge joins is never inside
+a token, and no two tokens across it form a merged pair: the text cuts
+between every such x and y, and its ids are its parts' ids in turn, exactly.
+A part's ids are kept, as a tuple keyed by its bytes, in a cache that is
+emptied when it reaches ``PART_CACHE`` parts; the joinable pairs and an
+empty cache are built with the tokenizer, so loading and training rebuild
+both. A part is encoded with a heap of (rank, position) over a linked list
+of its ids, merging the lowest rank first, leftmost first among equal
+ranks. That is the result of applying each merge to the whole part in rank
+order, because a merge's new id only appears in later merges; ``load``
 checks that order.
 """
 
@@ -41,6 +49,7 @@ from .errors import ConfigError, DataError
 TOKENIZER_VERSION = 1
 N_BYTES = 256
 _SEP = -1  # a line break or a domain term in the training array; no pair touches it
+PART_CACHE = 4096  # most encoded parts a tokenizer keeps
 
 
 @dataclass
@@ -65,12 +74,13 @@ class TokenizerModel:
         if not self.vocab:
             self.vocab = {i: bytes([i]) for i in range(N_BYTES)}
         self._ranks = {(l, r): i for i, (l, r, _) in enumerate(self.merges)}
-        self._merge_new = {(l, r): n for l, r, n in self.merges}
-        self._term_ids = {}
-        for t in self.domain_terms:
-            for tid, bs in self.vocab.items():
-                if bs == t.encode("utf-8") and tid >= N_BYTES:
-                    self._term_ids[t] = tid
+        self._made = [n for _, _, n in self.merges]  # rank -> the id its merge makes
+        # the byte pairs some merge joins; encoding cuts text at every other
+        self._joins = {(self.vocab[l][-1], self.vocab[r][0]) for l, r, _ in self.merges}
+        self._parts: dict[bytes, tuple[int, ...]] = {}  # part -> its ids
+        by_bytes = {bs: tid for tid, bs in self.vocab.items() if tid >= N_BYTES}
+        self._term_ids = {t: tid for t in self.domain_terms
+                          if (tid := by_bytes.get(t.encode("utf-8"))) is not None}
         # leftmost match, and at one position the longest term
         terms = sorted(self._term_ids, key=len, reverse=True)
         self._term_re = re.compile("|".join(map(re.escape, terms))) if terms else None
@@ -82,32 +92,32 @@ class TokenizerModel:
 
     # -- encoding ------------------------------------------------------------
 
-    def _bpe_segment(self, ids: list[int]) -> list[int]:
-        n = len(ids)
+    def _bpe_segment(self, part: bytes) -> tuple[int, ...]:
+        n = len(part)
         if n < 2:
-            return ids
-        ranks, merge_new = self._ranks, self._merge_new
-        ids = ids + [_SEP]  # sentinel right of the last id; merged slots become _SEP too
+            return tuple(part)
+        ranks, made = self._ranks, self._made
+        ids = [*part, _SEP]  # sentinel right of the last id; merged slots become _SEP too
         nxt = list(range(1, n + 2))
         prv = list(range(-1, n))
-        heap = [(r, i) for i in range(n - 1) if (r := ranks.get((ids[i], ids[i + 1]))) is not None]
+        m = n + 1  # an entry is rank * m + position: ints order as (rank, position) pairs
+        heap = [r * m + i for i, r in enumerate(map(ranks.get, zip(ids, ids[1:]))) if r is not None]
         heapq.heapify(heap)
         while heap:
-            rank, i = heapq.heappop(heap)
+            rank, i = divmod(heapq.heappop(heap), m)
             j = nxt[i]
-            pair = (ids[i], ids[j])
-            if ranks.get(pair) != rank:
+            if ranks.get((ids[i], ids[j])) != rank:
                 continue  # slot i was merged away, or its pair changed
-            new = ids[i] = merge_new[pair]
+            new = ids[i] = made[rank]
             ids[j] = _SEP
             k = nxt[i] = nxt[j]
             prv[k] = i
             h = prv[i]
             if h >= 0 and (r := ranks.get((ids[h], new))) is not None:
-                heapq.heappush(heap, (r, h))
+                heapq.heappush(heap, r * m + h)
             if (r := ranks.get((new, ids[k]))) is not None:
-                heapq.heappush(heap, (r, i))
-        return [t for t in ids if t != _SEP]
+                heapq.heappush(heap, r * m + i)
+        return tuple([t for t in ids if t != _SEP])
 
     def _split_terms(self, text: str) -> list[tuple[bool, str]]:
         """Cut text into (is_term, piece) runs, leftmost-longest term match."""
@@ -126,11 +136,21 @@ class TokenizerModel:
 
     def tokenize(self, text: str) -> list[int]:
         ids: list[int] = []
+        joins, parts = self._joins, self._parts
         for is_term, piece in self._split_terms(text):
             if is_term:
                 ids.append(self._term_ids[piece])
-            else:
-                ids.extend(self._bpe_segment(list(piece.encode("utf-8"))))
+                continue
+            data = piece.encode("utf-8")
+            cuts = [i for i, pair in enumerate(zip(data, data[1:]), 1) if pair not in joins]
+            for start, end in zip([0] + cuts, cuts + [len(data)]):
+                part = data[start:end]
+                got = parts.get(part)
+                if got is None:
+                    if len(parts) >= PART_CACHE:
+                        parts.clear()
+                    got = parts[part] = self._bpe_segment(part)
+                ids += got
         return ids
 
     def detokenize(self, ids: list[int]) -> str:
@@ -160,7 +180,8 @@ class TokenizerModel:
         Besides the field types, every merge must join two ids defined
         before it (a byte, a domain term or an earlier merge) into a new id
         whose bytes are theirs concatenated, which is what the rank-heap
-        encoder relies on.
+        encoder relies on; and every domain term must have an id of its own,
+        one that no merge makes.
         """
         try:
             doc = json.loads(text)
@@ -183,11 +204,12 @@ class TokenizerModel:
         vocab: dict[int, bytes] = {}
         for key, hex_bytes in raw.items():
             try:
-                if not (key.isascii() and key.isdigit()):
+                if not (key.isascii() and key.isdigit() and hex_bytes):
                     raise ValueError
                 vocab[int(key)] = bytes.fromhex(hex_bytes)
             except (TypeError, ValueError):
-                raise bad(f"vocab[{key!r}] must be hex bytes under an integer id, got {hex_bytes!r}")
+                raise bad(f"vocab[{key!r}] must be non-empty hex bytes under an integer id, "
+                          f"got {hex_bytes!r}")
         if any(vocab.get(i) != bytes([i]) for i in range(N_BYTES)):
             raise bad("vocab must map the ids 0-255 to their own bytes")
         # detokenize drops every special id, so a special must name no token
@@ -207,7 +229,8 @@ class TokenizerModel:
         for i, m in enumerate(merges):
             if not (type(m) is list and len(m) == 3 and all(type(t) is int for t in m)):
                 raise bad(f"merges[{i}] must be 3 ints [left, right, new], got {m!r}")
-        defined = set(vocab) - {n for _, _, n in merges}
+        made = {n for _, _, n in merges}
+        defined = set(vocab) - made
         for i, (l, r, n) in enumerate(merges):
             if l not in defined or r not in defined:
                 raise bad(f"merges[{i}] uses an id that no earlier entry defines: {[l, r, n]}")
@@ -219,12 +242,20 @@ class TokenizerModel:
         terms = doc.get("domain_terms")
         if not (isinstance(terms, list) and all(type(t) is str and t for t in terms)):
             raise bad("domain_terms must be a list of non-empty strings")
-        return cls(
+        tok = cls(
             specials=Specials(bos=sp["bos"], eos=sp["eos"], pad=sp["pad"]),
             vocab=vocab,
             merges=[tuple(m) for m in merges],
             domain_terms=terms,
         )
+        # a term without its own id would encode as bytes and merges
+        for i, t in enumerate(terms):
+            tid = tok._term_ids.get(t)
+            if tid is None:
+                raise bad(f"domain_terms[{i}] {t!r} has no vocab id above the bytes")
+            if tid in made:
+                raise bad(f"domain_terms[{i}] {t!r} is vocab id {tid}, which a merge makes")
+        return tok
 
     def save(self, path: str):
         with open(path, "w", encoding="utf-8") as f:

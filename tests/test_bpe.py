@@ -1,6 +1,7 @@
 """Tokenizer: byte-fallback round trips, merge-selection oracles, atomic
 domain terms, persistence, and the rescanning implementation kept as the
-oracle of the incremental trainer and the rank-heap encoder."""
+oracle of the incremental trainer and of the rank-heap encoder with its part
+cache."""
 
 import hashlib
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinypeft import bpe
 from tinypeft.bpe import N_BYTES, Specials, TokenizerModel, train_bpe
 from tinypeft.cli import main
 from tinypeft.errors import ConfigError, DataError
@@ -65,7 +67,7 @@ def reference_bpe_segment(tok: TokenizerModel, ids: list[int]) -> list[int]:
                 best_rank, best_pair = r, (ids[i], ids[i + 1])
         if best_pair is None:
             break
-        ids = _apply_merge(ids, best_pair, tok._merge_new[best_pair])
+        ids = _apply_merge(ids, best_pair, tok.merges[best_rank][2])
     return ids
 
 
@@ -309,6 +311,67 @@ def test_bundled_corpus_encodes_like_the_reference(tok, qa_pairs):
             assert tok.tokenize(text) == reference_tokenize(tok, text)
 
 
+# -- the part cache -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=[300, 512, 1024])
+def csv_tokenizer(request, qa_pairs) -> tuple[str, str, list[str]]:
+    """A tokenizer trained on the bundled CSV, as JSON, with the CSV's
+    alphabet and words."""
+    texts = [f"{p.question} {p.answer}" for p in qa_pairs]
+    alphabet = "".join(sorted(set("".join(texts))))
+    words = sorted(set(" ".join(texts).split()))
+    return train_bpe(texts, request.param, ["KOSPI"]).to_json(), alphabet, words
+
+
+def mixed_texts(alphabet: str, words: list[str]):
+    """The CSV's words and alphabet, arbitrary unicode and the domain term."""
+    chunk = st.one_of(st.lists(st.sampled_from(words), max_size=8).map(" ".join),
+                      st.text(alphabet=alphabet, max_size=40), st.text(max_size=12),
+                      st.just("KOSPI"))
+    return st.lists(chunk, max_size=5).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_encoding_matches_the_reference(csv_tokenizer, data):
+    doc, alphabet, words = csv_tokenizer
+    tok = TokenizerModel.from_json(doc)
+    texts = data.draw(st.lists(mixed_texts(alphabet, words), min_size=1, max_size=4))
+    want = [reference_tokenize(tok, t) for t in texts]
+    # the first text encodes cold; the rest, and every text again, with the
+    # parts of the texts before them cached
+    assert [tok.tokenize(t) for t in texts] == want
+    assert [tok.tokenize(t) for t in reversed(texts)] == want[::-1]
+
+
+def test_returned_ids_belong_to_the_caller(tok):
+    text = "What is an Index? KOSPI rose."
+    first = tok.tokenize(text)
+    first[0] = -1
+    first.append(-2)
+    assert tok.tokenize(text) == reference_tokenize(tok, text)
+
+
+def test_cache_never_exceeds_its_bound(tok, qa_pairs, monkeypatch):
+    monkeypatch.setattr(bpe, "PART_CACHE", 16)
+    fresh = TokenizerModel.from_json(tok.to_json())
+    for p in qa_pairs:
+        for text in (p.question, p.answer):
+            assert fresh.tokenize(text) == reference_tokenize(tok, text)
+            assert 0 < len(fresh._parts) <= 16
+
+
+def test_reloaded_tokenizer_starts_with_an_empty_cache(tok, qa_pairs):
+    texts = [p.answer for p in qa_pairs]
+    used = TokenizerModel.from_json(tok.to_json())
+    ids = [used.tokenize(t) for t in texts]
+    assert used._parts
+    back = TokenizerModel.from_json(used.to_json())
+    assert back._parts == {}
+    assert [back.tokenize(t) for t in texts] == ids
+
+
 # -- malformed tokenizer files ------------------------------------------------
 
 
@@ -339,6 +402,10 @@ def _repeat_merge(doc):  # the same merge again makes an id already made
     doc["merges"].append(doc["merges"][0])
 
 
+def _add_term(term):  # "ab" is merges[0]'s id, "NASDAQ" has none
+    return lambda doc: doc["domain_terms"].append(term)
+
+
 @pytest.mark.parametrize("edit, field", [
     (_drop("specials"), "specials"),
     (_set(["specials", "bos"], "256"), "specials"),
@@ -362,10 +429,14 @@ def _repeat_merge(doc):  # the same merge again makes an id already made
     (_set(["specials", "eos"], 261), "specials.eos"),
     (_set(["specials", "pad"], 257), "specials.pad"),
     (_set(["specials", "eos"], -1), "specials.eos"),
+    (_add_term("NASDAQ"), "domain_terms[1] 'NASDAQ'"),
+    (_add_term("ab"), "domain_terms[1] 'ab'"),
+    (_set(["vocab", "300"], ""), "vocab['300']"),
 ], ids=["no-specials", "str-bos", "no-vocab", "vocab-list", "bad-hex", "int-hex",
         "str-id", "byte-remapped", "no-merges", "merge-of-2", "str-in-merge", "wrong-bytes",
         "later-id", "repeated-merge", "special-in-merge", "no-terms", "terms-str",
-        "empty-term", "bos-is-a-byte", "eos-is-a-merge", "pad-is-eos", "negative-eos"])
+        "empty-term", "bos-is-a-byte", "eos-is-a-merge", "pad-is-eos", "negative-eos",
+        "term-without-id", "term-made-by-merge", "empty-bytes"])
 def test_malformed_tokenizer_is_data_error(tmp_path, edit, field):
     doc = _doc()
     edit(doc)
@@ -404,7 +475,8 @@ def test_valid_tokenizer_loads_unchanged(tmp_path):
     '{"version": 1}',
     "not json",
     '{"version": 1, "specials": {"bos": 256, "eos": 257, "pad": 258}, "vocab": {"0": "zz"}}',
-], ids=["no-specials", "not-json", "bad-hex"])
+    json.dumps({**_doc(), "domain_terms": ["KOSPI", "NASDAQ"]}),
+], ids=["no-specials", "not-json", "bad-hex", "term-without-id"])
 def test_cli_reports_a_malformed_tokenizer(tmp_path, capsys, csv_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
