@@ -1,11 +1,10 @@
-"""Quantitative evaluation: perplexity, exact match, precision/recall/F1,
-corpus BLEU, ROUGE-L, likelihood classification, and the side-by-side
-base-vs-adapted comparison report.
+"""Quantitative evaluation: perplexity, exact match, corpus BLEU, ROUGE-L,
+likelihood classification, and the side-by-side base-vs-adapted comparison
+report.
 
-Generation-quality criteria without a formula are operationalized as exact
-match after normalization (generation accuracy) and likelihood
-classification (prediction accuracy); both mappings are stated in the
-report header. ``perplexity`` and ``classify_by_likelihood`` fold an attached
+Generation accuracy, a criterion without a formula, is operationalized as
+exact match after normalization; the mapping is stated in the report's
+notes. ``perplexity`` and ``classify_by_likelihood`` fold an attached
 LoRA adapter once per call, keeping no state (``CausalLM.folded``), and encode
 what their sequences share once into a key/value cache: the prompt, or the
 eval set's template prefix, after which ``perplexity`` scores the examples
@@ -32,21 +31,15 @@ MAX_NEW_TOKENS = 48  # the decode length of ``generate`` and ``compare`` by defa
 SCORE_ROWS = 2  # examples per perplexity forward, chosen by measurement (CHANGES.md)
 METRIC_NOTES = {
     "sentence_generation_accuracy": "operationalized as exact match after normalization",
-    "financial_prediction_accuracy": "operationalized as likelihood classification accuracy",
 }
 
 
 @dataclass
 class EvalReport:
-    """A metric that was not computed is None (JSON null) with a ``notes``
-    entry saying why, never 0.0."""
-
     perplexity: float
-    exact_match: float | None
-    per_label: dict
-    macro: dict
-    bleu: float | None
-    rouge_l: float | None
+    exact_match: float
+    bleu: float
+    rouge_l: float
     n_examples: int
     notes: dict = field(default_factory=lambda: dict(METRIC_NOTES))
 
@@ -55,6 +48,13 @@ class EvalReport:
 
 
 # -- perplexity --------------------------------------------------------------
+
+
+def _scored(examples: list[TrainingExample]) -> list[tuple[int, TrainingExample]]:
+    """(first scored position, example) of each example that scores a token:
+    its ids up to and including that position are its prompt."""
+    keeps = [(np.asarray(ex.labels[1:]) != IGNORE_LABEL, ex) for ex in examples]
+    return [(int(keep.argmax()), ex) for keep, ex in keeps if keep.any()]
 
 
 def perplexity(model: CausalLM, examples: list[TrainingExample], pad_id: int) -> float:
@@ -72,11 +72,7 @@ def perplexity(model: CausalLM, examples: list[TrainingExample], pad_id: int) ->
     """
     if not examples:
         raise DataError("perplexity needs a non-empty eval set")
-    scored = []  # (first scored position, example)
-    for ex in examples:
-        keep = np.asarray(ex.labels[1:]) != IGNORE_LABEL
-        if keep.any():
-            scored.append((int(keep.argmax()), ex))
+    scored = _scored(examples)
     if not scored:
         raise ShapeError("perplexity: zero unmasked tokens in eval set")
     head = scored[0][1].input_ids
@@ -108,37 +104,6 @@ def perplexity(model: CausalLM, examples: list[TrainingExample], pad_id: int) ->
 
 
 # -- classification ----------------------------------------------------------
-
-
-def classification_metrics(gold: list[str], pred: list[str],
-                           label_set: list[str] | None = None) -> dict:
-    """Per-label and macro precision/recall/F1; 0/0 conventions give 0."""
-    if len(gold) != len(pred):
-        raise ShapeError(f"gold length {len(gold)} != pred length {len(pred)}")
-    labels = sorted(label_set) if label_set else sorted(set(gold) | set(pred))
-    known = set(labels)
-    for seq, kind in ((gold, "gold"), (pred, "pred")):
-        for x in seq:
-            if x not in known:
-                raise DataError(f"unknown {kind} label {x!r}")
-    per_label = {}
-    for lab in labels:
-        tp = sum(1 for g, p in zip(gold, pred) if g == lab and p == lab)
-        fp = sum(1 for g, p in zip(gold, pred) if g != lab and p == lab)
-        fn = sum(1 for g, p in zip(gold, pred) if g == lab and p != lab)
-        tn = len(gold) - tp - fp - fn
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        per_label[lab] = {
-            "tp": tp, "fp": fp, "fn": fn, "tn": tn,
-            "precision": prec, "recall": rec, "f1": f1,
-        }
-    macro = {
-        k: sum(per_label[lab][k] for lab in labels) / len(labels) if labels else 0.0
-        for k in ("precision", "recall", "f1")
-    }
-    return {"per_label": per_label, "macro": macro}
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -229,9 +194,6 @@ def rouge_l(candidates: list[str], references: list[str]) -> float:
     for cand, ref in zip(candidates, references):
         ct = normalize_text(cand).split()
         rt = normalize_text(ref).split()
-        if not ct and not rt:
-            scores.append(0.0)
-            continue
         if not ct or not rt:
             scores.append(0.0)
             continue
@@ -267,32 +229,37 @@ def exact_match(candidates: list[str], references: list[str]) -> float:
 # -- reports -----------------------------------------------------------------
 
 
+def _answer(model: CausalLM, tokenizer: TokenizerModel, prompt_ids: list[int],
+            max_new_tokens: int) -> str:
+    """The text of a greedy decode from ``prompt_ids``, which stops at EOS."""
+    out = model.generate(prompt_ids, max_new_tokens, eos_id=tokenizer.specials.eos)
+    return tokenizer.detokenize(out[len(prompt_ids):])
+
+
 def eval_report(model: CausalLM, tokenizer: TokenizerModel,
-                examples: list[TrainingExample],
-                candidates: list[str] | None = None,
-                references: list[str] | None = None,
-                gold_labels: list[str] | None = None,
-                pred_labels: list[str] | None = None) -> EvalReport:
-    ppl = perplexity(model, examples, tokenizer.specials.pad)
-    notes = dict(METRIC_NOTES)
-    cand, refs = candidates or [], references or []
-    if not cand:
-        notes["exact_match"] = notes["bleu"] = notes["rouge_l"] = \
-            "null: no generated answers were given to score"
-    if gold_labels:
-        cls = classification_metrics(gold_labels, pred_labels or [])
-    else:
-        cls = {"per_label": {}, "macro": {"precision": None, "recall": None, "f1": None}}
-        notes["macro"] = "null: no gold and predicted labels were given to score"
+                examples: list[TrainingExample]) -> EvalReport:
+    """Perplexity, and exact match, BLEU and ROUGE-L of greedy answers.
+
+    Each example that scores a token is decoded from its prompt, the ids
+    before its first scored label, until EOS or one token more than its
+    reference, its scored label ids. Perplexity and every decode share one
+    ``CausalLM.folded``, whose nested folds do nothing, so each LoRA pair
+    folds once per report.
+    """
+    answers, references = [], []
+    with model.folded():
+        ppl = perplexity(model, examples, tokenizer.specials.pad)
+        for first, ex in _scored(examples):
+            reference = [t for t in ex.labels[first + 1:] if t != IGNORE_LABEL]
+            answers.append(_answer(model, tokenizer, ex.input_ids[:first + 1],
+                                   len(reference) + 1))
+            references.append(tokenizer.detokenize(reference))
     return EvalReport(
         perplexity=ppl,
-        exact_match=exact_match(cand, refs) if cand else None,
-        per_label=cls["per_label"],
-        macro=cls["macro"],
-        bleu=bleu(cand, refs) if cand else None,
-        rouge_l=rouge_l(cand, refs) if cand else None,
+        exact_match=exact_match(answers, references),
+        bleu=bleu(answers, references),
+        rouge_l=rouge_l(answers, references),
         n_examples=len(examples),
-        notes=notes,
     )
 
 
@@ -314,11 +281,9 @@ def compare_base_vs_adapted(
         prompt_ids = [sp.bos] + tokenizer.tokenize(prompt)
         for label, mdl in (("Pre-trained Original Model Response:", base),
                            ("Finetuning PEFT Model Response:", adapted)):
-            out = mdl.generate(prompt_ids, max_new_tokens, mode="greedy", eos_id=sp.eos)
-            completion = tokenizer.detokenize(out[len(prompt_ids):])
             lines.append("-----")
             lines.append(label)
-            lines.append(prompt + completion)
+            lines.append(prompt + _answer(mdl, tokenizer, prompt_ids, max_new_tokens))
             lines.append("")
     if eval_examples:
         ppl_base = perplexity(base, eval_examples, sp.pad)

@@ -16,8 +16,9 @@ import tinypeft
 from tinypeft import cli, peft, store
 from tinypeft.bpe import TokenizerModel
 from tinypeft.cli import main
-from tinypeft.corpus import DEFAULT_INFER_TEMPLATE
-from tinypeft.model import CausalLMConfig, init_model
+from tinypeft.corpus import DEFAULT_INFER_TEMPLATE, DEFAULT_TRAIN_TEMPLATE
+from tinypeft.evals import bleu, exact_match, rouge_l
+from tinypeft.model import CausalLM, CausalLMConfig, init_model
 from tinypeft.peft import BottleneckAdapterConfig, LoraConfig, attach_lora
 from tinypeft.quant import QuantConfig
 from tinypeft.rng import RngState
@@ -196,20 +197,98 @@ def test_eval_emits_json(workdir, capsys):
     assert "perplexity" in doc and np.isfinite(doc["perplexity"])
 
 
-def test_eval_reports_what_it_did_not_compute_as_null(workdir, capsys):
-    out = str(workdir["dir"] / "eval.json")
+THREE_ROWS = [("What is a bond?", "A loan to an issuer."),
+              ("What is KOSPI?", "The Korean index."),
+              ("What is a fund?", "A pool of money.")]
+
+
+@pytest.fixture()
+def three_rows(tmp_path) -> str:
+    path = tmp_path / "qa3.csv"
+    path.write_text("question,answer\n" + "".join(f'"{q}","{a}"\n' for q, a in THREE_ROWS),
+                    encoding="utf-8")
+    return str(path)
+
+
+def spy_generate(monkeypatch) -> list:
+    """Record (prompt ids, max_new_tokens, keywords, output) of every
+    ``CausalLM.generate`` call, which still decodes."""
+    calls, real = [], CausalLM.generate
+
+    def spy(self, prompt_ids, max_new_tokens, **kw):
+        out = real(self, prompt_ids, max_new_tokens, **kw)
+        calls.append((list(prompt_ids), max_new_tokens, kw, out))
+        return out
+
+    monkeypatch.setattr(CausalLM, "generate", spy)
+    return calls
+
+
+def test_eval_scores_the_answers_it_decodes(workdir, three_rows, tmp_path, capsys,
+                                            monkeypatch):
+    tok = TokenizerModel.load(workdir["tok"])
+    model = load_model(workdir["base"])
+    head = DEFAULT_TRAIN_TEMPLATE.split("{answer}")[0]
+    eos = tok.specials.eos
+    asks, answers = [], []
+    for q, a in THREE_ROWS:
+        prompt = [tok.specials.bos] + tok.tokenize(head.format(question=q))
+        n = len(tok.tokenize(a) + [eos]) + 1
+        asks.append((prompt, n, {"eos_id": eos}))
+        answers.append(tok.detokenize(model.generate(prompt, n, eos_id=eos)[len(prompt):]))
+    references = [a for _, a in THREE_ROWS]
+    calls = spy_generate(monkeypatch)
+    out = str(tmp_path / "eval.json")
     assert main(["eval", "--model", workdir["base"], "--tokenizer", workdir["tok"],
-                 "--csv", workdir["csv"], "--out", out]) == 0
+                 "--csv", three_rows, "--out", out]) == 0
     printed = json.loads(capsys.readouterr().out)
     with open(out, encoding="utf-8") as f:
         doc = json.load(f)
     assert doc == printed
-    for key in ("exact_match", "bleu", "rouge_l"):
-        assert doc[key] is None and doc["notes"][key].startswith("null:"), key
-    assert doc["macro"] == {"precision": None, "recall": None, "f1": None}
-    assert doc["notes"]["macro"].startswith("null:")
-    assert doc["per_label"] == {}
-    assert np.isfinite(doc["perplexity"]) and doc["n_examples"] > 0
+    assert set(doc) == {"perplexity", "exact_match", "bleu", "rouge_l", "n_examples", "notes"}
+    assert all(type(doc[k]) is float for k in ("perplexity", "exact_match", "bleu", "rouge_l"))
+    assert doc["n_examples"] == 3 and list(doc["notes"]) == ["sentence_generation_accuracy"]
+    assert [c[:3] for c in calls] == asks
+    assert doc["exact_match"] == exact_match(answers, references)
+    assert doc["bleu"] == bleu(answers, references)
+    assert doc["rouge_l"] == rouge_l(answers, references)
+
+
+def test_eval_answers_stop_at_eos(workdir, three_rows, tmp_path, capsys, monkeypatch):
+    """A base whose head always picks EOS: every answer is that one token."""
+    model = load_model(workdir["base"])
+    eos = TokenizerModel.load(workdir["tok"]).specials.eos
+    emb = model.params["tok_embeddings.weight"].data
+    emb[eos] *= 10
+    model.params["ln_f.gain"].data[:] = 0
+    model.params["ln_f.bias"].data[:] = emb[eos]
+    path = str(tmp_path / "eos.pfwa")
+    store.save_model(model, path)
+    calls = spy_generate(monkeypatch)
+    assert main(["eval", "--model", path, "--tokenizer", workdir["tok"],
+                 "--csv", three_rows]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(calls) == 3
+    for prompt, n, kw, out in calls:
+        assert kw == {"eos_id": eos} and n > 1 and out == prompt + [eos]
+    assert (doc["exact_match"], doc["bleu"], doc["rouge_l"]) == (0.0, 0.0, 0.0)
+
+
+def test_eval_of_unmasked_data_decodes_from_bos(workdir, three_rows, tmp_path, capsys,
+                                                monkeypatch):
+    data = str(tmp_path / "data.json")
+    assert main(["prepare-data", "--csv", three_rows, "--tokenizer", workdir["tok"],
+                 "--out", data, "--seq_len", "128", "--no_mask_prompt"]) == 0
+    capsys.readouterr()
+    with open(data, encoding="utf-8") as f:
+        lengths = [len(e["input_ids"]) for e in json.load(f)["examples"]]
+    calls = spy_generate(monkeypatch)
+    assert main(["eval", "--model", workdir["base"], "--tokenizer", workdir["tok"],
+                 "--data", data]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    bos = TokenizerModel.load(workdir["tok"]).specials.bos
+    assert [(c[0], c[1]) for c in calls] == [([bos], n) for n in lengths]
+    assert doc["n_examples"] == 3
 
 
 def test_compare_report(workdir, capsys):

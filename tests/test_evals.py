@@ -1,19 +1,19 @@
-"""Metric oracles: hand-counted confusion matrices, BLEU/ROUGE worked
-examples, perplexity on a degenerate model, and the comparison report."""
+"""Metric oracles: BLEU/ROUGE worked examples, perplexity on a degenerate
+model, likelihood classification, the eval report's decoded answers, and
+the comparison report."""
+
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tinypeft.bpe import train_bpe
-from tinypeft.corpus import QAPair, TrainingExample, build_examples
+from tinypeft.corpus import IGNORE_LABEL, QAPair, TrainingExample, build_examples
 from tinypeft import tensor as T
-from tinypeft.errors import ConfigError, DataError, ShapeError
+from tinypeft.errors import ConfigError, DataError
 from tinypeft.evals import (
     EvalReport,
     bleu,
-    classification_metrics,
     classify_by_likelihood,
     compare_base_vs_adapted,
     eval_report,
@@ -21,60 +21,10 @@ from tinypeft.evals import (
     perplexity,
     rouge_l,
 )
-from tinypeft.model import CausalLMConfig, init_model
+from tinypeft.model import CausalLM, CausalLMConfig, init_model
 from tinypeft.rng import RngState
 
 from conftest import micro_config
-
-
-# -- classification -----------------------------------------------------------
-
-
-def test_f1_worked_example():
-    # label "up": TP=2, FP=1, FN=0 -> precision 2/3, recall 1, F1 0.8
-    gold = ["up", "up", "down"]
-    pred = ["up", "up", "up"]
-    m = classification_metrics(gold, pred)
-    up = m["per_label"]["up"]
-    assert (up["tp"], up["fp"], up["fn"], up["tn"]) == (2, 1, 0, 0)
-    assert up["f1"] == pytest.approx(0.8, abs=1e-12)
-
-
-def test_zero_over_zero_conventions():
-    m = classification_metrics(["a", "a"], ["b", "b"], label_set=["a", "b", "c"])
-    c = m["per_label"]["c"]  # never predicted, never gold
-    assert (c["precision"], c["recall"], c["f1"]) == (0.0, 0.0, 0.0)
-
-
-def test_length_mismatch_raises():
-    with pytest.raises(ShapeError):
-        classification_metrics(["a"], ["a", "b"])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=40), st.integers(0, 10**6))
-def test_confusion_matrix_brute_force(gold, seed):
-    rng = np.random.default_rng(seed)
-    pred = [str(x) for x in rng.choice(list("abc"), size=len(gold))]
-    gold = [str(g) for g in gold]
-    m = classification_metrics(gold, pred, label_set=["a", "b", "c"])
-    n = len(gold)
-    for lab in "abc":
-        tp = sum(g == lab and p == lab for g, p in zip(gold, pred))
-        fp = sum(g != lab and p == lab for g, p in zip(gold, pred))
-        fn = sum(g == lab and p != lab for g, p in zip(gold, pred))
-        e = m["per_label"][lab]
-        assert (e["tp"], e["fp"], e["fn"], e["tn"]) == (tp, fp, fn, n - tp - fp - fn)
-        want_p = tp / (tp + fp) if tp + fp else 0.0
-        want_r = tp / (tp + fn) if tp + fn else 0.0
-        assert e["precision"] == want_p and e["recall"] == want_r
-
-
-def test_macro_is_unweighted_mean():
-    m = classification_metrics(["a", "b"], ["a", "a"], label_set=["a", "b"])
-    per = m["per_label"]
-    want = (per["a"]["f1"] + per["b"]["f1"]) / 2
-    assert m["macro"]["f1"] == want
 
 
 # -- BLEU / ROUGE -------------------------------------------------------------
@@ -299,17 +249,30 @@ def report_setup():
     return tok, model, ex
 
 
-def test_eval_report_fields(report_setup):
+def test_eval_report_fields(report_setup, monkeypatch):
     tok, model, ex = report_setup
-    rep = eval_report(model, tok, ex, candidates=["a debt security."],
-                      references=["a debt security."])
+    (e,) = ex
+    n_prompt = e.labels.count(IGNORE_LABEL)
+    calls = []
+
+    def echo(self, prompt_ids, max_new_tokens, **kw):
+        """Answer with the example's own ids after the prompt."""
+        calls.append((list(prompt_ids), max_new_tokens, kw))
+        return list(prompt_ids) + e.input_ids[len(prompt_ids):]
+
+    monkeypatch.setattr(CausalLM, "generate", echo)
+    rep = eval_report(model, tok, ex)
     assert isinstance(rep, EvalReport)
-    assert rep.bleu == pytest.approx(1.0) and rep.exact_match == 1.0
-    assert rep.n_examples == 1 and np.isfinite(rep.perplexity)
-    assert rep.macro == {"precision": None, "recall": None, "f1": None}
-    assert "exact_match" not in rep.notes and rep.notes["macro"].startswith("null:")
-    import json
-    assert json.loads(rep.to_json())["perplexity"] == rep.perplexity
+    assert calls == [(e.input_ids[:n_prompt], len(e.input_ids) - n_prompt + 1,
+                      {"eos_id": tok.specials.eos})]
+    assert rep.exact_match == 1.0 and rep.rouge_l == 1.0
+    assert rep.bleu == pytest.approx(1.0)
+    assert rep.n_examples == 1 and rep.perplexity == perplexity(model, ex, tok.specials.pad)
+    assert rep.notes == {"sentence_generation_accuracy":
+                         "operationalized as exact match after normalization"}
+    doc = json.loads(rep.to_json())
+    assert doc == {"perplexity": rep.perplexity, "exact_match": 1.0, "bleu": rep.bleu,
+                   "rouge_l": 1.0, "n_examples": 1, "notes": rep.notes}
 
 
 def test_compare_report_layout(report_setup):

@@ -1,10 +1,10 @@
 """Inference on folded LoRA weights, against the merged model and against
 the unfolded path.
 
-``generate``, ``perplexity`` and ``classify_by_likelihood`` run inside
-``CausalLM.folded``, on every LoRA pair folded into its weight with the fold
-``merge_lora`` applies. So an attached adapter must give its merge's outputs
-bit for bit. The unfolded path, which runs the LoRA branch in every forward,
+``generate``, ``perplexity``, ``eval_report`` and ``classify_by_likelihood``
+run inside ``CausalLM.folded``, on every LoRA pair folded into its weight
+with the fold ``merge_lora`` applies. So an attached adapter must give its
+merge's outputs bit for bit. The unfolded path, which runs the LoRA branch in every forward,
 stays the reference: ``unfolded_perplexity`` here, ``reference_generate``
 from test_decode and ``reference_classify`` from test_evals. For a
 bottleneck adapter the fold is a no-op. After a call, or an error inside
@@ -21,8 +21,8 @@ from tinypeft import tensor as T
 from tinypeft.bpe import train_bpe
 from tinypeft.corpus import IGNORE_LABEL, TrainingExample
 from tinypeft.errors import DataError
-from tinypeft.evals import classify_by_likelihood, perplexity
-from tinypeft.model import CausalLMConfig, init_model
+from tinypeft.evals import classify_by_likelihood, eval_report, perplexity
+from tinypeft.model import CausalLMConfig, Linear, init_model
 from tinypeft.peft import (
     BottleneckAdapterConfig,
     LoraConfig,
@@ -125,6 +125,7 @@ def test_attached_inference_is_its_merge_bit_for_bit(tok, kind):
     assert got.tobytes() == want.tobytes()
     for exs in (examples(tok.vocab_size), examples(tok.vocab_size, HEAD)):
         assert perplexity(model, exs, PAD) == perplexity(twin, exs, PAD)
+        assert eval_report(model, tok, exs) == eval_report(twin, tok, exs)
     for labels in LABEL_SETS.values():
         for text in CLASSIFY_PROMPTS:
             assert (classify_by_likelihood(model, tok, text, labels)
@@ -172,6 +173,8 @@ def test_fold_keeps_no_state(tok, kind):
 
     perplexity(model, examples(tok.vocab_size), PAD)
     assert restored()
+    eval_report(model, tok, examples(tok.vocab_size))
+    assert restored()
     classify_by_likelihood(model, tok, "market went ", ["up", "down"])
     assert restored()
     model.generate(prompt(tok.vocab_size, 3), 8)
@@ -187,6 +190,23 @@ def test_fold_keeps_no_state(tok, kind):
                 assert (lin.weight.data is w) != lora
             raise RuntimeError("inside the fold")
     assert restored() and T._grad_enabled
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_eval_report_folds_each_lora_pair_once(tok, kind, monkeypatch):
+    """Perplexity and every example's decode share one fold."""
+    model = build(tok, kind)
+    adapted = sum(lin.adapter is not None for lin in model.linears())
+    folds, fold = [], Linear.fold
+
+    def counted(lin):
+        folds.append(lin)
+        fold(lin)
+
+    monkeypatch.setattr(Linear, "fold", counted)
+    eval_report(model, tok, examples(tok.vocab_size, HEAD))
+    assert len(folds) == adapted == len(set(map(id, folds)))
+    assert adapted == (0 if kind == "adapter" else len(model.linears()))
 
 
 @pytest.mark.parametrize("kind", KINDS)
