@@ -12,7 +12,8 @@ explicit flag always overrides its config-file counterpart. The effective
 configuration of any command with an --output_dir is echoed to
 <output_dir>/config.echo.json. Exit codes: 0 ok, 1 usage/config, 2
 data/format, 3 runtime, and 141 (as if killed by SIGPIPE) when the reader
-of stdout has gone.
+of stdout has gone. A --tokenizer whose vocab_size differs from its
+model's is a data error naming both files.
 """
 
 from __future__ import annotations
@@ -260,34 +261,46 @@ def cmd_pretrain(eff: dict) -> int:
     return 0
 
 
+def _load_model(model_path: str, tok_path: str):
+    """The model archive and the tokenizer it runs with. A tokenizer whose
+    vocab_size is not the model's would map ids to other text: a DataError
+    naming both files and both sizes."""
+    tok = bpe.TokenizerModel.load(tok_path)
+    model = store.load_model(model_path)
+    if tok.vocab_size != model.config.vocab_size:
+        raise DataError(f"{tok_path}: tokenizer vocab_size {tok.vocab_size} differs from "
+                        f"model {model_path} vocab_size {model.config.vocab_size}")
+    return model, tok
+
+
+def _finetune(opts: dict, model, tok: bpe.TokenizerModel,
+              examples: list[corpus.TrainingExample]) -> dict:
+    """Quantize and attach what opts' method trains, drawing from the seed's
+    stream, then train model on examples; returns the trainer's summary."""
+    cfg = _config(TrainConfig, opts)
+    method = opts.get("method", "lora")
+    rng = RngState(cfg.seed)
+    if method == "qlora":
+        peft.quantize_base(model, _config(quant.QuantConfig, opts))
+    if method in ("lora", "qlora"):
+        peft.attach_lora(model, _config(peft.LoraConfig, opts), rng)
+    elif method == "adapter":
+        peft.attach_bottleneck(model, _config(peft.BottleneckAdapterConfig, opts), rng)
+    return trainer_mod.Trainer(model, examples, cfg, tok.specials.pad).train()
+
+
 def cmd_finetune(eff: dict) -> int:
     method = eff.get("method", "lora")
     if method not in ("full", "lora", "qlora", "adapter"):
         raise ConfigError(f"unknown finetune method {method!r}")
-    base_path, tok_path, _ = _require(eff, "base", "tokenizer", "output_dir")
-    tok = bpe.TokenizerModel.load(tok_path)
-    cfg = _config(TrainConfig, eff)
+    base_path, tok_path, out_dir = _require(eff, "base", "tokenizer", "output_dir")
+    _config(TrainConfig, eff)  # a bad training value is a config error before any file
     _echo_config(eff)
-    model = store.load_model(base_path)
-    rng = RngState(cfg.seed)
-
-    if method == "qlora":
-        peft.quantize_base(model, _config(quant.QuantConfig, eff))
-    if method in ("lora", "qlora"):
-        peft.attach_lora(model, _config(peft.LoraConfig, eff), rng)
-    elif method == "adapter":
-        peft.attach_bottleneck(model, _config(peft.BottleneckAdapterConfig, eff), rng)
-
-    examples = _load_examples(eff, tok, model.config)
-    tr = trainer_mod.Trainer(model, examples, cfg, tok.specials.pad)
-    summary = tr.train()
+    model, tok = _load_model(base_path, tok_path)
+    summary = _finetune(eff, model, tok, _load_examples(eff, tok, model.config))
     summary["trainable"] = peft.trainable_summary(model)
-    if method == "full":
-        out = os.path.join(cfg.output_dir, "model.pfwa")
-        store.save_model(model, out)
-    else:
-        out = os.path.join(cfg.output_dir, "adapter.pfwa")
-        store.save_adapter(model, out)
+    out = os.path.join(out_dir, "model.pfwa" if method == "full" else "adapter.pfwa")
+    (store.save_model if method == "full" else store.save_adapter)(model, out)
     print(json.dumps({"summary": summary, "artifact": out}))
     return 0
 
@@ -304,37 +317,18 @@ def cmd_merge(eff: dict) -> int:
     return 0
 
 
-def _load_any_model(eff: dict):
-    (model_path,) = _require(eff, "model")
-    model = store.load_model(model_path)
-    if eff.get("adapter"):
-        store.load_adapter(model, eff["adapter"])
-    return model
-
-
-def _prompt_ids(tok_path: str, tok: bpe.TokenizerModel, prompt: str,
-                config: CausalLMConfig) -> list[int]:
-    """BOS and the prompt's tokens; an id the model has no embedding for is a
-    DataError naming the tokenizer."""
-    ids = [tok.specials.bos] + tok.tokenize(prompt)
-    for i in ids:
-        if i >= config.vocab_size:
-            raise DataError(f"{tok_path}: prompt token id {i} >= model vocab_size "
-                            f"{config.vocab_size}")
-    return ids
-
-
 def cmd_generate(eff: dict) -> int:
-    (tok_path,) = _require(eff, "tokenizer")
-    tok = bpe.TokenizerModel.load(tok_path)
-    model = _load_any_model(eff)
+    model_path, tok_path = _require(eff, "model", "tokenizer")
     if eff.get("question"):
         prompt = corpus.DEFAULT_INFER_TEMPLATE.format(question=eff["question"])
     elif eff.get("prompt"):
         prompt = eff["prompt"]
     else:
         raise ConfigError("need --prompt or --question")
-    ids = _prompt_ids(tok_path, tok, prompt, model.config)
+    model, tok = _load_model(model_path, tok_path)
+    if eff.get("adapter"):
+        store.load_adapter(model, eff["adapter"])
+    ids = [tok.specials.bos] + tok.tokenize(prompt)
     out_ids = model.generate(
         ids,
         max_new_tokens=eff.get("max_new_tokens", evals.MAX_NEW_TOKENS),
@@ -347,9 +341,9 @@ def cmd_generate(eff: dict) -> int:
 
 
 def cmd_eval(eff: dict) -> int:
-    (tok_path,) = _require(eff, "tokenizer")
-    tok = bpe.TokenizerModel.load(tok_path)
-    model = _load_any_model(eff)
+    model, tok = _load_model(*_require(eff, "model", "tokenizer"))
+    if eff.get("adapter"):
+        store.load_adapter(model, eff["adapter"])
     examples = _load_examples(eff, tok, model.config)
     report = evals.eval_report(model, tok, examples)
     text = report.to_json()
@@ -362,17 +356,14 @@ def cmd_eval(eff: dict) -> int:
 
 def cmd_compare(eff: dict) -> int:
     base_path, adapter_path, tok_path = _require(eff, "base", "adapter", "tokenizer")
-    tok = bpe.TokenizerModel.load(tok_path)
-    base = store.load_model(base_path)
-    adapted = store.load_adapter(store.load_model(base_path), adapter_path)
-    questions = eff.get("question") or []
+    questions = eff.get("question")
     if not questions:
         raise ConfigError("need at least one --question")
+    base, tok = _load_model(base_path, tok_path)
+    adapted = store.load_adapter(store.load_model(base_path), adapter_path)
     examples = None
     if eff.get("csv") or eff.get("data"):
         examples = _load_examples(eff, tok, base.config)
-    for q in questions:
-        _prompt_ids(tok_path, tok, corpus.DEFAULT_INFER_TEMPLATE.format(question=q), base.config)
     report = evals.compare_base_vs_adapted(
         base, adapted, tok, questions, eval_examples=examples,
         **_given(eff, "max_new_tokens"),
@@ -398,21 +389,19 @@ def cmd_sweep(eff: dict) -> int:
         if type(values) is not list:
             raise ConfigError(f"{space_path}: {key} must map to a list of values")
         space[key] = [_check(space_path, key, v, FIELDS[key][2]) for v in values]
-    _echo_config(eff)
-    tok = bpe.TokenizerModel.load(tok_path)
     base_cfg = _config(TrainConfig, eff)
-    examples = _load_examples(eff, tok, store.load_model(base_path).config)
+    _echo_config(eff)
+    base, tok = _load_model(base_path, tok_path)
+    examples = _load_examples(eff, tok, base.config)
     holdout = max(1, len(examples) // 10)
     train_set, eval_set = examples[:-holdout], examples[-holdout:]
 
     def run_trial(overrides: dict) -> float:
+        """A LoRA finetune of a fresh base on the rows not held out."""
         trial = "trial-" + "-".join(f"{k}={v}" for k, v in sorted(overrides.items()))
         opts = {**eff, **overrides, "output_dir": os.path.join(base_cfg.output_dir, trial)}
-        tcfg = _config(TrainConfig, opts)
         model = store.load_model(base_path)
-        peft.attach_lora(model, _config(peft.LoraConfig, opts), RngState(tcfg.seed))
-        tr = trainer_mod.Trainer(model, train_set, tcfg, tok.specials.pad)
-        tr.train()
+        _finetune(opts, model, tok, train_set)
         return evals.perplexity(model, eval_set, tok.specials.pad)
 
     trials = trainer_mod.hyperparameter_search(

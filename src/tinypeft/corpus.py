@@ -12,6 +12,7 @@ import csv
 import io
 import logging
 import re
+import string
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -205,6 +206,13 @@ def build_examples(
         raise ConfigError("template must contain {question}")
     if "{answer}" not in template:
         raise ConfigError("training template must contain {answer}")
+    try:
+        fields = {f for _, f, _, _ in string.Formatter().parse(template) if f is not None}
+    except ValueError as e:
+        raise ConfigError(f"template {template!r}: {e}")
+    unknown = sorted(fields - {"question", "answer"})
+    if unknown:
+        raise ConfigError(f"template {template!r}: unknown field {{{unknown[0]}}}")
     head, tail = template.split("{answer}", 1)
     sp = tokenizer.specials
     examples: list[TrainingExample] = []

@@ -572,10 +572,11 @@ def test_malformed_data_file_is_data_error(workdir, tmp_path, capsys, text):
 
 @pytest.fixture(scope="module")
 def short_base(workdir):
-    """An untrained base of 300 tokens, fewer than the workdir tokenizer's 400,
-    and seq_len 64, which the default template's prompt fits."""
+    """An untrained base of the workdir tokenizer's 400 ids and seq_len 64,
+    which the default template's prompt fits."""
     path = str(workdir["dir"] / "short.pfwa")
-    store.save_model(init_model(CausalLMConfig(vocab_size=300, d_model=8, n_heads=2,
+    vocab_size = TokenizerModel.load(workdir["tok"]).vocab_size
+    store.save_model(init_model(CausalLMConfig(vocab_size=vocab_size, d_model=8, n_heads=2,
                                                n_layers=1, seq_len=64), RngState(0)), path)
     return path
 
@@ -601,10 +602,6 @@ BAD_INPUTS = {
                           "example 1: labels"),
     "only_first_label": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [5, -1, -1]}),
                          "example 1: labels"),
-    # the tokenizer's merges reach past the model's 300 ids; the empty answer
-    # of row 2 is skipped, and the error names row 3, the first example built
-    "csv_id_too_large": ("data.csv", "question,answer\nWhy?,\nWhat moved KOSPI?,KOSPI rose.\n",
-                         "row 3: input_ids"),
     "empty_examples": ("data.json", '{"examples": []}', "no usable examples"),
 }
 
@@ -645,27 +642,100 @@ def test_compare_with_an_empty_data_file_is_a_data_error(workdir, short_base, tm
     assert err.startswith(f"error:data: {data}: no usable examples"), err
 
 
-@pytest.mark.parametrize("command", ["generate", "compare"])
-def test_prompt_ids_outside_the_model_name_the_tokenizer(workdir, short_base, tmp_path,
-                                                         capsys, command):
-    """The templated question tokenizes to merges past the short base's 300
-    ids: the error names the tokenizer and the id, not a flat position."""
-    if command == "generate":
-        argv = ["generate", "--model", short_base]
-    else:
-        model = attach_lora(load_model(short_base), LoraConfig(r=2), RngState(0))
-        adapter = str(tmp_path / "adapter.pfwa")
-        store.save_adapter(model, adapter)
-        argv = ["compare", "--base", short_base, "--adapter", adapter]
-    q = "What is an Index?"
-    tok = TokenizerModel.load(workdir["tok"])
-    bad = next(i for i in tok.tokenize(DEFAULT_INFER_TEMPLATE.format(question=q)) if i >= 300)
-    assert main(argv + ["--tokenizer", workdir["tok"], "--question", q,
-                        "--max_new_tokens", "2"]) == 2
+@pytest.fixture(scope="module")
+def foreign_toks(workdir, tmp_path_factory) -> dict:
+    """Tokenizers the workdir base was not trained with: a smaller one trained
+    on other text, and a larger one trained on the same CSV."""
+    d = tmp_path_factory.mktemp("foreign")
+    other = d / "other.txt"
+    other.write_text("The quick brown fox jumps over the lazy dog.\n" * 40, encoding="utf-8")
+    toks = {}
+    for size, corpus_path, target in (("smaller", str(other), "300"),
+                                      ("larger", workdir["csv"], "512")):
+        toks[size] = str(d / f"{size}.json")
+        assert main(["tokenizer-train", "--corpus", corpus_path, "--target_vocab", target,
+                     "--out", toks[size]]) == 0
+    return toks
+
+
+@pytest.mark.parametrize("size", ["smaller", "larger"])
+@pytest.mark.parametrize("command", ["finetune", "sweep", "generate", "eval", "compare"])
+def test_a_foreign_tokenizer_is_refused_up_front(workdir, foreign_toks, tmp_path, capsys,
+                                                 command, size):
+    """A model's ids mean what its own tokenizer says. A tokenizer of another
+    vocab_size exits 2 with one line naming both files and both sizes, before
+    anything is trained, decoded or written."""
+    base, tok = workdir["base"], foreign_toks[size]
+    model_size = load_model(base).config.vocab_size
+    tok_size = TokenizerModel.load(tok).vocab_size
+    assert (tok_size < model_size) == (size == "smaller") and tok_size != model_size
+    adapter = str(tmp_path / "adapter.pfwa")
+    store.save_adapter(attach_lora(load_model(base), LoraConfig(r=2), RngState(0)), adapter)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"learning_rate": [1e-4]}))
+    out = tmp_path / "out"
+    csv = ["--csv", workdir["csv"]]
+    ask = ["--question", "What is an Index?", "--max_new_tokens", "2"]
+    argv = {
+        "finetune": ["--base", base, *csv, "--output_dir", str(out), "--max_steps", "1"],
+        "sweep": ["--space", str(space), "--base", base, *csv, "--output_dir", str(out),
+                  "--max_steps", "1"],
+        "generate": ["--model", base, "--adapter", adapter, *ask],
+        "eval": ["--model", base, "--adapter", adapter, *csv, "--out", str(out / "eval.json")],
+        "compare": ["--base", base, "--adapter", adapter, *csv, *ask,
+                    "--out", str(out / "compare.txt")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--tokenizer", tok]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error:data: {workdir['tok']}: prompt token id {bad} "
-                                   f">= model vocab_size 300"), captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
+    assert captured.err == (f"error:data: {tok}: tokenizer vocab_size {tok_size} differs "
+                            f"from model {base} vocab_size {model_size}\n")
+    assert captured.out == ""
+    written = [p.name for p in out.rglob("*")] if out.exists() else []
+    assert written in ([], ["config.echo.json"]), written
+
+
+def test_a_sweep_trial_trains_what_finetune_trains(workdir, tmp_path, capsys):
+    """A sweep trial is a LoRA finetune on the rows the sweep does not hold
+    out (the last tenth): its checkpoint equals finetune's on those rows."""
+    data = tmp_path / "data.json"
+    assert main(["prepare-data", "--csv", workdir["csv"], "--tokenizer", workdir["tok"],
+                 "--out", str(data)]) == 0
+    doc = json.loads(data.read_text())
+    held_out = max(1, len(doc["examples"]) // 10)
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({**doc, "examples": doc["examples"][:-held_out]}))
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"learning_rate": [1e-3]}))
+    flags = ["--base", workdir["base"], "--tokenizer", workdir["tok"], "--max_steps", "2",
+             "--save_steps", "2", "--logging_steps", "100", "--lora_rank", "2"]
+    assert main(["sweep", "--space", str(space), "--data", str(data),
+                 "--output_dir", str(tmp_path / "sweep"), *flags]) == 0
+    assert main(["finetune", "--learning_rate", "1e-3", "--data", str(rows),
+                 "--output_dir", str(tmp_path / "ft"), *flags]) == 0
+    (trial,) = (tmp_path / "sweep").glob("trial-*")
+    swept, swept_meta = load_archive(str(trial / "checkpoint-2" / "state.pfwa"))
+    tuned, tuned_meta = load_archive(str(tmp_path / "ft" / "checkpoint-2" / "state.pfwa"))
+    assert sorted(swept) == sorted(tuned) and any(".lora_" in k for k in tuned)
+    for name, value in tuned.items():
+        assert swept[name].dtype == value.dtype and np.array_equal(swept[name], value), name
+    for meta in (swept_meta, tuned_meta):
+        del meta["train_config"]["output_dir"]
+    assert swept_meta == tuned_meta
+
+
+@pytest.mark.parametrize("template, named", [
+    ("{foo} {question} {answer}", "unknown field {foo}"),
+    ("{ {question} {answer}", "'{'"),
+    ("{question} {0} {answer}", "unknown field {0}"),
+])
+def test_a_malformed_template_is_a_config_error(workdir, tmp_path, capsys, template, named):
+    out = tmp_path / "data.json"
+    assert main(["prepare-data", "--csv", workdir["csv"], "--tokenizer", workdir["tok"],
+                 "--out", str(out), "--template", template]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:config: template {template!r}: ") and named in err, err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -673,6 +743,10 @@ def test_prompt_ids_outside_the_model_name_the_tokenizer(workdir, short_base, tm
     (["tokenizer-train", "--bogus", "1"], "--bogus"),
     (["finetune", "--double_quant", "flase"], "--double_quant"),
     ([], "command"),
+    # checked before any archive or tokenizer is read: these files do not exist
+    (["generate", "--model", "none.pfwa", "--tokenizer", "none.json"], "--prompt"),
+    (["compare", "--base", "none.pfwa", "--adapter", "none.pfwa", "--tokenizer", "none.json"],
+     "--question"),
 ])
 def test_usage_errors_are_config_errors(capsys, argv, named):
     assert main(argv) == 1
