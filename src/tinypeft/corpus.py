@@ -225,8 +225,9 @@ def build_examples(
         if not pair.question.strip():
             log.warning("%s: empty question after normalization, skipped", where)
             continue
-        prompt_ids = tokenizer.tokenize(head.format(question=pair.question))
-        answer_ids = tokenizer.tokenize(pair.answer + tail)
+        fill = {"question": pair.question, "answer": pair.answer}
+        prompt_ids = tokenizer.tokenize(head.format(**fill))
+        answer_ids = tokenizer.tokenize(pair.answer + tail.format(**fill))
         ids = [sp.bos] + prompt_ids + answer_ids + [sp.eos]
         n_prompt = 1 + len(prompt_ids)
         if len(ids) > seq_len:

@@ -23,9 +23,10 @@ and drafts ahead: it encodes the prompt once, then feeds each forward the
 newest token plus a draft copied from the context, and keeps the drafted
 tokens its own picks confirm. When the running sequence slides past the
 seq_len - 1 window, every absolute position shifts, so the cache is dropped
-and each step re-encodes the window for one token. ``generate`` and the
-evals fold the LoRA pairs into their weights once per call and keep no state
-(``CausalLM.folded``).
+and each step re-encodes the window; it verifies a draft of up to
+``SLIDE_DRAFT_MAX`` tokens as that many more windows in the same batch, until
+one misses. ``generate`` and the evals fold the LoRA pairs into their weights
+once per call and keep no state (``CausalLM.folded``).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .tensor import Parameter, Tensor
 INIT_STD = 0.02
 LN_EPS = 1e-5  # every layer norm's epsilon
 DRAFT_MAX = 16  # most drafted tokens one cached decoding forward verifies
+SLIDE_DRAFT_MAX = 2  # most drafted tokens one slid decoding forward verifies
 
 
 @dataclass
@@ -275,7 +277,11 @@ class CausalLM:
         mismatch too, then the cache is cut back to them. A draft's cap is 1
         after a miss and 2a + 1 after a kept tokens, within ``DRAFT_MAX``, the
         window and the tokens left. Positions are absolute, so once the window
-        slides each step re-encodes it without a cache and reads its last row.
+        slides each step re-encodes it without a cache and reads its last row:
+        with a draft of k <= ``SLIDE_DRAFT_MAX`` tokens it feeds k + 1 windows
+        as one batch, window j ending after draft[:j], and accepts their rows
+        the same way. A slid draft that misses ends slid drafting for the
+        call, so drafts that miss cost at most ``SLIDE_DRAFT_MAX`` windows.
         The call runs ``folded``.
         """
         if not prompt_ids:
@@ -295,18 +301,23 @@ class CausalLM:
         window = self.config.seq_len - 1
         cache = [[] for _ in self.blocks]
         cached, n_draft = 0, 1  # leading tokens of out held in the cache; next draft's cap
+        n_slide = SLIDE_DRAFT_MAX  # a slid step's draft cap
         with self.folded():
             while len(out) < stop:
                 if len(out) <= window:
                     n = min(n_draft, DRAFT_MAX, window - len(out), stop - len(out) - 1)
                     draft = _draft(out, n) if n else []
-                    ctx, step_cache, first = out[cached:] + draft, cache, len(out) - 1 - cached
-                else:
-                    draft, ctx, step_cache, first = [], out[-window:], None, window - 1
-                logits = self.forward_logits(np.asarray([ctx]), cache=step_cache,
-                                             from_row=first)
+                    ids = [out[cached:] + draft]
+                    step_cache, first = cache, len(out) - 1 - cached
+                else:  # window j ends after draft[:j]; each is its own batch row
+                    n = min(n_slide, stop - len(out) - 1)
+                    draft = _draft(out, n) if n else []
+                    seq = out[-window:] + draft
+                    ids = [seq[j:j + window] for j in range(len(draft) + 1)]
+                    step_cache, first = None, window - 1
+                logits = self.forward_logits(np.asarray(ids), cache=step_cache, from_row=first)
                 accepted = 0
-                for row in logits.data[0].astype(np.float64):
+                for row in logits.data.reshape(-1, logits.shape[-1]).astype(np.float64):
                     if mode == "greedy":
                         nxt = int(row.argmax())
                     else:
@@ -325,7 +336,9 @@ class CausalLM:
                         break
                     accepted += 1
                 cached, n_draft = len(out) - 1, 2 * accepted + 1
-                if accepted < len(draft):  # drop the rejected drafts' keys and values
+                if accepted < len(draft) and step_cache is None:
+                    n_slide = 0  # a slid miss ends slid drafting
+                elif accepted < len(draft):  # drop the rejected drafts' keys and values
                     for c in cache:
                         c[0], c[1] = c[0][:, :, :cached], c[1][:, :, :cached]
         return out

@@ -628,6 +628,36 @@ def test_data_outside_the_model_is_a_data_error(workdir, short_base, tmp_path, c
     assert not (out / "metrics.jsonl").exists()
 
 
+# one malformed file per row, fed to eval: (the flag that takes it, its name,
+# its bytes from the short base's, the exit code, the message after the path)
+MALFORMED = {
+    "truncated_archive": ("--model", "model.pfwa", lambda base: base[:len(base) // 2], 2,
+                          "{}: checksum mismatch"),
+    "invalid_utf8_csv": ("--csv", "qa.csv", lambda base: b"question,answer\n\xffWhy?,Yes.\n",
+                         2, "{}: invalid UTF-8 at byte offset 16"),
+    "header_only_csv": ("--csv", "qa.csv", lambda base: b"question,answer\n", 2,
+                        "{}: no usable examples"),
+    "unparseable_config": ("--config", "config.json", lambda base: b'{"top_k": ', 1,
+                           "cannot read {} as JSON"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(MALFORMED))
+def test_a_malformed_file_exits_with_one_line_naming_it(workdir, short_base, tmp_path,
+                                                        capsys, row):
+    flag, name, make, code, message = MALFORMED[row]
+    bad = tmp_path / name
+    with open(short_base, "rb") as f:
+        bad.write_bytes(make(f.read()))
+    files = {"--model": short_base, "--csv": workdir["csv"], flag: str(bad)}
+    argv = ["eval", "--tokenizer", workdir["tok"]]
+    assert main(argv + [a for item in files.items() for a in item]) == code
+    err = capsys.readouterr().err
+    kind = {1: "config", 2: "data"}[code]
+    assert err.startswith(f"error:{kind}: ") and "Traceback" not in err, err
+    assert message.format(bad) in err, err
+
+
 def test_compare_with_an_empty_data_file_is_a_data_error(workdir, short_base, tmp_path,
                                                          capsys):
     model = attach_lora(load_model(short_base), LoraConfig(r=2), RngState(0))

@@ -209,6 +209,19 @@ def test_no_mask_prompt_labels_everything(small_tok):
     assert ex[0].labels == ex[0].input_ids
 
 
+def test_template_tail_is_rendered_like_its_head(small_tok):
+    """The text after {answer} is formatted too: escaped braces come out
+    single, and {question} and a second {answer} are filled in."""
+    template = "{{a}} {question} {answer} {{b}}"
+    ex, _ = build_examples([QAPair("Why?", "Because.")], small_tok, template=template,
+                           mask_prompt=False)
+    assert small_tok.detokenize(ex[0].input_ids) == "{a} Why? Because. {b}"
+    ex, _ = build_examples([QAPair("Why?", "Because.")], small_tok,
+                           template="{question} {answer} ({question} {answer})",
+                           mask_prompt=False)
+    assert small_tok.detokenize(ex[0].input_ids) == "Why? Because. (Why? Because.)"
+
+
 def test_truncation_counted_and_right_sided(small_tok):
     pairs = [QAPair("q", "word " * 400)]
     ex, n_trunc = build_examples(pairs, small_tok, seq_len=64)

@@ -252,25 +252,37 @@ def test_every_adapted_kind_decodes_unlike_the_base(kind):
 
 def test_prompt_is_encoded_once(monkeypatch):
     """The prompt is fed once; every later cached forward feeds the one
-    emitted token not yet cached plus its draft; the window re-encodes feed
-    the last seq_len - 1 tokens; no forward passes the window."""
+    emitted token not yet cached plus its draft, and passes no window. A slid
+    forward feeds k + 1 <= SLIDE_DRAFT_MAX + 1 windows: window j is the last
+    seq_len - 1 tokens of out + _draft(out, k)[:j]."""
     model = build("base")
+    slid = []
     for p in (prompt(10), [1, 2, 3] * 4, REPETITIVE):
         ref = reference_generate(model, p, 16)
         with monkeypatch.context() as m:
             calls = record_forwards(model, m)
             out = model.generate(p, 16)
         assert out == ref
-        past, ids = calls[0]
-        assert past == 0 and ids[:len(p)] == p
-        assert ids[len(p):] == model_mod._draft(p, len(ids) - len(p))
-        for past, ids in calls[1:]:
+        n = len(p)  # tokens of out before the forward
+        for i, (past, ids) in enumerate(calls):
             if past is None:
-                assert len(ids) == WINDOW
-                continue
-            assert past >= len(p) and ids[0] == out[past]
-            assert ids[1:] == model_mod._draft(out[:past + 1], len(ids) - 1)
-            assert past + len(ids) <= WINDOW
+                k = len(ids) // WINDOW - 1
+                assert len(ids) == (k + 1) * WINDOW and 0 <= k <= model_mod.SLIDE_DRAFT_MAX
+                seq = out[:n] + model_mod._draft(out[:n], k)
+                assert ids == [t for j in range(k + 1) for t in seq[n - WINDOW + j:n + j]]
+                draft = seq[n:]
+                slid.append(k)
+            else:
+                assert past == (n - 1 if i else 0) and ids[:n - past] == out[past:n]
+                draft = ids[n - past:]
+                assert draft == model_mod._draft(out[:n], len(draft))
+                assert past + len(ids) <= WINDOW
+            kept = 0
+            while kept < len(draft) and draft[kept] == out[n + kept]:
+                kept += 1
+            n += kept + 1
+        assert n == len(out)
+    assert max(slid) == model_mod.SLIDE_DRAFT_MAX
 
 
 def test_without_drafts_one_token_per_forward(monkeypatch):
@@ -341,6 +353,70 @@ def test_max_new_tokens_stops_exactly_at_the_budget(budget, monkeypatch):
     calls = record_forwards(model, monkeypatch)
     assert model.generate(p, budget) == free[:len(p) + budget]
     assert all(past is None or past + len(ids) <= WINDOW for past, ids in calls)
+
+
+def slid_windows(calls) -> list[int]:
+    """The number of windows each slid (uncached) forward fed."""
+    return [len(ids) // WINDOW for past, ids in calls if past is None]
+
+
+@pytest.mark.parametrize("kind", ["base", "lora", "merged", "adapter", "qlora"])
+@pytest.mark.parametrize("top_k", [None, 0, 5])  # None: greedy
+def test_repetitive_prompt_past_the_window_matches_reference(kind, top_k, monkeypatch):
+    """40 tokens from 4 leave the 23-token window: the slid steps verify
+    their drafts as extra windows, with one draw per emitted token."""
+    model = build(kind)
+    kw = {} if top_k is None else dict(mode="temperature", temperature=0.1, top_k=top_k)
+    rng, ref_rng = RngState(11), RngState(11)
+    ref = reference_generate(model, REPETITIVE, 40, rng=ref_rng, **kw)
+    calls = record_forwards(model, monkeypatch)
+    assert model.generate(REPETITIVE, 40, rng=rng, **kw) == ref
+    assert rng.get_state() == ref_rng.get_state()
+    assert max(slid_windows(calls)) == model_mod.SLIDE_DRAFT_MAX + 1
+
+
+def test_eos_inside_an_accepted_slid_draft_stops_decoding_there(monkeypatch):
+    """With every draft right, each slid forward feeds 3 windows and keeps
+    all 3 tokens; an EOS first emitted by a drafted window stops there."""
+    model = build("base")
+    p = prompt(20)
+    free = reference_generate(model, p, 20)
+    oracle_drafts(monkeypatch, free)
+    # slid forwards start at 24 and emit positions 24..26, 27..29, ...
+    at = next(i for i in range(24, len(free)) if (i - 24) % 3 and free[i] not in free[len(p):i])
+    calls = record_forwards(model, monkeypatch)
+    assert model.generate(p, 20, eos_id=free[at]) == free[:at + 1]
+    assert slid_windows(calls) == [3] * ((at - 24) // 3 + 1)
+
+
+@pytest.mark.parametrize("budget", range(4, 13))
+def test_max_new_tokens_stops_exactly_at_the_budget_past_the_window(budget, monkeypatch):
+    """Slid drafts that would all be accepted stop at max_new_tokens: every
+    window fed past the window emits one token, and none is fed beyond."""
+    model = build("base")
+    p = prompt(20)
+    free = reference_generate(model, p, 12)
+    oracle_drafts(monkeypatch, free)
+    calls = record_forwards(model, monkeypatch)
+    assert model.generate(p, budget) == free[:len(p) + budget]
+    assert sum(slid_windows(calls)) == len(p) + budget - WINDOW - 1
+
+
+@pytest.mark.parametrize("kind", ["base", "lora"])
+def test_slid_drafts_that_miss_cost_at_most_the_cap(kind, monkeypatch):
+    """With every draft wrong, the first slid forward feeds its extra windows
+    and misses; slid drafting then ends, so the call feeds SLIDE_DRAFT_MAX
+    windows more than the one-window loop's one per slid token."""
+    model = build(kind)
+    p = prompt(10)
+    free = reference_generate(model, p, 30)
+    monkeypatch.setattr(model_mod, "_draft",
+                        lambda seq, n: [(free[len(seq)] + 1) % VOCAB] * n)
+    calls = record_forwards(model, monkeypatch)
+    assert model.generate(p, 30) == free
+    windows = slid_windows(calls)
+    assert windows == [model_mod.SLIDE_DRAFT_MAX + 1] + [1] * (len(windows) - 1)
+    assert sum(windows) <= len(free) - WINDOW - 1 + model_mod.SLIDE_DRAFT_MAX
 
 
 @pytest.mark.parametrize("seq, n, draft", [
