@@ -581,81 +581,75 @@ def short_base(workdir):
     return path
 
 
-def _data(bad: dict) -> str:
+def _data(bad: dict) -> bytes:
     good = {"input_ids": [5, 6, 7], "labels": [-1, 6, 7]}
-    return json.dumps({"examples": [good, bad]})
+    return json.dumps({"examples": [good, bad]}).encode()
 
 
-# one input per row that does not fit the short base: (file name, its text,
-# the example and field the error names)
+# one malformed input per row, in a file given to finetune and eval on the
+# short base and the bundled CSV: (the flag that takes it, its file name, its
+# bytes or a function of the short base's bytes, the commands it is fed to,
+# the exit code, the message with {} for the file's path)
 BAD_INPUTS = {
-    "label_too_large": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [5, 6, 99999]}),
-                        "example 1: labels"),
-    "label_negative": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [-1, -5, 7]}),
-                       "example 1: labels"),
-    "id_too_large": ("data.json", _data({"input_ids": [5, 99999, 7], "labels": [5, 6, 7]}),
-                     "example 1: input_ids"),
-    "too_long": ("data.json", _data({"input_ids": [5] * 70, "labels": [5] * 70}),
-                 "example 1: input_ids"),
+    "label_too_large": ("--data", "data.json",
+                        _data({"input_ids": [5, 6, 7], "labels": [5, 6, 99999]}),
+                        ("finetune", "eval"), 2, "{}: example 1: labels"),
+    "label_negative": ("--data", "data.json",
+                       _data({"input_ids": [5, 6, 7], "labels": [-1, -5, 7]}),
+                       ("finetune", "eval"), 2, "{}: example 1: labels"),
+    "id_too_large": ("--data", "data.json",
+                     _data({"input_ids": [5, 99999, 7], "labels": [5, 6, 7]}),
+                     ("finetune", "eval"), 2, "{}: example 1: input_ids"),
+    "too_long": ("--data", "data.json", _data({"input_ids": [5] * 70, "labels": [5] * 70}),
+                 ("finetune", "eval"), 2, "{}: example 1: input_ids"),
     # labels[0] is never a target, so neither example scores a token
-    "all_labels_masked": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [-1, -1, -1]}),
-                          "example 1: labels"),
-    "only_first_label": ("data.json", _data({"input_ids": [5, 6, 7], "labels": [5, -1, -1]}),
-                         "example 1: labels"),
-    "empty_examples": ("data.json", '{"examples": []}', "no usable examples"),
-}
-
-
-@pytest.mark.parametrize("command", ["finetune", "eval"])
-@pytest.mark.parametrize("row", sorted(BAD_INPUTS))
-def test_data_outside_the_model_is_a_data_error(workdir, short_base, tmp_path, capsys,
-                                                 command, row):
-    """Every --data or --csv example must fit the model: ids in [0, V), labels
-    there or -1, at most seq_len tokens, and a label other than -1 after the
-    first. A misfit exits 2 naming the file, the example and the field, before
-    a trainer starts its metrics log."""
-    name, text, named = BAD_INPUTS[row]
-    data = tmp_path / name
-    data.write_text(text)
-    out = tmp_path / "run"
-    argv = (["finetune", "--base", short_base, "--output_dir", str(out), "--max_steps", "1"]
-            if command == "finetune" else ["eval", "--model", short_base])
-    source = "--csv" if name.endswith(".csv") else "--data"
-    assert main(argv + ["--tokenizer", workdir["tok"], source, str(data)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:data:") and "Traceback" not in err
-    assert f"{data}: {named}" in err, err
-    assert not (out / "metrics.jsonl").exists()
-
-
-# one malformed file per row, fed to eval: (the flag that takes it, its name,
-# its bytes from the short base's, the exit code, the message after the path)
-MALFORMED = {
-    "truncated_archive": ("--model", "model.pfwa", lambda base: base[:len(base) // 2], 2,
-                          "{}: checksum mismatch"),
-    "invalid_utf8_csv": ("--csv", "qa.csv", lambda base: b"question,answer\n\xffWhy?,Yes.\n",
-                         2, "{}: invalid UTF-8 at byte offset 16"),
-    "header_only_csv": ("--csv", "qa.csv", lambda base: b"question,answer\n", 2,
+    "all_labels_masked": ("--data", "data.json",
+                          _data({"input_ids": [5, 6, 7], "labels": [-1, -1, -1]}),
+                          ("finetune", "eval"), 2, "{}: example 1: labels"),
+    "only_first_label": ("--data", "data.json",
+                         _data({"input_ids": [5, 6, 7], "labels": [5, -1, -1]}),
+                         ("finetune", "eval"), 2, "{}: example 1: labels"),
+    "empty_examples": ("--data", "data.json", b'{"examples": []}', ("finetune", "eval"), 2,
+                       "{}: no usable examples"),
+    "truncated_archive": ("--model", "model.pfwa", lambda base: base[:len(base) // 2],
+                          ("eval",), 2, "{}: checksum mismatch"),
+    "invalid_utf8_csv": ("--csv", "qa.csv", b"question,answer\n\xffWhy?,Yes.\n", ("eval",), 2,
+                         "{}: invalid UTF-8 at byte offset 16"),
+    "header_only_csv": ("--csv", "qa.csv", b"question,answer\n", ("eval",), 2,
                         "{}: no usable examples"),
-    "unparseable_config": ("--config", "config.json", lambda base: b'{"top_k": ', 1,
+    "unparseable_config": ("--config", "config.json", b'{"top_k": ', ("eval",), 1,
                            "cannot read {} as JSON"),
 }
+BAD_CASES = [(row, command) for row, spec in sorted(BAD_INPUTS.items()) for command in spec[3]]
 
 
-@pytest.mark.parametrize("row", sorted(MALFORMED))
-def test_a_malformed_file_exits_with_one_line_naming_it(workdir, short_base, tmp_path,
-                                                        capsys, row):
-    flag, name, make, code, message = MALFORMED[row]
+@pytest.mark.parametrize("row, command", BAD_CASES, ids=[f"{r}-{c}" for r, c in BAD_CASES])
+def test_data_outside_the_model_is_a_data_error(workdir, short_base, tmp_path, capsys,
+                                                 row, command):
+    """A malformed input exits with its code and one line naming the file and
+    the example, field or fault, with no traceback, before a trainer starts
+    its metrics log. Every --data or --csv example must fit the model: ids in
+    [0, V), labels there or -1, at most seq_len tokens, and a label other
+    than -1 after the first. A broken archive or CSV is a data error too; an
+    unparseable --config is a config error."""
+    flag, name, content, _, code, message = BAD_INPUTS[row]
     bad = tmp_path / name
     with open(short_base, "rb") as f:
-        bad.write_bytes(make(f.read()))
+        bad.write_bytes(content(f.read()) if callable(content) else content)
+    out = tmp_path / "run"
     files = {"--model": short_base, "--csv": workdir["csv"], flag: str(bad)}
-    argv = ["eval", "--tokenizer", workdir["tok"]]
-    assert main(argv + [a for item in files.items() for a in item]) == code
+    if flag == "--data":
+        del files["--csv"]
+    if command == "finetune":
+        files.update({"--base": files.pop("--model"), "--output_dir": str(out),
+                      "--max_steps": "1"})
+    argv = [command, "--tokenizer", workdir["tok"], *(a for item in files.items() for a in item)]
+    assert main(argv) == code
     err = capsys.readouterr().err
     kind = {1: "config", 2: "data"}[code]
     assert err.startswith(f"error:{kind}: ") and "Traceback" not in err, err
     assert message.format(bad) in err, err
+    assert not (out / "metrics.jsonl").exists()
 
 
 def test_compare_with_an_empty_data_file_is_a_data_error(workdir, short_base, tmp_path,
