@@ -44,7 +44,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 
 TOKENIZER_VERSION = 1
 N_BYTES = 256
@@ -263,13 +263,7 @@ class TokenizerModel:
 
     @classmethod
     def load(cls, path: str) -> "TokenizerModel":
-        with open(path, "rb") as f:
-            raw = f.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: invalid UTF-8 at byte offset {e.start}")
-        return cls.from_json(text, path)
+        return cls.from_json(read_text(path), path)
 
 
 def train_bpe(

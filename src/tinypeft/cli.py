@@ -10,10 +10,13 @@ option's type (bool for a switch, a list of strings for a repeatable
 option), and an unknown key or a wrong type is a config error; an
 explicit flag always overrides its config-file counterpart. The effective
 configuration of any command with an --output_dir is echoed to
-<output_dir>/config.echo.json. Exit codes: 0 ok, 1 usage/config, 2
-data/format, 3 runtime, and 141 (as if killed by SIGPIPE) when the reader
-of stdout has gone. A --tokenizer whose vocab_size differs from its
-model's is a data error naming both files.
+<output_dir>/config.echo.json once its inputs are read. Exit codes: 0 ok,
+1 usage/config, 2 data/format, 3 runtime, and 141 (as if killed by
+SIGPIPE) when the reader of stdout has gone. An input file that cannot be
+read or decoded as UTF-8 is a data error naming it (a config error for
+--config and --space), and a command that fails on its inputs writes
+nothing. A --tokenizer whose vocab_size differs from its model's is a data
+error naming both files.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 import typing
 
 from . import bpe, corpus, evals, peft, quant, store, trainer as trainer_mod
-from .errors import ConfigError, DataError, TinyPeftError
+from .errors import ConfigError, DataError, TinyPeftError, read_text
 from .model import CausalLMConfig, init_model
 from .rng import RngState
 from .trainer import TrainConfig
@@ -86,9 +89,8 @@ def _check(path: str, key: str, value, hint):
 
 def _read_json(path: str, error: type[TinyPeftError]):
     try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, ValueError) as e:
+        return json.loads(read_text(path, error))
+    except ValueError as e:
         raise error(f"cannot read {path} as JSON: {e}")
 
 
@@ -124,11 +126,8 @@ def _config(cls, eff: dict, **given):
 
 
 def _echo_config(eff: dict):
-    out_dir = eff.get("output_dir")
-    if not out_dir:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.echo.json"), "w", encoding="utf-8") as f:
+    os.makedirs(eff["output_dir"], exist_ok=True)
+    with open(os.path.join(eff["output_dir"], "config.echo.json"), "w", encoding="utf-8") as f:
         json.dump(eff, f, indent=2, sort_keys=True)
 
 
@@ -145,16 +144,10 @@ def _require(eff: dict, *keys: str) -> list:
     return [eff[k] for k in keys]
 
 
-def _load_corpus_texts(path: str) -> list[str]:
-    if path.endswith(".csv"):
-        pairs = corpus.load_qa_csv(path)
-        return [f"{p.question} {p.answer}" for p in pairs]
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-        return raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {e.start}")
+def _load_pairs(path: str, pcfg: corpus.PreprocessConfig | None = None) -> list[corpus.QAPair]:
+    """A QA CSV's pairs, preprocessed by pcfg (by default the lm profile)."""
+    pcfg = pcfg or corpus.PreprocessConfig()
+    return [corpus.preprocess_pair(p, pcfg) for p in corpus.load_qa_csv(path)]
 
 
 def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMConfig,
@@ -177,10 +170,8 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMCon
             examples.append(corpus.TrainingExample(ids, labels))
     else:
         (path,) = _require(eff, "csv")
-        pairs = [corpus.preprocess_pair(p, corpus.PreprocessConfig())
-                 for p in corpus.load_qa_csv(path)]
-        examples, _ = corpus.build_examples(pairs, tokenizer, seq_len=config.seq_len,
-                                            mask_prompt=mask_prompt)
+        examples, _ = corpus.build_examples(_load_pairs(path), tokenizer,
+                                            seq_len=config.seq_len, mask_prompt=mask_prompt)
     if not examples:
         raise DataError(f"{path}: no usable examples")
     V, n = config.vocab_size, config.seq_len
@@ -208,7 +199,10 @@ def _load_examples(eff: dict, tokenizer: bpe.TokenizerModel, config: CausalLMCon
 def cmd_tokenizer_train(eff: dict) -> int:
     corpus_path, target_vocab, out = _require(eff, "corpus", "target_vocab", "out")
     terms = [t for t in (eff.get("domain_terms") or "").split(",") if t]
-    texts = _load_corpus_texts(corpus_path)
+    if corpus_path.endswith(".csv"):
+        texts = [f"{p.question} {p.answer}" for p in _load_pairs(corpus_path)]
+    else:
+        texts = read_text(corpus_path).splitlines()
     if not any(t.strip() for t in texts):
         raise DataError(f"{corpus_path}: no text to train a tokenizer on")
     tok = bpe.train_bpe(texts, target_vocab, terms)
@@ -223,7 +217,7 @@ def cmd_prepare_data(eff: dict) -> int:
     tok = bpe.TokenizerModel.load(tok_path)
     seq_len = _config(CausalLMConfig, eff, vocab_size=tok.vocab_size).seq_len
     pcfg = _config(corpus.PreprocessConfig, eff)
-    pairs = [corpus.preprocess_pair(p, pcfg) for p in corpus.load_qa_csv(csv_path)]
+    pairs = _load_pairs(csv_path, pcfg)
     rng = RngState(eff.get("seed", 0))  # draws nothing at augment_p 0
     pairs = [corpus.QAPair(p.question, corpus.augment_shuffle(p.answer, rng, pcfg.augment_p),
                            p.row) for p in pairs]
@@ -249,10 +243,10 @@ def cmd_pretrain(eff: dict) -> int:
     tok_path, _ = _require(eff, "tokenizer", "output_dir")
     tok = bpe.TokenizerModel.load(tok_path)
     cfg = _config(TrainConfig, eff)
-    _echo_config(eff)
     mcfg = _config(CausalLMConfig, eff, vocab_size=tok.vocab_size)
-    model = init_model(mcfg, RngState(cfg.seed))
     examples = _load_examples(eff, tok, mcfg, mask_prompt=False)
+    _echo_config(eff)
+    model = init_model(mcfg, RngState(cfg.seed))
     tr = trainer_mod.Trainer(model, examples, cfg, tok.specials.pad)
     summary = tr.train()
     out = os.path.join(cfg.output_dir, "model.pfwa")
@@ -295,9 +289,10 @@ def cmd_finetune(eff: dict) -> int:
         raise ConfigError(f"unknown finetune method {method!r}")
     base_path, tok_path, out_dir = _require(eff, "base", "tokenizer", "output_dir")
     _config(TrainConfig, eff)  # a bad training value is a config error before any file
-    _echo_config(eff)
     model, tok = _load_model(base_path, tok_path)
-    summary = _finetune(eff, model, tok, _load_examples(eff, tok, model.config))
+    examples = _load_examples(eff, tok, model.config)
+    _echo_config(eff)
+    summary = _finetune(eff, model, tok, examples)
     summary["trainable"] = peft.trainable_summary(model)
     out = os.path.join(out_dir, "model.pfwa" if method == "full" else "adapter.pfwa")
     (store.save_model if method == "full" else store.save_adapter)(model, out)
@@ -390,9 +385,9 @@ def cmd_sweep(eff: dict) -> int:
             raise ConfigError(f"{space_path}: {key} must map to a list of values")
         space[key] = [_check(space_path, key, v, FIELDS[key][2]) for v in values]
     base_cfg = _config(TrainConfig, eff)
-    _echo_config(eff)
     base, tok = _load_model(base_path, tok_path)
     examples = _load_examples(eff, tok, base.config)
+    _echo_config(eff)
     holdout = max(1, len(examples) // 10)
     train_set, eval_set = examples[:-holdout], examples[-holdout:]
 
@@ -431,12 +426,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="tinypeft", description="desk-scale PEFT toolkit")
+    ap = _Parser(prog="tinypeft", description="desk-scale PEFT toolkit", allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
     ap.commands = sub.choices  # command name -> its parser
 
     def command(name: str, help: str, *text_flags: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         for flag in ("config", *text_flags):
             p.add_argument("--" + flag)
         return p
@@ -514,10 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as e:
         print(f"error:data: {e}", file=sys.stderr)
         return 2
-    except TinyPeftError as e:
-        print(f"error:runtime: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (TinyPeftError, OSError) as e:  # an OSError here is a failed write
         print(f"error:runtime: {e}", file=sys.stderr)
         return 3
 

@@ -17,7 +17,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 from .bpe import TokenizerModel
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 from .rng import RngState
 
 log = logging.getLogger(__name__)
@@ -72,13 +72,7 @@ def load_qa_csv(path: str) -> list[QAPair]:
     Either a fused QA_text column or separate question/answer columns must
     be present. Malformed cells fail with the row number and prefix.
     """
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {e.start}")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     header = reader.fieldnames or []
     fused = next((h for h in header if h.strip() == "QA_text"), None)
     q_col = next((h for h in header if h.strip().lower() == "question"), None)

@@ -28,7 +28,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigError, DataError, StateError
+from .errors import ConfigError, DataError, StateError, read_bytes
 from .model import LN_EPS, CausalLM, CausalLMConfig, build_model, model_shapes
 from .peft import (
     BottleneckAdapterConfig,
@@ -97,8 +97,7 @@ def save_archive(path: str, tensors: dict[str, np.ndarray], meta: dict | None = 
 
 def load_archive(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read and verify an archive; returns (tensors, meta)."""
-    with open(path, "rb") as f:
-        body = f.read()
+    body = read_bytes(path)
     if len(body) < 24 or body[:4] != MAGIC:
         raise DataError(f"{path}: not a PFWA archive")
     if _checksum(memoryview(body)[:-8]) != body[-8:]:

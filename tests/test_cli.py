@@ -14,9 +14,10 @@ import pytest
 
 import tinypeft
 from tinypeft import cli, peft, store
-from tinypeft.bpe import TokenizerModel
+from tinypeft.bpe import TokenizerModel, train_bpe
 from tinypeft.cli import main
-from tinypeft.corpus import DEFAULT_INFER_TEMPLATE, DEFAULT_TRAIN_TEMPLATE
+from tinypeft.corpus import (DEFAULT_INFER_TEMPLATE, DEFAULT_TRAIN_TEMPLATE, PreprocessConfig,
+                             load_qa_csv, preprocess_pair)
 from tinypeft.evals import bleu, exact_match, rouge_l
 from tinypeft.model import CausalLM, CausalLMConfig, init_model
 from tinypeft.peft import BottleneckAdapterConfig, LoraConfig, attach_lora
@@ -475,6 +476,21 @@ def test_model_archive_with_zero_heads_is_data_error(workdir, tmp_path, capsys):
     assert "n_heads must be >= 1" in err and "Traceback" not in err
 
 
+def test_tokenizer_train_reads_csv_rows_preprocessed(tmp_path):
+    """tokenizer-train takes a --corpus CSV's rows as every --csv reader does:
+    control characters, tabs among them, dropped and space runs collapsed."""
+    qa = tmp_path / "qa.csv"
+    qa.write_text("question,answer\n" + '"Why \t\t\tbuy\x07 bonds?","Bonds pay \t\tcoupons."\n' * 4,
+                  encoding="utf-8")
+    out = tmp_path / "tok.json"
+    assert main(["tokenizer-train", "--corpus", str(qa), "--target_vocab", "300",
+                 "--out", str(out)]) == 0
+    pairs = [preprocess_pair(p, PreprocessConfig()) for p in load_qa_csv(str(qa))]
+    assert pairs[0].question == "Why buy bonds?" and pairs[0].answer == "Bonds pay coupons."
+    assert out.read_text(encoding="utf-8") == train_bpe(
+        [f"{p.question} {p.answer}" for p in pairs], 300).to_json()
+
+
 def test_bad_csv_is_data_error(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("foo\nbar\n")
@@ -586,10 +602,12 @@ def _data(bad: dict) -> bytes:
     return json.dumps({"examples": [good, bad]}).encode()
 
 
-# one malformed input per row, in a file given to finetune and eval on the
-# short base and the bundled CSV: (the flag that takes it, its file name, its
-# bytes or a function of the short base's bytes, the commands it is fed to,
-# the exit code, the message with {} for the file's path)
+# one malformed input per row, in a file given to its commands on the short
+# base and the bundled CSV: (the flag that takes it, its file name, its bytes,
+# a function of the short base's bytes or None for a file that is not there,
+# the commands it is fed to, the exit code, the message with {} for the
+# file's path)
+MISSING = "{}: cannot read: No such file or directory"
 BAD_INPUTS = {
     "label_too_large": ("--data", "data.json",
                         _data({"input_ids": [5, 6, 7], "labels": [5, 6, 99999]}),
@@ -619,6 +637,20 @@ BAD_INPUTS = {
                         "{}: no usable examples"),
     "unparseable_config": ("--config", "config.json", b'{"top_k": ', ("eval",), 1,
                            "cannot read {} as JSON"),
+    "invalid_utf8_data": ("--data", "data.json", b'{"examples": [\xff]}', ("finetune", "eval"),
+                          2, "{}: invalid UTF-8 at byte offset 14"),
+    "invalid_utf8_config": ("--config", "config.json", b'{\xff}', ("finetune", "eval"), 1,
+                            "{}: invalid UTF-8 at byte offset 1"),
+    "missing_csv": ("--csv", "qa.csv", None, ("pretrain", "finetune", "sweep", "eval"), 2,
+                    MISSING),
+    "missing_tokenizer": ("--tokenizer", "tok.json", None, ("finetune", "eval"), 2, MISSING),
+    "missing_model": ("--model", "model.pfwa", None, ("finetune", "eval"), 2, MISSING),
+    "missing_adapter": ("--adapter", "adapter.pfwa", None, ("eval",), 2, MISSING),
+    "missing_data": ("--data", "data.json", None, ("finetune", "eval"), 2, MISSING),
+    "missing_config": ("--config", "config.json", None, ("pretrain", "finetune", "eval"), 1,
+                       MISSING),
+    "missing_space": ("--space", "space.json", None, ("sweep",), 1, MISSING),
+    "missing_corpus": ("--corpus", "corpus.txt", None, ("tokenizer-train",), 2, MISSING),
 }
 BAD_CASES = [(row, command) for row, spec in sorted(BAD_INPUTS.items()) for command in spec[3]]
 
@@ -627,29 +659,38 @@ BAD_CASES = [(row, command) for row, spec in sorted(BAD_INPUTS.items()) for comm
 def test_data_outside_the_model_is_a_data_error(workdir, short_base, tmp_path, capsys,
                                                  row, command):
     """A malformed input exits with its code and one line naming the file and
-    the example, field or fault, with no traceback, before a trainer starts
-    its metrics log. Every --data or --csv example must fit the model: ids in
-    [0, V), labels there or -1, at most seq_len tokens, and a label other
-    than -1 after the first. A broken archive or CSV is a data error too; an
-    unparseable --config is a config error."""
+    the example, field or fault, with no traceback, and writes nothing. Every
+    --data or --csv example must fit the model: ids in [0, V), labels there
+    or -1, at most seq_len tokens, and a label other than -1 after the first.
+    A broken archive or CSV, or an input file that is missing or not UTF-8,
+    is a data error too; under --config or --space it is a config error."""
     flag, name, content, _, code, message = BAD_INPUTS[row]
     bad = tmp_path / name
-    with open(short_base, "rb") as f:
-        bad.write_bytes(content(f.read()) if callable(content) else content)
+    if content is not None:
+        with open(short_base, "rb") as f:
+            bad.write_bytes(content(f.read()) if callable(content) else content)
     out = tmp_path / "run"
-    files = {"--model": short_base, "--csv": workdir["csv"], flag: str(bad)}
+    space = tmp_path / "good_space.json"
+    space.write_text('{"learning_rate": [1e-3]}')
+    read = {"--tokenizer": workdir["tok"], "--csv": workdir["csv"]}
+    train = {**read, "--output_dir": str(out), "--max_steps": "1"}
+    files = {
+        "tokenizer-train": {"--corpus": workdir["csv"], "--target_vocab": "300",
+                            "--out": str(out)},
+        "pretrain": train,
+        "finetune": {**train, "--base": short_base},
+        "sweep": {**train, "--base": short_base, "--space": str(space)},
+        "eval": {**read, "--model": short_base},
+    }[command]
+    files["--base" if flag == "--model" and "--base" in files else flag] = str(bad)
     if flag == "--data":
         del files["--csv"]
-    if command == "finetune":
-        files.update({"--base": files.pop("--model"), "--output_dir": str(out),
-                      "--max_steps": "1"})
-    argv = [command, "--tokenizer", workdir["tok"], *(a for item in files.items() for a in item)]
-    assert main(argv) == code
+    assert main([command, *(a for item in files.items() for a in item)]) == code
     err = capsys.readouterr().err
     kind = {1: "config", 2: "data"}[code]
     assert err.startswith(f"error:{kind}: ") and "Traceback" not in err, err
-    assert message.format(bad) in err, err
-    assert not (out / "metrics.jsonl").exists()
+    assert err.count("\n") == 1 and message.format(bad) in err, err
+    assert not out.exists()
 
 
 def test_compare_with_an_empty_data_file_is_a_data_error(workdir, short_base, tmp_path,
@@ -716,7 +757,7 @@ def test_a_foreign_tokenizer_is_refused_up_front(workdir, foreign_toks, tmp_path
                             f"from model {base} vocab_size {model_size}\n")
     assert captured.out == ""
     written = [p.name for p in out.rglob("*")] if out.exists() else []
-    assert written in ([], ["config.echo.json"]), written
+    assert written == [], written
 
 
 def test_a_sweep_trial_trains_what_finetune_trains(workdir, tmp_path, capsys):
@@ -776,6 +817,15 @@ def test_usage_errors_are_config_errors(capsys, argv, named):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:config:") and named in err
+
+
+def test_a_flag_is_set_only_by_its_full_name(capsys):
+    """A prefix of a flag is an unknown flag, as a prefix of a --config key is
+    an unknown key."""
+    assert cli.build_parser().parse_args(["finetune", "--max_steps", "4"]).max_steps == 4
+    assert main(["finetune", "--max_step", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error:config: tinypeft: unrecognized arguments: --max_step 4\n", err
 
 
 def test_help_exits_zero(capsys):
@@ -853,11 +903,6 @@ def test_config_values_of_plain_options_reach_the_command(tmp_path):
     cfg.write_text(json.dumps({"question": "Why?"}))
     eff = cli._effective(cli.build_parser().parse_args(["compare", "--config", str(cfg)]))
     assert eff == {"question": ["Why?"]}
-
-
-def test_unreadable_config_is_config_error(capsys, tmp_path):
-    assert main(["pretrain", "--config", str(tmp_path / "missing.json")]) == 1
-    assert capsys.readouterr().err.startswith("error:config:")
 
 
 def test_merged_model_loads_plain(workdir):
